@@ -1,6 +1,6 @@
 """Mutual causal-attention zero-shot learner on pre-extracted region features."""
 
-from .data import Dataset, Sample, Split, SynthConfig, generate_synthetic, load_dataset, save_dataset
+from .data import Dataset, Split, SynthConfig, generate_synthetic, load_dataset, save_dataset
 from .evaluate import EvalReport, FusionConfig, evaluate, fused_score, harmonic_mean, predict
 from .gradcheck import GradCheckReport, finite_difference_check
 from .losses import LossReport, LossWeights, acec_loss, ar_loss, causal_loss, distill_loss, total_loss
@@ -18,7 +18,7 @@ from .training import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "Dataset", "Sample", "Split", "SynthConfig",
+    "Dataset", "Split", "SynthConfig",
     "generate_synthetic", "load_dataset", "save_dataset",
     "EvalReport", "FusionConfig", "evaluate", "fused_score", "harmonic_mean", "predict",
     "GradCheckReport", "finite_difference_check",

@@ -40,18 +40,18 @@ class AttrVisualForward:
     logits: ad.Tensor  # C class scores
 
 
-def _shape(x) -> tuple:
-    return x.data.shape if isinstance(x, ad.Tensor) else np.asarray(x).shape
-
-
-def _check_bilinear(a_shape, w_shape, v_shape, w_name: str) -> None:
-    if len(a_shape) != 2 or len(v_shape) != 2 or len(w_shape) != 2:
+def check_bilinear(left, w, right, w_name: str) -> None:
+    """Shape check for the row-wise bilinear form left_i' w right_j: all three
+    are matrices, and w is (left columns) x (right columns)."""
+    l_shape, r_shape = left.shape, right.shape
+    w_shape = w.data.shape if isinstance(w, ad.Tensor) else np.asarray(w).shape
+    if len(l_shape) != 2 or len(r_shape) != 2 or len(w_shape) != 2:
         raise ShapeError(
-            f"expected matrices, got {a_shape} x {w_name} {w_shape} x {v_shape}"
+            f"expected matrices, got {l_shape} x {w_name} {w_shape} x {r_shape}"
         )
-    if a_shape[1] != w_shape[0] or w_shape[1] != v_shape[1]:
+    if l_shape[1] != w_shape[0] or w_shape[1] != r_shape[1]:
         raise ShapeError(
-            f"bilinear shapes inconsistent: {a_shape} x {w_name} {w_shape} x {v_shape}"
+            f"bilinear shapes inconsistent: {l_shape} x {w_name} {w_shape} x {r_shape}"
         )
 
 
@@ -59,7 +59,7 @@ def attention(V, A, params: AttrVisualParams) -> ad.Tensor:
     """K x R weights: softmax over regions of the bilinear scores a_k' w1 v_r."""
     V = np.asarray(V, dtype=np.float64)
     A = np.asarray(A, dtype=np.float64)
-    _check_bilinear(A.shape, _shape(params.w1), V.shape, "w1")
+    check_bilinear(A, params.w1, V, "w1")
     scores = ad.matmul(ad.matmul(ad.constant(A), ad.as_tensor(params.w1)), ad.constant(V.T))
     return ad.softmax(scores, axis=1)
 
@@ -77,7 +77,7 @@ def embed(feats, A, params: AttrVisualParams) -> ad.Tensor:
     """Length-K scores: entry k is a_k' w2 f_k, the confidence for attribute k."""
     feats = ad.as_tensor(feats)
     A = np.asarray(A, dtype=np.float64)
-    _check_bilinear(A.shape, _shape(params.w2), feats.data.shape, "w2")
+    check_bilinear(A, params.w2, feats.data, "w2")
     projected = ad.matmul(ad.constant(A), ad.as_tensor(params.w2))  # K x D
     return ad.tsum(ad.mul(projected, feats), axis=1)
 

@@ -9,12 +9,12 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import replace
+from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
 
-from . import attr_visual, visual_attr
+from . import attr_visual
 from .data import SynthConfig, generate_synthetic, load_dataset, save_dataset
 from .errors import ConfigError, FormatError, NumericError
 from .evaluate import (
@@ -28,6 +28,7 @@ from .losses import LossWeights
 from .training import (
     INTERVENTION_KINDS,
     Hyperparams,
+    forward_both,
     load_checkpoint,
     save_checkpoint,
     train,
@@ -57,7 +58,7 @@ _CONFIG_CASTS = {
     "classes": int, "attributes": int, "regions": int, "feature_dim": int,
     "attr_dim": int, "samples_per_class": int, "unseen_fraction": float,
     "noise": float, "data": str, "out": str, "checkpoint": str, "preset": str,
-    "threads": int, "samples": str, "top_n": int,
+    "samples": str, "top_n": int,
 }
 
 
@@ -101,50 +102,23 @@ def _resolve(args: argparse.Namespace) -> dict:
     return merged
 
 
+def _from_cfg(cls, cfg: dict, **fixed):
+    """cls from `fixed` plus the keys of cfg that name its other fields; every
+    field left unset keeps the default its dataclass declares."""
+    names = {f.name for f in fields(cls)} - set(fixed)
+    return cls(**{k: v for k, v in cfg.items() if k in names}, **fixed)
+
+
 def _hyperparams(cfg: dict) -> Hyperparams:
-    weights = LossWeights(
-        lambda_cal=cfg.get("lambda_cal", 0.05),
-        lambda_ar=cfg.get("lambda_ar", 0.03),
-        lambda_causal=cfg.get("lambda_causal", 0.3),
-        lambda_distill=cfg.get("lambda_distill", 0.001),
-    )
-    hp = Hyperparams(
-        learning_rate=cfg.get("learning_rate", 1e-4),
-        batch_size=cfg.get("batch_size", 50),
-        epochs=cfg.get("epochs", 10),
-        momentum=cfg.get("momentum", 0.9),
-        weight_decay=cfg.get("weight_decay", 1e-4),
-        rms_decay=cfg.get("rms_decay", 0.99),
-        rms_epsilon=cfg.get("rms_epsilon", 1e-8),
-        loss_weights=weights,
-        intervention=cfg.get("intervention", "random"),
-        seed=cfg.get("seed", 0),
-        intervention_seed=cfg.get("intervention_seed"),
-    )
+    hp = _from_cfg(Hyperparams, cfg, loss_weights=_from_cfg(LossWeights, cfg))
     if hp.learning_rate <= 0:
         raise ConfigError("learning_rate must be positive for training runs")
     return hp
 
 
-def _fusion(cfg: dict, setting: str) -> FusionConfig:
-    return FusionConfig(
-        alpha1=cfg.get("alpha1", 0.8), alpha2=cfg.get("alpha2", 0.2), setting=setting
-    )
-
-
 def cmd_gen_synth(args: argparse.Namespace) -> int:
     cfg = _resolve(args)
-    synth = SynthConfig(
-        classes=cfg.get("classes", 10),
-        attributes=cfg.get("attributes", 12),
-        regions=cfg.get("regions", 9),
-        feature_dim=cfg.get("feature_dim", 16),
-        attr_dim=cfg.get("attr_dim", 16),
-        samples_per_class=cfg.get("samples_per_class", 20),
-        unseen_fraction=cfg.get("unseen_fraction", 0.3),
-        noise=cfg.get("noise", 0.05),
-    )
-    ds = generate_synthetic(synth, seed=cfg.get("seed", 0))
+    ds = generate_synthetic(_from_cfg(SynthConfig, cfg), seed=cfg.get("seed", 0))
     save_dataset(ds, args.out)
     print(
         f"wrote {ds.name}: {ds.num_samples} samples, {ds.num_classes} classes "
@@ -197,10 +171,9 @@ def cmd_eval(args: argparse.Namespace) -> int:
     if setting not in ("czsl", "gzsl", "both"):
         raise ConfigError(f"setting must be czsl, gzsl, or both, got {setting!r}")
     wanted = ["czsl", "gzsl"] if setting == "both" else [setting]
-    threads = cfg.get("threads", 1)
     reports: dict[str, EvalReport] = {}
     for s in wanted:
-        rep = evaluate(dataset, state, _fusion(cfg, s), threads=threads)
+        rep = evaluate(dataset, state, _from_cfg(FusionConfig, cfg, setting=s))
         reports[s] = rep
         if s == "czsl":
             print(f"CZSL: acc={rep.czsl_acc:.4f}")
@@ -222,7 +195,6 @@ def cmd_intervene_compare(args: argparse.Namespace) -> int:
     hp = _hyperparams(cfg)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    threads = cfg.get("threads", 1)
     rows = []
     for kind in INTERVENTION_KINDS:
         run_dir = out / f"intervene_{kind}"
@@ -235,8 +207,8 @@ def cmd_intervene_compare(args: argparse.Namespace) -> int:
             run_dir.mkdir(parents=True, exist_ok=True)
             save_checkpoint(state, kind_hp, ckpt, epoch=kind_hp.epochs,
                             loss_history=log.epoch_reports)
-        czsl = evaluate(dataset, state, _fusion(cfg, "czsl"), threads=threads)
-        gzsl = evaluate(dataset, state, _fusion(cfg, "gzsl"), threads=threads)
+        czsl = evaluate(dataset, state, _from_cfg(FusionConfig, cfg, setting="czsl"))
+        gzsl = evaluate(dataset, state, _from_cfg(FusionConfig, cfg, setting="gzsl"))
         rows.append((kind, czsl.czsl_acc, gzsl.gzsl_u, gzsl.gzsl_s, gzsl.gzsl_h))
     lines = ["kind,czsl_acc,gzsl_u,gzsl_s,gzsl_h"]
     lines += [f"{k},{a:.6f},{u:.6f},{s:.6f},{h:.6f}" for k, a, u, s, h in rows]
@@ -263,12 +235,10 @@ def cmd_export_attention(args: argparse.Namespace) -> int:
     for i in indices:
         if not 0 <= i < dataset.num_samples:
             raise ConfigError(f"sample index {i} outside [0, {dataset.num_samples})")
-        V = dataset.features[i]
-        f1 = attr_visual.forward(V, dataset.attributes, dataset.class_semantics, state.avca)
-        f2 = visual_attr.forward(V, dataset.attributes, dataset.class_semantics, state.vaca)
+        f1, f2 = forward_both(dataset.features[i], dataset, state.avca, state.vaca)
         attr_visual.export_attention(f1.attention.data, names,
                                      out / f"sample_{i}_region_attention")
-        visual_attr.export_attention(f2.attention.data, names,
+        attr_visual.export_attention(f2.attention.data, names,
                                      out / f"sample_{i}_attribute_attention")
         scores = f1.attr_scores.data
         ranked = np.argsort(-scores, kind="stable")[: min(top_n, len(scores))]
@@ -324,7 +294,6 @@ def build_parser() -> argparse.ArgumentParser:
     e.add_argument("--setting", choices=("czsl", "gzsl", "both"))
     e.add_argument("--alpha1", type=float)
     e.add_argument("--alpha2", type=float)
-    e.add_argument("--threads", type=int)
     e.add_argument("--csv", action="store_true", help="also write per-class CSVs")
     e.set_defaults(func=cmd_eval)
 
@@ -337,7 +306,7 @@ def build_parser() -> argparse.ArgumentParser:
     for flag, typ in (("learning-rate", float), ("batch-size", int), ("epochs", int),
                       ("lambda-cal", float), ("lambda-ar", float),
                       ("lambda-causal", float), ("lambda-distill", float),
-                      ("alpha1", float), ("alpha2", float), ("threads", int)):
+                      ("alpha1", float), ("alpha2", float)):
         ic.add_argument(f"--{flag}", type=typ, dest=flag.replace("-", "_"))
     ic.add_argument("--eval-only", action="store_true",
                     help="reuse checkpoints from a previous compare run")

@@ -38,14 +38,6 @@ _REQUIRED_KEYS = {
 _OPTIONAL_KEYS = {"class_names", "attribute_names"}
 
 
-@dataclass(frozen=True)
-class Sample:
-    """One image's worth of region features (R x D) and its class label."""
-
-    regions: np.ndarray
-    label: int
-
-
 @dataclass
 class Split:
     seen_classes: list[int]
@@ -85,9 +77,6 @@ class Dataset:
     @property
     def num_classes(self) -> int:
         return self.class_semantics.shape[0]
-
-    def sample(self, i: int) -> Sample:
-        return Sample(regions=self.features[i], label=int(self.labels[i]))
 
 
 @dataclass(frozen=True)

@@ -8,16 +8,14 @@ sample count); the GZSL summary is the harmonic mean H = 2SU/(S+U).
 from __future__ import annotations
 
 import json
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
 
-from . import attr_visual, visual_attr
-from .data import Dataset, Sample, Split
+from .data import Dataset, Split
 from .errors import ShapeError
-from .training import ModelState
+from .training import ModelState, forward_both
 
 SETTINGS = ("czsl", "gzsl")
 
@@ -77,15 +75,12 @@ def fused_score(
     return Z[cands] @ fused + offsets
 
 
-def predict(sample: Sample, state: ModelState, dataset: Dataset, cfg: FusionConfig) -> int:
-    """Highest fused score wins; exact ties go to the lowest class index."""
-    psi = attr_visual.forward(
-        sample.regions, dataset.attributes, dataset.class_semantics, state.avca
-    ).attr_scores.data
-    psi2 = visual_attr.forward(
-        sample.regions, dataset.attributes, dataset.class_semantics, state.vaca
-    ).attr_scores.data
-    scores = fused_score(psi, psi2, dataset.class_semantics, dataset.split, cfg)
+def predict(regions, state: ModelState, dataset: Dataset, cfg: FusionConfig) -> int:
+    """Class of one sample's regions (R x D): highest fused score wins; exact
+    ties go to the lowest class index."""
+    f1, f2 = forward_both(regions, dataset, state.avca, state.vaca)
+    scores = fused_score(f1.attr_scores.data, f2.attr_scores.data,
+                         dataset.class_semantics, dataset.split, cfg)
     cands = candidate_classes(dataset.split, cfg.setting)
     return cands[int(np.argmax(scores))]
 
@@ -105,19 +100,13 @@ def _mean(values) -> float:
     return sum(values) / len(values)
 
 
-def _predict_many(indices, dataset, state, cfg, threads: int) -> list[tuple[int, int]]:
-    def one(i: int) -> tuple[int, int]:
-        return int(dataset.labels[i]), predict(dataset.sample(i), state, dataset, cfg)
-
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            return list(pool.map(one, indices))
-    return [one(i) for i in indices]
+def _predict_many(indices, dataset, state, cfg) -> list[tuple[int, int]]:
+    """(true, predicted) class pairs for the samples `indices`."""
+    return [(int(dataset.labels[i]), predict(dataset.features[i], state, dataset, cfg))
+            for i in indices]
 
 
-def evaluate(
-    dataset: Dataset, state: ModelState, cfg: FusionConfig, threads: int = 1
-) -> EvalReport:
+def evaluate(dataset: Dataset, state: ModelState, cfg: FusionConfig) -> EvalReport:
     """CZSL: per-class mean top-1 over unseen test samples, unseen candidates
     only. GZSL: U and S are per-class means over unseen/seen test samples with
     all classes as candidates, summarized by H."""
@@ -126,15 +115,15 @@ def evaluate(
     if cfg.setting == "czsl":
         if not split.test_unseen_idx:
             raise ValueError("CZSL evaluation requires a nonempty unseen test split")
-        pairs = _predict_many(split.test_unseen_idx, dataset, state, cfg, threads)
+        pairs = _predict_many(split.test_unseen_idx, dataset, state, cfg)
         acc = per_class_accuracy(pairs)
         report.czsl_acc = _mean(acc.values())
         report.per_class_acc = acc
     else:
         if not split.test_unseen_idx or not split.test_seen_idx:
             raise ValueError("GZSL evaluation requires nonempty seen and unseen test splits")
-        unseen_pairs = _predict_many(split.test_unseen_idx, dataset, state, cfg, threads)
-        seen_pairs = _predict_many(split.test_seen_idx, dataset, state, cfg, threads)
+        unseen_pairs = _predict_many(split.test_unseen_idx, dataset, state, cfg)
+        seen_pairs = _predict_many(split.test_seen_idx, dataset, state, cfg)
         unseen_acc = per_class_accuracy(unseen_pairs)
         seen_acc = per_class_accuracy(seen_pairs)
         report.gzsl_u = _mean(unseen_acc.values())

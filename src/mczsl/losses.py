@@ -11,6 +11,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import autodiff as ad
+from .attr_visual import predict as class_logits
 from .data import Split
 from .errors import NumericError, ShapeError
 
@@ -39,14 +40,6 @@ class LossReport:
     distill: float
     total: float
     weights: LossWeights
-
-
-def class_logits(f, Z) -> ad.Tensor:
-    f = ad.as_tensor(f)
-    Z = np.asarray(Z, dtype=np.float64)
-    if Z.ndim != 2 or f.data.ndim != 1 or Z.shape[1] != f.data.shape[0]:
-        raise ShapeError(f"prototypes {Z.shape} incompatible with embedding {f.data.shape}")
-    return ad.matmul(ad.constant(Z), f)
 
 
 def _seen_cross_entropy(f, label: int, Z, split: Split) -> ad.Tensor:

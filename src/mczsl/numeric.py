@@ -1,4 +1,4 @@
-"""Dense-matrix primitives and seeded randomness.
+"""Seeded random streams, uniform draws and a stable softmax.
 
 All in-memory computation is float64; matrices are plain 2-D numpy arrays in
 C (row-major) order. Randomness comes from numpy's PCG64, a named portable
@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import ConfigError, NumericError, ShapeError
+from .errors import ConfigError
 
 
 def make_rng(seed: int) -> np.random.Generator:
@@ -20,30 +20,6 @@ def spawn_rngs(seed: int, n: int) -> list[np.random.Generator]:
     """n independent child streams derived from one seed, in a fixed order."""
     children = np.random.SeedSequence(seed).spawn(n)
     return [np.random.Generator(np.random.PCG64(c)) for c in children]
-
-
-def as_matrix(x, name: str = "matrix") -> np.ndarray:
-    a = np.asarray(x, dtype=np.float64)
-    if a.ndim != 2:
-        raise ShapeError(f"{name} must be 2-D, got shape {a.shape}")
-    return a
-
-
-def check_finite(a: np.ndarray, name: str = "result") -> np.ndarray:
-    if not np.all(np.isfinite(a)):
-        raise NumericError(f"{name} contains non-finite values")
-    return a
-
-
-def matmul(a, b) -> np.ndarray:
-    """Matrix product with an explicit inner-dimension check."""
-    a = as_matrix(a, "left operand")
-    b = as_matrix(b, "right operand")
-    if a.shape[1] != b.shape[0]:
-        raise ShapeError(
-            f"matmul inner dimensions differ: {a.shape} x {b.shape}"
-        )
-    return check_finite(a @ b, "matmul result")
 
 
 def softmax(v, axis: int = -1) -> np.ndarray:

@@ -39,11 +39,13 @@ def read_tensor(path: str | Path) -> np.ndarray:
     path = Path(path)
     if not path.exists():
         raise FileNotFoundError(f"tensor file not found: {path}")
-    blob = path.read_bytes()
+    # a numpy buffer rather than bytes: numpy asks the kernel for huge pages on
+    # large buffers, so a big payload is not faulted in 4 KiB at a time
+    blob = memoryview(np.fromfile(path, dtype=np.uint8))
     if len(blob) < 6:
         raise FormatError(f"{path}: truncated header at offset {len(blob)} (need 6 bytes)")
     if blob[:4] != MAGIC:
-        raise FormatError(f"{path}: bad magic {blob[:4]!r} at offset 0")
+        raise FormatError(f"{path}: bad magic {bytes(blob[:4])!r} at offset 0")
     version, rank = blob[4], blob[5]
     if version != VERSION:
         raise FormatError(f"{path}: unsupported version {version} at offset 4")

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import json
 import time
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
 from typing import Callable
 
@@ -20,7 +20,7 @@ import numpy as np
 from . import attr_visual, autodiff as ad, visual_attr
 from .attr_visual import AttrVisualParams
 from .data import Dataset
-from .errors import ConfigError, NumericError
+from .errors import ConfigError, FormatError, NumericError
 from .losses import (
     LossReport,
     LossWeights,
@@ -78,7 +78,6 @@ class Hyperparams:
 class ModelState:
     avca: AttrVisualParams
     vaca: VisualAttrParams
-    grads: dict[str, np.ndarray]
     sq_avg: dict[str, np.ndarray]
     momentum_buf: dict[str, np.ndarray]
 
@@ -116,12 +115,21 @@ def init_state(attr_dim: int, feature_dim: int, rng: np.random.Generator) -> Mod
         "w1": avca.w1, "w2": avca.w2,
         "w3": vaca.w3, "w4": vaca.w4, "w_att": vaca.w_att,
     }
-    return ModelState(avca=avca, vaca=vaca, grads=zeros(params),
-                      sq_avg=zeros(params), momentum_buf=zeros(params))
+    return ModelState(avca=avca, vaca=vaca, sq_avg=zeros(params), momentum_buf=zeros(params))
 
 
 def state_for_dataset(dataset: Dataset, rng: np.random.Generator) -> ModelState:
     return init_state(dataset.attributes.shape[1], dataset.feature_dim, rng)
+
+
+def forward_both(
+    V, dataset: Dataset, avca: AttrVisualParams, vaca: VisualAttrParams
+) -> tuple[attr_visual.AttrVisualForward, visual_attr.VisualAttrForward]:
+    """Both sub-nets on one sample's regions V (R x D) against the dataset's
+    attributes and prototypes. Training, prediction and attention export all
+    score a sample here."""
+    A, Z = dataset.attributes, dataset.class_semantics
+    return attr_visual.forward(V, A, Z, avca), visual_attr.forward(V, A, Z, vaca)
 
 
 def make_intervention_attention(
@@ -189,8 +197,7 @@ def batch_loss_and_grads(
         V = dataset.features[i]
         label = int(dataset.labels[i])
         z_true = Z[label]
-        f1 = attr_visual.forward(V, A, Z, avca_p)
-        f2 = visual_attr.forward(V, A, Z, vaca_p)
+        f1, f2 = forward_both(V, dataset, avca_p, vaca_p)
         beta_bar, gamma_bar = intervention_fn(pos, f1.attention.data, f2.attention.data)
         psi1_bar, _ = attr_visual.intervened(V, A, Z, avca_p, beta_bar)
         psi2_bar, _ = visual_attr.intervened(V, A, Z, vaca_p, gamma_bar)
@@ -232,12 +239,12 @@ def batch_loss_and_grads(
     return report, grads
 
 
-def rmsprop_update(state: ModelState, hp: Hyperparams) -> None:
+def rmsprop_update(state: ModelState, grads: dict[str, np.ndarray], hp: Hyperparams) -> None:
     """RMSProp with momentum; weight decay is decoupled (parameters shrink
     toward zero before the gradient step, so the gradient check stays clean)."""
     lr = hp.learning_rate
     for name, p in state.params().items():
-        g = state.grads[name]
+        g = grads[name]
         sq = state.sq_avg[name]
         buf = state.momentum_buf[name]
         sq *= hp.rms_decay
@@ -275,25 +282,26 @@ def train_step(
 
     report, grads = batch_loss_and_grads(
         batch_indices, dataset, state.params(), hp.loss_weights, draw)
-    state.grads = grads
-    rmsprop_update(state, hp)
+    rmsprop_update(state, grads, hp)
     return report
 
 
-def _train_accuracy(dataset: Dataset, state: ModelState, alpha=(0.8, 0.2)) -> float:
+def _train_accuracy(dataset: Dataset, state: ModelState) -> float:
     """Fraction of training samples whose fused embedding ranks the true seen
-    class first (seen candidates only; diagnostics, not the test protocol)."""
-    seen = dataset.split.seen_classes
-    z_seen = dataset.class_semantics[seen]
+    class first: default fusion coefficients, seen classes as the only
+    candidates and no calibration offset (diagnostics, not the test protocol)."""
+    # imported here because evaluate imports this module
+    from .evaluate import FusionConfig, candidate_classes, fused_score
+
+    cfg = FusionConfig(setting="gzsl")
+    seen_only = replace(dataset.split, unseen_classes=[])
+    cands = candidate_classes(seen_only, cfg.setting)
     correct = 0
     for i in dataset.split.train_idx:
-        V = dataset.features[i]
-        psi = attr_visual.forward(V, dataset.attributes, dataset.class_semantics,
-                                  state.avca).attr_scores.data
-        psi2 = visual_attr.forward(V, dataset.attributes, dataset.class_semantics,
-                                   state.vaca).attr_scores.data
-        scores = z_seen @ (alpha[0] * psi + alpha[1] * psi2)
-        if seen[int(np.argmax(scores))] == int(dataset.labels[i]):
+        f1, f2 = forward_both(dataset.features[i], dataset, state.avca, state.vaca)
+        scores = fused_score(f1.attr_scores.data, f2.attr_scores.data,
+                             dataset.class_semantics, seen_only, cfg, indicator=0.0)
+        if cands[int(np.argmax(scores))] == int(dataset.labels[i]):
             correct += 1
     return correct / max(1, len(dataset.split.train_idx))
 
@@ -367,12 +375,14 @@ def load_checkpoint(directory: str | Path) -> tuple[ModelState, dict]:
     meta_path = directory / CHECKPOINT_META
     if not meta_path.exists():
         raise FileNotFoundError(f"checkpoint metadata not found: {meta_path}")
-    meta = json.loads(meta_path.read_text(encoding="utf-8"))
+    try:
+        meta = json.loads(meta_path.read_text(encoding="utf-8"))
+    except (UnicodeDecodeError, json.JSONDecodeError) as e:
+        raise FormatError(f"{meta_path}: not a JSON document ({e})") from e
     arrays = {name: read_tensor(directory / f"{name}.msdt") for name in PARAM_NAMES}
     state = ModelState(
         avca=AttrVisualParams(w1=arrays["w1"], w2=arrays["w2"]),
         vaca=VisualAttrParams(w3=arrays["w3"], w4=arrays["w4"], w_att=arrays["w_att"]),
-        grads={k: np.zeros_like(v) for k, v in arrays.items()},
         sq_avg={k: np.zeros_like(v) for k, v in arrays.items()},
         momentum_buf={k: np.zeros_like(v) for k, v in arrays.items()},
     )

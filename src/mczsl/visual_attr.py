@@ -12,7 +12,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import autodiff as ad
-from .attr_visual import causal_effect, check_normalized_rows, export_attention  # noqa: F401
+from .attr_visual import check_bilinear, check_normalized_rows, predict
+from .attr_visual import causal_effect  # noqa: F401  (re-exported)
 from .errors import ShapeError
 
 
@@ -35,26 +36,11 @@ class VisualAttrForward:
     logits: ad.Tensor  # C class scores
 
 
-def _shape(x) -> tuple:
-    return x.data.shape if isinstance(x, ad.Tensor) else np.asarray(x).shape
-
-
-def _check(v_shape, w_shape, a_shape, w_name: str) -> None:
-    if len(v_shape) != 2 or len(w_shape) != 2 or len(a_shape) != 2:
-        raise ShapeError(
-            f"expected matrices, got {v_shape} x {w_name} {w_shape} x {a_shape}"
-        )
-    if v_shape[1] != w_shape[0] or w_shape[1] != a_shape[1]:
-        raise ShapeError(
-            f"bilinear shapes inconsistent: {v_shape} x {w_name} {w_shape} x {a_shape}"
-        )
-
-
 def attention(V, A, params: VisualAttrParams) -> ad.Tensor:
     """R x K weights: softmax over attributes of the bilinear scores v_r' w3 a_k."""
     V = np.asarray(V, dtype=np.float64)
     A = np.asarray(A, dtype=np.float64)
-    _check(V.shape, _shape(params.w3), A.shape, "w3")
+    check_bilinear(V, params.w3, A, "w3")
     scores = ad.matmul(ad.matmul(ad.constant(V), ad.as_tensor(params.w3)), ad.constant(A.T))
     return ad.softmax(scores, axis=1)
 
@@ -72,7 +58,7 @@ def embed(V, feats, params: VisualAttrParams) -> ad.Tensor:
     """Length-R scores: entry r is v_r' w4 s_r for the attended mix s_r."""
     feats = ad.as_tensor(feats)
     V = np.asarray(V, dtype=np.float64)
-    _check(V.shape, _shape(params.w4), feats.data.shape, "w4")
+    check_bilinear(V, params.w4, feats.data, "w4")
     projected = ad.matmul(ad.constant(V), ad.as_tensor(params.w4))  # R x Da
     return ad.tsum(ad.mul(projected, feats), axis=1)
 
@@ -83,21 +69,13 @@ def project(region_scores, V, A, params: VisualAttrParams) -> ad.Tensor:
     region_scores = ad.as_tensor(region_scores)
     V = np.asarray(V, dtype=np.float64)
     A = np.asarray(A, dtype=np.float64)
-    _check(V.shape, _shape(params.w_att), A.shape, "w_att")
+    check_bilinear(V, params.w_att, A, "w_att")
     if region_scores.data.ndim != 1 or region_scores.data.shape[0] != V.shape[0]:
         raise ShapeError(
             f"region scores {region_scores.data.shape} incompatible with regions {V.shape}"
         )
     table = ad.matmul(ad.matmul(ad.constant(V), ad.as_tensor(params.w_att)), ad.constant(A.T))
     return ad.matmul(region_scores, table)
-
-
-def predict(attr_scores, Z) -> ad.Tensor:
-    attr_scores = ad.as_tensor(attr_scores)
-    Z = np.asarray(Z, dtype=np.float64)
-    if Z.ndim != 2 or attr_scores.data.ndim != 1 or Z.shape[1] != attr_scores.data.shape[0]:
-        raise ShapeError(f"prototypes {Z.shape} incompatible with scores {attr_scores.data.shape}")
-    return ad.matmul(ad.constant(Z), attr_scores)
 
 
 def forward(V, A, Z, params: VisualAttrParams) -> VisualAttrForward:

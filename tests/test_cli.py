@@ -1,4 +1,6 @@
 import json
+import shutil
+from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -8,7 +10,7 @@ from mczsl.cli import main, parse_config_file
 from mczsl.data import load_dataset
 from mczsl.errors import ConfigError
 from mczsl.tensor_io import read_tensor
-from mczsl.training import load_checkpoint
+from mczsl.training import Hyperparams, load_checkpoint
 
 
 def tree_bytes(root):
@@ -92,6 +94,12 @@ class TestTrain:
               "--epochs", "1", "--learning-rate", "0.003", "--seed", "0"])
         assert tree_bytes(data_dir) == before
 
+    def test_unset_flags_keep_dataclass_defaults(self, data_dir, tmp_path):
+        run = tmp_path / "run"
+        assert main(["train", "--data", str(data_dir), "--out", str(run), "--epochs", "0"]) == 0
+        meta = json.loads((run / "checkpoint" / "metadata.json").read_text())
+        assert meta["hyperparams"] == asdict(Hyperparams(epochs=0))
+
 
 class TestEval:
     def test_untrained_checkpoint_finite_metrics(self, data_dir, tmp_path):
@@ -129,6 +137,17 @@ class TestEval:
         expected = evaluate(ds, state, FusionConfig(0.8, 0.2, "czsl"))
         got = json.loads((out / "eval_report.json").read_text())["czsl"]
         assert got["czsl_acc"] == pytest.approx(expected.czsl_acc, abs=1e-12)
+
+    @pytest.mark.parametrize("corrupt", [b"{not json\n", b"\xff\xfe{}"])
+    def test_corrupt_checkpoint_metadata_exits_3(self, data_dir, trained_run, tmp_path,
+                                                 capsys, corrupt):
+        ckpt = tmp_path / "checkpoint"
+        shutil.copytree(trained_run / "checkpoint", ckpt)
+        (ckpt / "metadata.json").write_bytes(corrupt)
+        code = main(["eval", "--data", str(data_dir), "--checkpoint", str(ckpt),
+                     "--out", str(tmp_path / "e")])
+        assert code == 3
+        assert str(ckpt / "metadata.json") in capsys.readouterr().err
 
     def test_bad_setting_exits_2(self, data_dir, trained_run, tmp_path):
         code = main(["eval", "--data", str(data_dir), "--checkpoint",

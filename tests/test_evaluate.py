@@ -135,10 +135,10 @@ class TestPredictAndEvaluate:
 
     def test_predict_returns_valid_candidate(self, toy):
         ds, state = toy
-        czsl_pred = predict(ds.sample(ds.split.test_unseen_idx[0]), state, ds,
+        czsl_pred = predict(ds.features[ds.split.test_unseen_idx[0]], state, ds,
                             FusionConfig(setting="czsl"))
         assert czsl_pred in ds.split.unseen_classes
-        gzsl_pred = predict(ds.sample(0), state, ds, FusionConfig(setting="gzsl"))
+        gzsl_pred = predict(ds.features[0], state, ds, FusionConfig(setting="gzsl"))
         assert 0 <= gzsl_pred < ds.num_classes
 
     def test_tie_breaks_to_lowest_class_index(self, toy):
@@ -146,7 +146,7 @@ class TestPredictAndEvaluate:
         # zero weights give zero embeddings: all unseen candidates tie at +1
         for p in state.params().values():
             p[:] = 0.0
-        pred = predict(ds.sample(0), state, ds, FusionConfig(setting="gzsl"))
+        pred = predict(ds.features[0], state, ds, FusionConfig(setting="gzsl"))
         assert pred == min(ds.split.unseen_classes)
 
     def test_evaluate_matches_counting_oracle(self, toy):
@@ -158,7 +158,7 @@ class TestPredictAndEvaluate:
             per_total, per_correct = {}, {}
             for i in indices:
                 t = int(ds.labels[i])
-                p = predict(ds.sample(i), state, ds, cfg)
+                p = predict(ds.features[i], state, ds, cfg)
                 per_total[t] = per_total.get(t, 0) + 1
                 per_correct[t] = per_correct.get(t, 0) + (p == t)
             return {c: per_correct[c] / per_total[c] for c in per_total}
@@ -206,13 +206,6 @@ class TestPredictAndEvaluate:
         with pytest.raises(ValueError, match="nonempty"):
             evaluate(ds, state, FusionConfig(setting="czsl"))
 
-    def test_threads_do_not_change_results(self, toy):
-        ds, state = toy
-        cfg = FusionConfig(setting="gzsl")
-        a = evaluate(ds, state, cfg, threads=1)
-        b = evaluate(ds, state, cfg, threads=4)
-        assert report_to_dict(a) == report_to_dict(b)
-
 
 def test_noise_free_training_recovers_planted_labels():
     # the generator plants a perfectly separable structure at zero noise;
@@ -226,7 +219,7 @@ def test_noise_free_training_recovers_planted_labels():
                      loss_weights=LossWeights(0.05, 0.03, 0.3, 0.001))
     state, _ = train(ds, hp)
     cfg = FusionConfig(setting="czsl")
-    pairs = [(int(ds.labels[i]), predict(ds.sample(i), state, ds, cfg))
+    pairs = [(int(ds.labels[i]), predict(ds.features[i], state, ds, cfg))
              for i in ds.split.test_unseen_idx]
     match = sum(t == p for t, p in pairs) / len(pairs)
     assert match >= 0.90

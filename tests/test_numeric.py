@@ -5,55 +5,8 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from mczsl.errors import ConfigError, ShapeError
-from mczsl.numeric import make_rng, matmul, sample_uniform, softmax
-
-
-def triple_loop_matmul(a, b):
-    """Independent oracle: naive scalar loops in float64."""
-    m, n = a.shape
-    n2, p = b.shape
-    assert n == n2
-    out = np.zeros((m, p))
-    for i in range(m):
-        for j in range(p):
-            acc = 0.0
-            for kk in range(n):
-                acc += float(a[i, kk]) * float(b[kk, j])
-            out[i, j] = acc
-    return out
-
-
-class TestMatmul:
-    def test_identity(self):
-        m = np.array([[1.0, 2.0], [3.0, 4.0]])
-        assert np.array_equal(matmul(np.eye(2), m), m)
-
-    def test_hand_case(self):
-        out = matmul([[1.0, 2.0], [3.0, 4.0]], [[1.0], [1.0]])
-        assert np.array_equal(out, [[3.0], [7.0]])
-
-    def test_matches_triple_loop_oracle(self):
-        rng = make_rng(42)
-        a = rng.standard_normal((5, 7))
-        b = rng.standard_normal((7, 3))
-        expected = triple_loop_matmul(a, b)
-        assert np.max(np.abs(matmul(a, b) - expected)) < 1e-12
-
-    def test_random_sizes_against_oracle(self):
-        rng = make_rng(7)
-        for _ in range(10):
-            m, n, p = rng.integers(1, 33, size=3)
-            a = rng.standard_normal((m, n))
-            b = rng.standard_normal((n, p))
-            got = matmul(a, b)
-            expected = triple_loop_matmul(a, b)
-            denom = np.maximum(np.abs(expected), 1.0)
-            assert np.max(np.abs(got - expected) / denom) < 1e-10
-
-    def test_shape_error_names_both_shapes(self):
-        with pytest.raises(ShapeError, match=r"\(2, 3\).*\(2, 2\)"):
-            matmul(np.zeros((2, 3)), np.zeros((2, 2)))
+from mczsl.errors import ConfigError
+from mczsl.numeric import make_rng, sample_uniform, softmax
 
 
 class TestSoftmax:

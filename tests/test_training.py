@@ -140,22 +140,23 @@ class TestTrainStep:
         assert abs(r.total - expected) < 1e-9
 
 
+def zero_grads(state):
+    return {name: np.zeros_like(p) for name, p in state.params().items()}
+
+
 class TestRmsprop:
     def test_zero_gradient_no_weight_decay_is_noop(self, small_dataset):
         state = state_for_dataset(small_dataset, make_rng(0))
         before = clone_state(state)
-        for g in state.grads.values():
-            g[:] = 0.0
-        rmsprop_update(state, Hyperparams(learning_rate=0.1, weight_decay=0.0))
+        rmsprop_update(state, zero_grads(state),
+                       Hyperparams(learning_rate=0.1, weight_decay=0.0))
         assert states_equal(before, state)
 
     def test_decoupled_weight_decay_shrinks_parameters(self, small_dataset):
         state = state_for_dataset(small_dataset, make_rng(0))
         before = clone_state(state)
-        for g in state.grads.values():
-            g[:] = 0.0
         hp = Hyperparams(learning_rate=0.5, weight_decay=0.1)
-        rmsprop_update(state, hp)
+        rmsprop_update(state, zero_grads(state), hp)
         for name in state.params():
             assert np.allclose(state.params()[name],
                                before.params()[name] * (1 - 0.5 * 0.1), atol=1e-15)
@@ -199,6 +200,28 @@ class TestTrain:
         small_dataset.split.train_idx.clear()
         with pytest.raises(ValueError, match="no training samples"):
             train(small_dataset, Hyperparams(epochs=1, learning_rate=1e-3))
+
+    def test_train_accuracy_is_share_ranking_own_class_first(self, default_dataset):
+        # after the epoch, a train sample counts when its highest fused score
+        # over the seen classes (default fusion, no offset) is its own label
+        from mczsl import attr_visual as av, visual_attr as va
+        from mczsl.evaluate import FusionConfig
+
+        ds = default_dataset
+        hp = Hyperparams(learning_rate=3e-3, batch_size=50, epochs=1, seed=1)
+        state, log = train(ds, hp)
+        cfg = FusionConfig()
+        seen = sorted(ds.split.seen_classes)
+        A, Z = ds.attributes, ds.class_semantics
+        hits = 0
+        for i in ds.split.train_idx:
+            psi1 = av.forward(ds.features[i], A, Z, state.avca).attr_scores.data
+            psi2 = va.forward(ds.features[i], A, Z, state.vaca).attr_scores.data
+            scores = Z[seen] @ (cfg.alpha1 * psi1 + cfg.alpha2 * psi2)
+            hits += seen[int(np.argmax(scores))] == int(ds.labels[i])
+        expected = hits / len(ds.split.train_idx)
+        assert 0.0 < expected < 1.0  # informative: neither all nor none
+        assert log.train_accuracy == [expected]
 
     def test_short_final_batch_kept(self, small_dataset):
         # 6 train samples, batch 4 -> batches of 4 and 2
