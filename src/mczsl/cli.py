@@ -9,8 +9,9 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import fields, replace
+from dataclasses import fields, is_dataclass, replace
 from pathlib import Path
+from typing import get_args, get_type_hints
 
 import numpy as np
 
@@ -49,17 +50,25 @@ PRESETS: dict[str, dict] = {
                   "learning_rate": 0.003, "epochs": 30},
 }
 
-_CONFIG_CASTS = {
-    "learning_rate": float, "batch_size": int, "epochs": int, "momentum": float,
-    "weight_decay": float, "rms_decay": float, "rms_epsilon": float,
-    "lambda_cal": float, "lambda_ar": float, "lambda_causal": float,
-    "lambda_distill": float, "intervention": str, "seed": int,
-    "intervention_seed": int, "alpha1": float, "alpha2": float, "setting": str,
-    "classes": int, "attributes": int, "regions": int, "feature_dim": int,
-    "attr_dim": int, "samples_per_class": int, "unseen_fraction": float,
-    "noise": float, "data": str, "out": str, "checkpoint": str, "preset": str,
-    "samples": str, "top_n": int,
-}
+
+def _settings(cls, skip=()):
+    """(name, type, default) for each field of a settings dataclass, nested
+    dataclasses flattened and `T | None` read as T."""
+    hints = get_type_hints(cls)
+    for f in fields(cls):
+        if f.name in skip:
+            continue
+        typ = hints[f.name]
+        if is_dataclass(typ):
+            yield from _settings(typ)
+        else:
+            scalar = next((t for t in get_args(typ) if t is not type(None)), typ)
+            yield f.name, scalar, f.default
+
+
+# one global key set, so one config file can serve train, eval and the rest
+_CONFIG_KEYS = {name: typ for cls in (Hyperparams, FusionConfig, SynthConfig)
+                for name, typ, _ in _settings(cls)} | {"top_n": int}
 
 
 def parse_config_file(path: str | Path) -> dict:
@@ -67,8 +76,12 @@ def parse_config_file(path: str | Path) -> dict:
     path = Path(path)
     if not path.exists():
         raise FileNotFoundError(f"config file not found: {path}")
+    try:
+        text = path.read_text(encoding="utf-8")
+    except UnicodeDecodeError as e:
+        raise ConfigError(f"{path}: not UTF-8 text ({e})") from e
     values: dict = {}
-    for lineno, raw in enumerate(path.read_text(encoding="utf-8").splitlines(), 1):
+    for lineno, raw in enumerate(text.splitlines(), 1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
@@ -76,10 +89,10 @@ def parse_config_file(path: str | Path) -> dict:
             raise ConfigError(f"{path}:{lineno}: expected key=value, got {raw!r}")
         key, _, value = line.partition("=")
         key, value = key.strip(), value.strip()
-        if key not in _CONFIG_CASTS:
+        if key not in _CONFIG_KEYS:
             raise ConfigError(f"{path}:{lineno}: unknown key {key!r}")
         try:
-            values[key] = _CONFIG_CASTS[key](value)
+            values[key] = _CONFIG_KEYS[key](value)
         except ValueError as e:
             raise ConfigError(f"{path}:{lineno}: bad value for {key}: {value!r}") from e
     return values
@@ -87,15 +100,11 @@ def parse_config_file(path: str | Path) -> dict:
 
 def _resolve(args: argparse.Namespace) -> dict:
     """Preset < config file < explicit flags."""
-    merged: dict = {}
     preset = getattr(args, "preset", None)
-    if preset is not None:
-        if preset not in PRESETS:
-            raise ConfigError(f"unknown preset {preset!r}; expected one of {sorted(PRESETS)}")
-        merged.update(PRESETS[preset])
-    if getattr(args, "config", None):
+    merged = dict(PRESETS[preset]) if preset else {}
+    if args.config:
         merged.update(parse_config_file(args.config))
-    for key in _CONFIG_CASTS:
+    for key in _CONFIG_KEYS:
         flag = getattr(args, key, None)
         if flag is not None:
             merged[key] = flag
@@ -129,9 +138,8 @@ def cmd_gen_synth(args: argparse.Namespace) -> int:
 
 
 def cmd_train(args: argparse.Namespace) -> int:
-    cfg = _resolve(args)
+    hp = _hyperparams(_resolve(args))
     dataset = load_dataset(args.data)
-    hp = _hyperparams(cfg)
     state, log = train(dataset, hp)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -191,8 +199,9 @@ def cmd_eval(args: argparse.Namespace) -> int:
 
 def cmd_intervene_compare(args: argparse.Namespace) -> int:
     cfg = _resolve(args)
-    dataset = load_dataset(args.data)
     hp = _hyperparams(cfg)
+    fusion = {s: _from_cfg(FusionConfig, cfg, setting=s) for s in ("czsl", "gzsl")}
+    dataset = load_dataset(args.data)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     rows = []
@@ -207,8 +216,8 @@ def cmd_intervene_compare(args: argparse.Namespace) -> int:
             run_dir.mkdir(parents=True, exist_ok=True)
             save_checkpoint(state, kind_hp, ckpt, epoch=kind_hp.epochs,
                             loss_history=log.epoch_reports)
-        czsl = evaluate(dataset, state, _from_cfg(FusionConfig, cfg, setting="czsl"))
-        gzsl = evaluate(dataset, state, _from_cfg(FusionConfig, cfg, setting="gzsl"))
+        czsl = evaluate(dataset, state, fusion["czsl"])
+        gzsl = evaluate(dataset, state, fusion["gzsl"])
         rows.append((kind, czsl.czsl_acc, gzsl.gzsl_u, gzsl.gzsl_s, gzsl.gzsl_h))
     lines = ["kind,czsl_acc,gzsl_u,gzsl_s,gzsl_h"]
     lines += [f"{k},{a:.6f},{u:.6f},{s:.6f},{h:.6f}" for k, a, u, s, h in rows]
@@ -225,7 +234,7 @@ def cmd_export_attention(args: argparse.Namespace) -> int:
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     try:
-        indices = [int(tok) for tok in str(cfg.get("samples", args.samples)).split(",") if tok]
+        indices = [int(tok) for tok in args.samples.split(",") if tok]
     except ValueError as e:
         raise ConfigError(f"--samples must be comma-separated integers: {args.samples!r}") from e
     if not indices:
@@ -249,6 +258,14 @@ def cmd_export_attention(args: argparse.Namespace) -> int:
     return 0
 
 
+def _add_settings(p: argparse.ArgumentParser, *classes, skip=()) -> None:
+    """One --flag per settings field; an unset flag leaves the value to the
+    preset, the config file or the dataclass default."""
+    for cls in classes:
+        for name, typ, default in _settings(cls, skip):
+            p.add_argument(f"--{name.replace('_', '-')}", type=typ, help=f"default: {default}")
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="mczsl",
@@ -256,70 +273,39 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p):
+    def add(name, func, help, *required):
+        p = sub.add_parser(name, help=help)
         p.add_argument("--config", help="key=value config file")
-        p.add_argument("--seed", type=int)
+        for flag in required:
+            p.add_argument(f"--{flag}", required=True)
+        p.set_defaults(func=func)
+        return p
 
-    g = sub.add_parser("gen-synth", help="write a synthetic dataset directory")
-    add_common(g)
-    g.add_argument("--out", required=True)
-    for flag, typ in (("classes", int), ("attributes", int), ("regions", int),
-                      ("feature-dim", int), ("attr-dim", int),
-                      ("samples-per-class", int), ("unseen-fraction", float),
-                      ("noise", float)):
-        g.add_argument(f"--{flag}", type=typ, dest=flag.replace("-", "_"))
-    g.set_defaults(func=cmd_gen_synth)
+    g = add("gen-synth", cmd_gen_synth, "write a synthetic dataset directory", "out")
+    g.add_argument("--seed", type=int)
+    _add_settings(g, SynthConfig)
 
-    t = sub.add_parser("train", help="train on a dataset directory")
-    add_common(t)
-    t.add_argument("--data", required=True)
-    t.add_argument("--out", required=True)
+    t = add("train", cmd_train, "train on a dataset directory", "data", "out")
     t.add_argument("--preset", choices=sorted(PRESETS))
-    for flag, typ in (("learning-rate", float), ("batch-size", int), ("epochs", int),
-                      ("momentum", float), ("weight-decay", float),
-                      ("rms-decay", float), ("rms-epsilon", float),
-                      ("lambda-cal", float), ("lambda-ar", float),
-                      ("lambda-causal", float), ("lambda-distill", float),
-                      ("intervention-seed", int)):
-        t.add_argument(f"--{flag}", type=typ, dest=flag.replace("-", "_"))
-    t.add_argument("--intervention", choices=INTERVENTION_KINDS)
-    t.set_defaults(func=cmd_train)
+    _add_settings(t, Hyperparams)
 
-    e = sub.add_parser("eval", help="evaluate a checkpoint")
-    add_common(e)
-    e.add_argument("--data", required=True)
-    e.add_argument("--checkpoint", required=True)
-    e.add_argument("--out", required=True)
+    e = add("eval", cmd_eval, "evaluate a checkpoint", "data", "checkpoint", "out")
     e.add_argument("--preset", choices=sorted(PRESETS))
     e.add_argument("--setting", choices=("czsl", "gzsl", "both"))
-    e.add_argument("--alpha1", type=float)
-    e.add_argument("--alpha2", type=float)
+    _add_settings(e, FusionConfig, skip=("setting",))
     e.add_argument("--csv", action="store_true", help="also write per-class CSVs")
-    e.set_defaults(func=cmd_eval)
 
-    ic = sub.add_parser("intervene-compare",
-                        help="train+evaluate under every intervention kind")
-    add_common(ic)
-    ic.add_argument("--data", required=True)
-    ic.add_argument("--out", required=True)
+    ic = add("intervene-compare", cmd_intervene_compare,
+             "train+evaluate under every intervention kind", "data", "out")
     ic.add_argument("--preset", choices=sorted(PRESETS))
-    for flag, typ in (("learning-rate", float), ("batch-size", int), ("epochs", int),
-                      ("lambda-cal", float), ("lambda-ar", float),
-                      ("lambda-causal", float), ("lambda-distill", float),
-                      ("alpha1", float), ("alpha2", float)):
-        ic.add_argument(f"--{flag}", type=typ, dest=flag.replace("-", "_"))
+    _add_settings(ic, Hyperparams, FusionConfig, skip=("intervention", "setting"))
     ic.add_argument("--eval-only", action="store_true",
                     help="reuse checkpoints from a previous compare run")
-    ic.set_defaults(func=cmd_intervene_compare)
 
-    x = sub.add_parser("export-attention", help="export attention maps for samples")
-    add_common(x)
-    x.add_argument("--data", required=True)
-    x.add_argument("--checkpoint", required=True)
-    x.add_argument("--out", required=True)
+    x = add("export-attention", cmd_export_attention,
+            "export attention maps for samples", "data", "checkpoint", "out")
     x.add_argument("--samples", required=True, help="comma-separated sample indices")
-    x.add_argument("--top-n", type=int, dest="top_n")
-    x.set_defaults(func=cmd_export_attention)
+    x.add_argument("--top-n", type=int)
 
     return parser
 

@@ -287,6 +287,8 @@ def load_dataset(directory: str | Path) -> Dataset:
         raise FileNotFoundError(f"manifest not found: {manifest_path}")
     try:
         manifest = json.loads(manifest_path.read_text(encoding="utf-8"))
+    except UnicodeDecodeError as e:
+        raise FormatError(f"{manifest_path}: not UTF-8 text ({e})") from e
     except json.JSONDecodeError as e:
         raise FormatError(f"{manifest_path}: invalid JSON at position {e.pos}") from e
     if not isinstance(manifest, dict):

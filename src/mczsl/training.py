@@ -379,6 +379,16 @@ def load_checkpoint(directory: str | Path) -> tuple[ModelState, dict]:
         meta = json.loads(meta_path.read_text(encoding="utf-8"))
     except (UnicodeDecodeError, json.JSONDecodeError) as e:
         raise FormatError(f"{meta_path}: not a JSON document ({e})") from e
+    if not isinstance(meta, dict):
+        raise FormatError(f"{meta_path}: metadata must be a JSON object")
+    epoch = meta.get("epoch")
+    if not isinstance(epoch, int) or isinstance(epoch, bool) or epoch < 0:
+        raise FormatError(f"{meta_path}: 'epoch' must be a non-negative integer, got {epoch!r}")
+    hp = meta.get("hyperparams")
+    try:
+        Hyperparams(**{**hp, "loss_weights": LossWeights(**hp["loss_weights"])})
+    except (TypeError, KeyError, ValueError) as e:
+        raise FormatError(f"{meta_path}: 'hyperparams' do not build Hyperparams ({e!r})") from e
     arrays = {name: read_tensor(directory / f"{name}.msdt") for name in PARAM_NAMES}
     state = ModelState(
         avca=AttrVisualParams(w1=arrays["w1"], w2=arrays["w2"]),

@@ -1,14 +1,18 @@
 import json
+import shlex
 import shutil
-from dataclasses import asdict
+from dataclasses import asdict, fields
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from mczsl import attr_visual
-from mczsl.cli import main, parse_config_file
-from mczsl.data import load_dataset
+from mczsl.cli import PRESETS, build_parser, main, parse_config_file
+from mczsl.data import SynthConfig, load_dataset
 from mczsl.errors import ConfigError
+from mczsl.evaluate import FusionConfig
+from mczsl.losses import LossWeights
 from mczsl.tensor_io import read_tensor
 from mczsl.training import Hyperparams, load_checkpoint
 
@@ -138,7 +142,11 @@ class TestEval:
         got = json.loads((out / "eval_report.json").read_text())["czsl"]
         assert got["czsl_acc"] == pytest.approx(expected.czsl_acc, abs=1e-12)
 
-    @pytest.mark.parametrize("corrupt", [b"{not json\n", b"\xff\xfe{}"])
+    @pytest.mark.parametrize("corrupt", [
+        b"{not json\n", b"\xff\xfe{}", b"[1,2]", b"{}",
+        pytest.param(json.dumps({"epoch": 2, "hyperparams": {
+            **asdict(Hyperparams()), "batch_size": 0}}).encode(), id="batch_size_0"),
+    ])
     def test_corrupt_checkpoint_metadata_exits_3(self, data_dir, trained_run, tmp_path,
                                                  capsys, corrupt):
         ckpt = tmp_path / "checkpoint"
@@ -148,6 +156,15 @@ class TestEval:
                      "--out", str(tmp_path / "e")])
         assert code == 3
         assert str(ckpt / "metadata.json") in capsys.readouterr().err
+
+    def test_non_utf8_manifest_exits_3(self, data_dir, trained_run, tmp_path, capsys):
+        data = tmp_path / "data"
+        shutil.copytree(data_dir, data)
+        (data / "manifest.json").write_bytes(b"\xff\xfe{}")
+        code = main(["eval", "--data", str(data), "--checkpoint",
+                     str(trained_run / "checkpoint"), "--out", str(tmp_path / "e")])
+        assert code == 3
+        assert str(data / "manifest.json") in capsys.readouterr().err
 
     def test_bad_setting_exits_2(self, data_dir, trained_run, tmp_path):
         code = main(["eval", "--data", str(data_dir), "--checkpoint",
@@ -247,6 +264,123 @@ class TestConfigFile:
         cfg.write_text("epochs\n")
         with pytest.raises(ConfigError, match="key=value"):
             parse_config_file(cfg)
+
+    def test_non_utf8_file_named(self, data_dir, tmp_path, capsys):
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_bytes(b"\xff\xfe{}")
+        with pytest.raises(ConfigError, match="bad.cfg"):
+            parse_config_file(cfg)
+        code = main(["train", "--data", str(data_dir), "--out", str(tmp_path / "r"),
+                     "--config", str(cfg)])
+        assert code == 2
+        assert str(cfg) in capsys.readouterr().err
+
+    @pytest.mark.parametrize("key", ["data", "out", "checkpoint", "preset", "samples"])
+    def test_non_setting_keys_rejected(self, tmp_path, key):
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text(f"{key}=x\n")
+        with pytest.raises(ConfigError, match=key):
+            parse_config_file(cfg)
+
+
+def _names(cls):
+    return {f.name for f in fields(cls)}
+
+
+@pytest.mark.parametrize("preset", sorted(PRESETS))
+def test_presets_are_config_keys_that_build_settings(tmp_path, preset):
+    values = PRESETS[preset]
+    cfg = tmp_path / "preset.cfg"
+    cfg.write_text("".join(f"{k}={v}\n" for k, v in values.items()))
+    assert parse_config_file(cfg) == values
+
+    def pick(cls):
+        return {k: v for k, v in values.items() if k in _names(cls)}
+    Hyperparams(**pick(Hyperparams), loss_weights=LossWeights(**pick(LossWeights)))
+    FusionConfig(**pick(FusionConfig))
+    assert set(values) <= _names(Hyperparams) | _names(LossWeights) | _names(FusionConfig)
+
+
+# a valid value other than the dataclass default for every settings field
+FIELD_VALUES = {
+    "learning_rate": 0.002, "batch_size": 7, "epochs": 1, "momentum": 0.5,
+    "weight_decay": 0.001, "rms_decay": 0.9, "rms_epsilon": 1e-6,
+    "lambda_cal": 0.1, "lambda_ar": 0.2, "lambda_causal": 0.4, "lambda_distill": 0.5,
+    "intervention": "uniform", "seed": 4, "intervention_seed": 8,
+    "alpha1": 0.0, "alpha2": 1.0,
+    "classes": 8, "attributes": 10, "regions": 5, "feature_dim": 8, "attr_dim": 8,
+    "samples_per_class": 6, "unseen_fraction": 0.5, "noise": 0.2,
+}
+HP_FIELDS = sorted((_names(Hyperparams) - {"loss_weights"}) | _names(LossWeights))
+REACHABLE = (
+    [("gen-synth", n) for n in sorted(_names(SynthConfig))]
+    + [("train", n) for n in HP_FIELDS]
+    + [("eval", n) for n in sorted(_names(FusionConfig) - {"setting"})]
+    + [("intervene-compare", n) for n in HP_FIELDS if n != "intervention"]
+    + [("intervene-compare", n) for n in sorted(_names(FusionConfig) - {"setting"})]
+)
+
+
+@pytest.fixture(scope="module")
+def compare_run(tmp_path_factory, data_dir):
+    out = tmp_path_factory.mktemp("cmp")
+    assert main(["intervene-compare", "--data", str(data_dir), "--out", str(out),
+                 "--epochs", "1", "--seed", "2", "--learning-rate", "0.003"]) == 0
+    return out
+
+
+@pytest.mark.parametrize("via", ["flag", "config"])
+@pytest.mark.parametrize("command,name", REACHABLE)
+def test_every_field_is_reachable(command, name, via, data_dir, trained_run,
+                                  compare_run, tmp_path):
+    """Each field a subcommand builds can be set by flag and by config key, and
+    the value reaches the checkpoint, the report or the dataset."""
+    value = FIELD_VALUES[name]
+    out = tmp_path / "out"
+    trains = command in ("train", "intervene-compare") and name in HP_FIELDS
+    settings = {"epochs": 0, "learning_rate": 0.003} if trains else {}
+    if via == "config":
+        settings[name] = value
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("".join(f"{k}={v}\n" for k, v in settings.items()))
+    argv = [command, "--out", str(out), "--config", str(cfg)]
+    if via == "flag":
+        argv += [f"--{name.replace('_', '-')}", str(value)]
+    if command == "gen-synth":
+        assert main(argv + ["--seed", "1"]) == 0
+        assert tree_bytes(out) != tree_bytes(data_dir)
+        return
+    argv += ["--data", str(data_dir)]
+    if trains:
+        assert main(argv) == 0
+        ckpt = out / ("checkpoint" if command == "train" else "intervene_random/checkpoint")
+        hp = json.loads((ckpt / "metadata.json").read_text())["hyperparams"]
+        hp.update(hp.pop("loss_weights"))
+        assert hp[name] == value
+    elif command == "eval":
+        ckpt = str(trained_run / "checkpoint")
+        assert main(argv + ["--checkpoint", ckpt]) == 0
+        assert main(["eval", "--data", str(data_dir), "--checkpoint", ckpt,
+                     "--out", str(tmp_path / "default")]) == 0
+        report = "eval_report.json"
+        assert (out / report).read_bytes() != (tmp_path / "default" / report).read_bytes()
+    else:
+        shutil.copytree(compare_run, out)
+        assert main(argv + ["--eval-only"]) == 0
+        table = "intervene_table.csv"
+        assert (out / table).read_bytes() != (compare_run / table).read_bytes()
+
+
+def test_readme_cli_examples_parse():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    block = readme.split("## CLI", 1)[1].split("```bash\n", 1)[1].split("```", 1)[0]
+    commands = [shlex.split(line) for line in block.replace("\\\n", " ").splitlines()
+                if line.startswith("mczsl ")]
+    assert {argv[1] for argv in commands} == {
+        "gen-synth", "train", "eval", "intervene-compare", "export-attention"}
+    parser = build_parser()
+    for argv in commands:
+        parser.parse_args(argv[1:])
 
 
 def test_unknown_subcommand_exits_2():
