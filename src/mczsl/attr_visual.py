@@ -1,13 +1,15 @@
-"""Attribute-to-visual attention sub-net.
+"""Row-wise bilinear cross-attention and the attribute-to-visual sub-net.
 
-For every attribute, a bilinear score against each region feature yields
-attention weights over regions (softmax per attribute row). The attended
-region mix is scored against the attribute vector to produce one confidence
-per attribute, and class logits are dot products with class prototypes.
+Both sub-nets are one cross-attention read in opposite directions. Every row
+q_i of the queries Q attends over the rows of the keys K with weights
+softmax(Q w_s K') by rows, and its readout is q_i' w_e (attention K)_i. The
+attribute-to-visual sub-net takes Q = A (K x Da), K = V (R x D), w_s = w1 and
+w_e = w2, so its readout is one confidence per attribute; visual_attr reads
+the same attention the other way. Class logits are dot products of the
+attribute scores with the class prototypes Z (C x K).
 
-Inputs V (R x D), A (K x Da) and prototypes Z (C x K) are constants; only the
-two weight matrices are trainable. All forward functions build autodiff
-graphs, so the same code path serves training and inference.
+V, A and Z are constants; only the weight matrices are trainable. Every pass
+builds autodiff graphs, so the same code path serves training and inference.
 """
 from __future__ import annotations
 
@@ -33,91 +35,74 @@ class AttrVisualParams:
 
 
 @dataclass
-class AttrVisualForward:
-    attention: ad.Tensor  # K x R, rows sum to 1
-    features: ad.Tensor  # K x D attended region mixes
+class SubnetForward:
+    """One sub-net pass. The last four fields do not depend on the attention;
+    `intervened` reads the scores again from them under another attention."""
+
+    attention: ad.Tensor  # queries x keys, rows sum to 1
     attr_scores: ad.Tensor  # K per-attribute confidences
     logits: ad.Tensor  # C class scores
+    keys: ad.Tensor  # the rows the attention mixes
+    projected: ad.Tensor  # Q w_e, one row per query
+    lift: ad.Tensor | None  # queries x K table from readout to attribute scores
+    prototypes: ad.Tensor  # Z
 
 
-def check_bilinear(left, w, right, w_name: str) -> None:
-    """Shape check for the row-wise bilinear form left_i' w right_j: all three
-    are matrices, and w is (left columns) x (right columns)."""
-    l_shape, r_shape = left.shape, right.shape
-    w_shape = w.data.shape if isinstance(w, ad.Tensor) else np.asarray(w).shape
-    if len(l_shape) != 2 or len(r_shape) != 2 or len(w_shape) != 2:
-        raise ShapeError(
-            f"expected matrices, got {l_shape} x {w_name} {w_shape} x {r_shape}"
-        )
-    if l_shape[1] != w_shape[0] or w_shape[1] != r_shape[1]:
-        raise ShapeError(
-            f"bilinear shapes inconsistent: {l_shape} x {w_name} {w_shape} x {r_shape}"
-        )
+def _readout(attention, keys, projected, lift, prototypes) -> SubnetForward:
+    """The pass under `attention`: readout, lift (if any) and class logits."""
+    scores = ad.tsum(ad.mul(projected, ad.matmul(attention, keys)), axis=1)
+    if lift is not None:
+        scores = ad.matmul(scores, lift)
+    return SubnetForward(attention, scores, ad.matmul(prototypes, scores),
+                         keys, projected, lift, prototypes)
 
 
-def attention(V, A, params: AttrVisualParams) -> ad.Tensor:
-    """K x R weights: softmax over regions of the bilinear scores a_k' w1 v_r."""
-    V = np.asarray(V, dtype=np.float64)
-    A = np.asarray(A, dtype=np.float64)
-    check_bilinear(A, params.w1, V, "w1")
-    scores = ad.matmul(ad.matmul(ad.constant(A), ad.as_tensor(params.w1)), ad.constant(V.T))
-    return ad.softmax(scores, axis=1)
+def cross_attention(Q, K, Z, names, w_s, w_e, w_lift=None) -> SubnetForward:
+    """Rows of Q attend over rows of K. With `w_lift`, the per-query readout
+    is lifted to attribute scores through the raw table Q w_lift K' (no
+    normalization). `names` label the weights in shape errors."""
+    Q = np.asarray(Q, dtype=np.float64)
+    K = np.asarray(K, dtype=np.float64)
+    for w, name in zip((w_s, w_e, w_lift), names):
+        w_shape = np.shape(w.data if isinstance(w, ad.Tensor) else w)
+        if w is not None and (Q.ndim != 2 or K.ndim != 2 or w_shape != (Q.shape[1], K.shape[1])):
+            raise ShapeError(
+                f"bilinear shapes inconsistent: {Q.shape} x {name} {w_shape} x {K.shape}")
+    queries, keys_t = ad.constant(Q), ad.constant(K.T)
+    attention = ad.softmax(ad.matmul(ad.matmul(queries, ad.as_tensor(w_s)), keys_t), axis=1)
+    lift = None if w_lift is None else ad.matmul(ad.matmul(queries, ad.as_tensor(w_lift)), keys_t)
+    return _readout(attention, ad.constant(K), ad.matmul(queries, ad.as_tensor(w_e)),
+                    lift, ad.constant(np.asarray(Z, dtype=np.float64)))
 
 
-def features(attn, V) -> ad.Tensor:
-    """K x D attended features: row k is the attention-weighted mix of regions."""
-    attn = ad.as_tensor(attn)
-    V = np.asarray(V, dtype=np.float64)
-    if attn.data.ndim != 2 or V.ndim != 2 or attn.data.shape[1] != V.shape[0]:
-        raise ShapeError(f"attention {attn.data.shape} incompatible with regions {V.shape}")
-    return ad.matmul(attn, ad.constant(V))
-
-
-def embed(feats, A, params: AttrVisualParams) -> ad.Tensor:
-    """Length-K scores: entry k is a_k' w2 f_k, the confidence for attribute k."""
-    feats = ad.as_tensor(feats)
-    A = np.asarray(A, dtype=np.float64)
-    check_bilinear(A, params.w2, feats.data, "w2")
-    projected = ad.matmul(ad.constant(A), ad.as_tensor(params.w2))  # K x D
-    return ad.tsum(ad.mul(projected, feats), axis=1)
-
-
-def predict(attr_scores, Z) -> ad.Tensor:
-    """Length-C logits: dot product of the attribute scores with each prototype."""
-    attr_scores = ad.as_tensor(attr_scores)
-    Z = np.asarray(Z, dtype=np.float64)
-    if Z.ndim != 2 or attr_scores.data.ndim != 1 or Z.shape[1] != attr_scores.data.shape[0]:
-        raise ShapeError(f"prototypes {Z.shape} incompatible with scores {attr_scores.data.shape}")
-    return ad.matmul(ad.constant(Z), attr_scores)
-
-
-def forward(V, A, Z, params: AttrVisualParams) -> AttrVisualForward:
-    attn = attention(V, A, params)
-    feats = features(attn, V)
-    scores = embed(feats, A, params)
-    return AttrVisualForward(attn, feats, scores, predict(scores, Z))
+def forward(V, A, Z, params: AttrVisualParams) -> SubnetForward:
+    """Attributes attend over regions: beta (K x R) = softmax(A w1 V') by rows,
+    and attribute k scores a_k' w2 (beta V)_k."""
+    return cross_attention(A, V, Z, ("w1", "w2"), params.w1, params.w2)
 
 
 def check_normalized_rows(weights: np.ndarray, tol: float = 1e-4) -> None:
-    sums = weights.sum(axis=-1)
-    if np.max(np.abs(sums - 1.0)) > tol:
+    deviation = np.max(np.abs(weights.sum(axis=-1) - 1.0))
+    if deviation > tol:
         raise ValueError(
-            f"intervention attention rows must sum to 1 (max deviation {np.max(np.abs(sums - 1.0)):.3g})"
-        )
+            f"intervention attention rows must sum to 1 (max deviation {deviation:.3g})")
 
 
-def intervened(V, A, Z, params: AttrVisualParams, attn_bar) -> tuple[ad.Tensor, ad.Tensor]:
-    """Re-run the pipeline with attention forced to `attn_bar`.
+def intervened(observed: SubnetForward, attn_bar) -> SubnetForward:
+    """The observed pass with its attention forced to `attn_bar`.
 
-    attn_bar is treated as an exogenous constant: no gradient ever flows into
-    it, while the downstream weights keep their gradients.
+    Only the readout, the lift and the logits run again, on the observed
+    pass's products. attn_bar is an exogenous constant: no gradient ever flows
+    into it, while the downstream weights keep their gradients.
     """
     attn_bar = np.asarray(attn_bar.data if isinstance(attn_bar, ad.Tensor) else attn_bar,
                           dtype=np.float64)
+    if attn_bar.shape != observed.attention.data.shape:
+        raise ShapeError(f"intervention attention {attn_bar.shape} differs from the observed "
+                         f"{observed.attention.data.shape}")
     check_normalized_rows(attn_bar)
-    feats_bar = features(ad.constant(attn_bar), V)
-    scores_bar = embed(feats_bar, A, params)
-    return scores_bar, predict(scores_bar, Z)
+    return _readout(ad.constant(attn_bar), observed.keys, observed.projected,
+                    observed.lift, observed.prototypes)
 
 
 def causal_effect(logits, logits_bar) -> np.ndarray:

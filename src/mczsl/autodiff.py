@@ -29,12 +29,6 @@ class Tensor:
     def item(self) -> float:
         return float(self.data)
 
-    def detach(self) -> "Tensor":
-        return Tensor(self.data.copy())
-
-    def zero_grad(self) -> None:
-        self.grad = None
-
     def backward(self, seed=1.0) -> None:
         """Accumulate d(self)/d(leaf) into every reachable leaf's .grad."""
         order = _topo_order(self)
@@ -214,12 +208,6 @@ def tsum(a, axis: int | None = None, keepdims: bool = False) -> Tensor:
         _accumulate(a, np.broadcast_to(g, a.data.shape).copy())
 
     return _make(out_data, (a,), backward)
-
-
-def tmean(a, axis: int | None = None) -> Tensor:
-    a = as_tensor(a)
-    n = a.data.size if axis is None else a.data.shape[axis]
-    return mul(tsum(a, axis=axis), 1.0 / n)
 
 
 def exp(a) -> Tensor:

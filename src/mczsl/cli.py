@@ -29,6 +29,7 @@ from .losses import LossWeights
 from .training import (
     INTERVENTION_KINDS,
     Hyperparams,
+    ModelState,
     forward_both,
     load_checkpoint,
     save_checkpoint,
@@ -166,10 +167,19 @@ def cmd_train(args: argparse.Namespace) -> int:
     return 0
 
 
+def _fitting_checkpoint(checkpoint, dataset, data) -> ModelState:
+    """The checkpoint's weights, refused unless they fit the dataset's (Da, D)."""
+    state, _ = load_checkpoint(checkpoint)
+    want = (dataset.attributes.shape[1], dataset.feature_dim)
+    if state.avca.w1.shape != want:
+        raise FormatError(f"{checkpoint}: weights are for (Da, D) = {state.avca.w1.shape}, "
+                          f"but the dataset {data} has (Da, D) = {want}")
+    return state
+
+
 def _load_for_eval(args: argparse.Namespace):
     dataset = load_dataset(args.data)
-    state, _ = load_checkpoint(args.checkpoint)
-    return dataset, state
+    return dataset, _fitting_checkpoint(args.checkpoint, dataset, args.data)
 
 
 def cmd_eval(args: argparse.Namespace) -> int:
@@ -209,7 +219,7 @@ def cmd_intervene_compare(args: argparse.Namespace) -> int:
         run_dir = out / f"intervene_{kind}"
         ckpt = run_dir / "checkpoint"
         if args.eval_only:
-            state, _ = load_checkpoint(ckpt)
+            state = _fitting_checkpoint(ckpt, dataset, args.data)
         else:
             kind_hp = replace(hp, intervention=kind)
             state, log = train(dataset, kind_hp)

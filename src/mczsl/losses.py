@@ -11,7 +11,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import autodiff as ad
-from .attr_visual import predict as class_logits
 from .data import Split
 from .errors import NumericError, ShapeError
 
@@ -42,15 +41,15 @@ class LossReport:
     weights: LossWeights
 
 
-def _seen_cross_entropy(f, label: int, Z, split: Split) -> ad.Tensor:
-    logits = class_logits(f, Z)
+def _seen_cross_entropy(logits, label: int, split: Split) -> ad.Tensor:
     seen_logits = ad.take(logits, split.seen_classes)
     pos = split.seen_classes.index(label)
     return ad.logsumexp(seen_logits) - ad.tsum(ad.take(seen_logits, [pos]))
 
 
-def acec_loss(f, label: int, Z, split: Split, lambda_cal: float) -> ad.Tensor:
-    """Cross-entropy over seen classes plus the self-calibration term.
+def acec_loss(logits, label: int, split: Split, lambda_cal: float) -> ad.Tensor:
+    """Cross-entropy over seen classes plus the self-calibration term, from a
+    sub-net's class logits (one per class).
 
     The calibration term is the summed negative log-probability of each unseen
     class under a softmax over ALL classes whose logits are shifted by +1 for
@@ -59,11 +58,11 @@ def acec_loss(f, label: int, Z, split: Split, lambda_cal: float) -> ad.Tensor:
     """
     if label not in set(split.seen_classes):
         raise ValueError(f"label {label} is not a seen class")
-    term1 = _seen_cross_entropy(f, label, Z, split)
+    logits = ad.as_tensor(logits)
+    term1 = _seen_cross_entropy(logits, label, split)
     if lambda_cal == 0.0 or not split.unseen_classes:
         return term1
-    logits = class_logits(f, Z)
-    indicator = np.full(np.asarray(Z).shape[0], -1.0)
+    indicator = np.full(logits.data.shape[0], -1.0)
     indicator[split.unseen_classes] = 1.0
     shifted = ad.add(logits, ad.constant(indicator))
     lse_all = ad.logsumexp(shifted)
@@ -82,15 +81,15 @@ def ar_loss(f, z_true) -> ad.Tensor:
     return ad.tsum(ad.mul(diff, diff))
 
 
-def causal_loss(f, f_bar, label: int, Z, split: Split) -> ad.Tensor:
-    """Seen-class cross-entropy of both the observed and the intervened
-    embeddings; supervises how much the learned attention helps the prediction.
+def causal_loss(logits, logits_bar, label: int, split: Split) -> ad.Tensor:
+    """Seen-class cross-entropy of both the observed and the intervened class
+    logits; supervises how much the learned attention helps the prediction.
     Gradients flow through both branches (the intervention itself is constant)."""
     if label not in set(split.seen_classes):
         raise ValueError(f"label {label} is not a seen class")
     return ad.add(
-        _seen_cross_entropy(f, label, Z, split),
-        _seen_cross_entropy(f_bar, label, Z, split),
+        _seen_cross_entropy(logits, label, split),
+        _seen_cross_entropy(logits_bar, label, split),
     )
 
 

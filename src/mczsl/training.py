@@ -13,7 +13,7 @@ import json
 import time
 from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
-from typing import Callable
+from typing import Callable, get_type_hints
 
 import numpy as np
 
@@ -124,7 +124,7 @@ def state_for_dataset(dataset: Dataset, rng: np.random.Generator) -> ModelState:
 
 def forward_both(
     V, dataset: Dataset, avca: AttrVisualParams, vaca: VisualAttrParams
-) -> tuple[attr_visual.AttrVisualForward, visual_attr.VisualAttrForward]:
+) -> tuple[attr_visual.SubnetForward, attr_visual.SubnetForward]:
     """Both sub-nets on one sample's regions V (R x D) against the dataset's
     attributes and prototypes. Training, prediction and attention export all
     score a sample here."""
@@ -187,7 +187,7 @@ def batch_loss_and_grads(
     leaves = {name: ad.Tensor(params[name], requires_grad=True) for name in PARAM_NAMES}
     avca_p = AttrVisualParams(leaves["w1"], leaves["w2"])
     vaca_p = VisualAttrParams(leaves["w3"], leaves["w4"], leaves["w_att"])
-    Z, A, split = dataset.class_semantics, dataset.attributes, dataset.split
+    Z, split = dataset.class_semantics, dataset.split
     n = len(batch_indices)
     w = weights
     sums = {"acec1": 0.0, "ar1": 0.0, "causal1": 0.0,
@@ -199,15 +199,15 @@ def batch_loss_and_grads(
         z_true = Z[label]
         f1, f2 = forward_both(V, dataset, avca_p, vaca_p)
         beta_bar, gamma_bar = intervention_fn(pos, f1.attention.data, f2.attention.data)
-        psi1_bar, _ = attr_visual.intervened(V, A, Z, avca_p, beta_bar)
-        psi2_bar, _ = visual_attr.intervened(V, A, Z, vaca_p, gamma_bar)
+        f1_bar = attr_visual.intervened(f1, beta_bar)
+        f2_bar = visual_attr.intervened(f2, gamma_bar)
 
-        acec1 = acec_loss(f1.attr_scores, label, Z, split, w.lambda_cal)
-        acec2 = acec_loss(f2.attr_scores, label, Z, split, w.lambda_cal)
+        acec1 = acec_loss(f1.logits, label, split, w.lambda_cal)
+        acec2 = acec_loss(f2.logits, label, split, w.lambda_cal)
         ar1 = ar_loss(f1.attr_scores, z_true)
         ar2 = ar_loss(f2.attr_scores, z_true)
-        causal1 = causal_loss(f1.attr_scores, psi1_bar, label, Z, split)
-        causal2 = causal_loss(f2.attr_scores, psi2_bar, label, Z, split)
+        causal1 = causal_loss(f1.logits, f1_bar.logits, label, split)
+        causal2 = causal_loss(f2.logits, f2_bar.logits, label, split)
         dist = distill_loss(
             seen_class_distribution(f1.logits, split),
             seen_class_distribution(f2.logits, split),
@@ -370,6 +370,10 @@ def save_checkpoint(
         json.dumps(meta, indent=2, sort_keys=True) + "\n", encoding="utf-8")
 
 
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 def load_checkpoint(directory: str | Path) -> tuple[ModelState, dict]:
     directory = Path(directory)
     meta_path = directory / CHECKPOINT_META
@@ -382,14 +386,28 @@ def load_checkpoint(directory: str | Path) -> tuple[ModelState, dict]:
     if not isinstance(meta, dict):
         raise FormatError(f"{meta_path}: metadata must be a JSON object")
     epoch = meta.get("epoch")
-    if not isinstance(epoch, int) or isinstance(epoch, bool) or epoch < 0:
+    if not _is_int(epoch) or epoch < 0:
         raise FormatError(f"{meta_path}: 'epoch' must be a non-negative integer, got {epoch!r}")
     hp = meta.get("hyperparams")
     try:
-        Hyperparams(**{**hp, "loss_weights": LossWeights(**hp["loss_weights"])})
+        built = Hyperparams(**{**hp, "loss_weights": LossWeights(**hp["loss_weights"])})
     except (TypeError, KeyError, ValueError) as e:
         raise FormatError(f"{meta_path}: 'hyperparams' do not build Hyperparams ({e!r})") from e
+    for name, typ in get_type_hints(Hyperparams).items():
+        value = getattr(built, name)
+        if typ in (int, int | None) and not (_is_int(value) or value is None and typ != int):
+            raise FormatError(
+                f"{meta_path}: 'hyperparams.{name}' must be an integer, got {value!r}")
     arrays = {name: read_tensor(directory / f"{name}.msdt") for name in PARAM_NAMES}
+    da_d = arrays["w1"].shape
+    for name, arr in arrays.items():
+        path = directory / f"{name}.msdt"
+        want = da_d if name in ("w1", "w2") else da_d[::-1]
+        if arr.ndim != 2:
+            raise FormatError(f"{path}: {name} must be a matrix, got shape {arr.shape}")
+        if arr.shape != want:
+            raise FormatError(f"{path}: {name} has shape {arr.shape}, expected {want} "
+                              "(w1 and w2 are Da x D; w3, w4 and w_att are D x Da)")
     state = ModelState(
         avca=AttrVisualParams(w1=arrays["w1"], w2=arrays["w2"]),
         vaca=VisualAttrParams(w3=arrays["w3"], w4=arrays["w4"], w_att=arrays["w_att"]),

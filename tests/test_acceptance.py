@@ -72,8 +72,8 @@ def test_normalization_suite():
         ap = AttrVisualParams(w1=rng.standard_normal((da, d)), w2=np.zeros((da, d)))
         vp = VisualAttrParams(w3=rng.standard_normal((d, da)), w4=np.zeros((d, da)),
                               w_att=np.zeros((d, da)))
-        beta = attr_visual.attention(V, A, ap).data
-        gamma = visual_attr.attention(V, A, vp).data
+        beta = attr_visual.forward(V, A, np.eye(k), ap).attention.data
+        gamma = visual_attr.forward(V, A, np.eye(k), vp).attention.data
         worst_row = max(worst_row,
                         float(np.max(np.abs(beta.sum(axis=1) - 1.0))),
                         float(np.max(np.abs(gamma.sum(axis=1) - 1.0))))
@@ -103,14 +103,14 @@ def test_null_intervention_identities():
                               w4=rng.standard_normal((d, da)),
                               w_att=rng.standard_normal((d, da)))
         f1 = attr_visual.forward(V, A, Z, ap)
-        _, logits1_bar = attr_visual.intervened(V, A, Z, ap, f1.attention.data)
+        logits1_bar = attr_visual.intervened(f1, f1.attention.data).logits
         assert np.array_equal(logits1_bar.data, f1.logits.data)
         effect1 = attr_visual.causal_effect(f1.logits, logits1_bar)
         assert np.all(effect1 == 0.0)
         f2 = visual_attr.forward(V, A, Z, vp)
-        _, logits2_bar = visual_attr.intervened(V, A, Z, vp, f2.attention.data)
+        logits2_bar = visual_attr.intervened(f2, f2.attention.data).logits
         assert np.array_equal(logits2_bar.data, f2.logits.data)
-        assert np.all(visual_attr.causal_effect(f2.logits, logits2_bar) == 0.0)
+        assert np.all(attr_visual.causal_effect(f2.logits, logits2_bar) == 0.0)
     report_pass("null-intervention", "50 random instances bit-exact, effects exactly zero")
 
 
@@ -146,7 +146,7 @@ def test_loss_identities():
         Z = rng.random((3, 4))
         split = make_split([0, 1], [2])
         ce = seen_ce_oracle(emb, 0, Z, [0, 1])
-        worst = max(worst, abs(causal_loss(emb, emb.copy(), 0, Z, split).item() - 2 * ce))
+        worst = max(worst, abs(causal_loss(Z @ emb, Z @ emb, 0, split).item() - 2 * ce))
     assert worst < 1e-9
     report_pass("loss-identities", f"causal(f,f) vs 2*CE worst dev {worst:.2e}")
 

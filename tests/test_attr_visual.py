@@ -21,23 +21,33 @@ def rand_instance(k=2, r=3, d=4, da=3, seed=0):
     return V, A, params
 
 
+def run(V, A, params, Z=None):
+    """Observed pass; identity prototypes by default, so logits = scores."""
+    return av.forward(V, A, np.eye(A.shape[0]) if Z is None else Z, params)
+
+
+def readout_oracle(A, w2, feats):
+    """Entry k is a_k' w2 f_k for the attended features f (K x D), by scalar math."""
+    return np.array([float(A[k] @ w2 @ feats[k]) for k in range(A.shape[0])])
+
+
 class TestAttention:
     def test_single_region_all_ones(self):
         V, A, params = rand_instance(k=4, r=1)
-        beta = av.attention(V, A, params).data
+        beta = run(V, A, params).attention.data
         assert beta.shape == (4, 1)
         assert np.array_equal(beta, np.ones((4, 1)))
 
     def test_zero_weight_uniform(self):
         V, A, params = rand_instance(k=3, r=5)
         params.w1 = np.zeros_like(params.w1)
-        beta = av.attention(V, A, params).data
+        beta = run(V, A, params).attention.data
         assert np.allclose(beta, 1.0 / 5, atol=1e-12)
 
     def test_matches_direct_evaluation(self):
         # oracle: evaluate the bilinear-score softmax with scalar math
         V, A, params = rand_instance(k=2, r=2, d=3, da=2, seed=7)
-        beta = av.attention(V, A, params).data
+        beta = run(V, A, params).attention.data
         for k in range(2):
             scores = [float(A[k] @ params.w1 @ V[r]) for r in range(2)]
             z = sum(math.exp(s) for s in scores)
@@ -47,95 +57,101 @@ class TestAttention:
     def test_rows_sum_to_one_random(self):
         for seed in range(50):
             V, A, params = rand_instance(k=4, r=6, seed=seed)
-            beta = av.attention(V, A, params).data
+            beta = run(V, A, params).attention.data
             assert np.max(np.abs(beta.sum(axis=1) - 1.0)) < 1e-6
 
     def test_shape_mismatch(self):
         V, A, params = rand_instance()
         with pytest.raises(ShapeError):
-            av.attention(V[:, :2], A, params)
+            run(V[:, :2], A, params)
 
 
 class TestFeatures:
+    """The attended features, pinned through the scores of an intervened pass."""
+
     def test_uniform_two_regions_midpoint(self):
         V = np.array([[0.0, 2.0], [4.0, 6.0]])
-        beta = np.full((3, 2), 0.5)
-        feats = av.features(beta, V).data
-        assert np.allclose(feats, np.tile([2.0, 4.0], (3, 1)))
+        _, A, params = rand_instance(k=3, d=2)
+        scores = av.intervened(run(V, A, params), np.full((3, 2), 0.5)).attr_scores.data
+        assert np.allclose(scores, readout_oracle(A, params.w2, np.tile([2.0, 4.0], (3, 1))),
+                           atol=1e-12)
 
     def test_one_hot_selects_region(self):
         V, A, params = rand_instance(k=3, r=4)
         beta = np.zeros((3, 4))
         beta[:, 2] = 1.0
-        feats = av.features(beta, V).data
-        assert np.array_equal(feats, np.tile(V[2], (3, 1)))
+        scores = av.intervened(run(V, A, params), beta).attr_scores.data
+        assert np.array_equal(scores, np.sum((A @ params.w2) * V[2], axis=1))
 
     def test_matches_weighted_sum_oracle(self):
+        V, A, params = rand_instance(k=3, r=4, d=5, seed=3)
         rng = make_rng(3)
         beta = rng.random((3, 4))
         beta /= beta.sum(axis=1, keepdims=True)
-        V = rng.standard_normal((4, 5))
-        feats = av.features(beta, V).data
+        scores = av.intervened(run(V, A, params), beta).attr_scores.data
+        expected = np.zeros((3, 5))
         for k in range(3):
-            expected = np.zeros(5)
             for r in range(4):
-                expected += beta[k, r] * V[r]
-            assert np.max(np.abs(feats[k] - expected)) < 1e-12
+                expected[k] += beta[k, r] * V[r]
+        assert np.max(np.abs(scores - readout_oracle(A, params.w2, expected))) < 1e-12
 
     def test_convex_hull_property(self):
+        # f_k is a convex mix of regions, so a_k' w2 f_k lies between the
+        # smallest and largest a_k' w2 v_r
         for seed in range(20):
             V, A, params = rand_instance(k=5, r=4, seed=seed)
-            beta = av.attention(V, A, params).data
-            feats = av.features(beta, V).data
-            lo, hi = V.min(axis=0), V.max(axis=0)
-            assert np.all(feats >= lo - 1e-9)
-            assert np.all(feats <= hi + 1e-9)
+            scores = run(V, A, params).attr_scores.data
+            per_region = A @ params.w2 @ V.T
+            assert np.all(scores >= per_region.min(axis=1) - 1e-9)
+            assert np.all(scores <= per_region.max(axis=1) + 1e-9)
 
 
 class TestEmbed:
     def test_zero_weight(self):
         V, A, params = rand_instance()
         params.w2 = np.zeros_like(params.w2)
-        feats = av.features(av.attention(V, A, params), V)
-        assert np.array_equal(av.embed(feats, A, params).data, np.zeros(2))
+        assert np.array_equal(run(V, A, params).attr_scores.data, np.zeros(2))
 
     def test_single_attribute_direct_evaluation(self):
+        # one region: the attention is 1 and the attended feature is that region
         rng = make_rng(5)
         A = rng.standard_normal((1, 3))
-        F = rng.standard_normal((1, 4))
+        V = rng.standard_normal((1, 4))
         params = AttrVisualParams(w1=np.zeros((3, 4)), w2=rng.standard_normal((3, 4)))
-        psi = av.embed(F, A, params).data
-        expected = float(A[0] @ params.w2 @ F[0])
+        psi = run(V, A, params).attr_scores.data
+        expected = float(A[0] @ params.w2 @ V[0])
         assert abs(psi[0] - expected) < 1e-12
 
     def test_bilinear_in_attribute_vector(self):
         V, A, params = rand_instance(seed=2)
-        feats = np.asarray(make_rng(9).standard_normal((2, 4)))
-        base = av.embed(feats, A, params).data
+        beta = np.asarray(make_rng(9).random((2, 3)))
+        beta /= beta.sum(axis=1, keepdims=True)
+        base = av.intervened(run(V, A, params), beta).attr_scores.data
         scaled_A = A.copy()
         scaled_A[1] *= 2.0
-        scaled = av.embed(feats, scaled_A, params).data
+        scaled = av.intervened(run(V, scaled_A, params), beta).attr_scores.data
         assert abs(scaled[1] - 2.0 * base[1]) < 1e-12
         assert abs(scaled[0] - base[0]) < 1e-12
 
 
 class TestPredict:
     def test_one_hot_prototypes_select_scores(self):
-        psi = np.array([1.0, -2.0, 3.0])
-        Z = np.eye(3)
-        assert np.array_equal(av.predict(psi, Z).data, psi)
+        fwd = run(*rand_instance(k=3, seed=4), Z=np.eye(3))
+        assert np.array_equal(fwd.logits.data, fwd.attr_scores.data)
 
     def test_zero_scores_zero_logits(self):
+        V, A, params = rand_instance(k=3)
+        params.w2 = np.zeros_like(params.w2)
         Z = make_rng(0).random((4, 3))
-        assert np.array_equal(av.predict(np.zeros(3), Z).data, np.zeros(4))
+        assert np.array_equal(run(V, A, params, Z).logits.data, np.zeros(4))
 
     def test_matches_dot_product_oracle(self):
-        rng = make_rng(8)
-        psi = rng.standard_normal(4)
-        Z = rng.standard_normal((3, 4))
-        logits = av.predict(psi, Z).data
+        V, A, params = rand_instance(k=4, seed=8)
+        Z = make_rng(8).standard_normal((3, 4))
+        fwd = run(V, A, params, Z)
+        psi = fwd.attr_scores.data
         for c in range(3):
-            assert abs(logits[c] - float(np.dot(psi, Z[c]))) < 1e-12
+            assert abs(fwd.logits.data[c] - float(np.dot(psi, Z[c]))) < 1e-12
 
 
 class TestIntervened:
@@ -143,15 +159,15 @@ class TestIntervened:
         V, A, params = rand_instance(k=4, r=5, seed=11)
         Z = make_rng(12).random((3, 4))
         fwd = av.forward(V, A, Z, params)
-        _, logits_bar = av.intervened(V, A, Z, params, fwd.attention.data)
+        logits_bar = av.intervened(fwd, fwd.attention.data).logits
         assert np.array_equal(logits_bar.data, fwd.logits.data)
         assert np.array_equal(av.causal_effect(fwd.logits, logits_bar), np.zeros(3))
 
     def test_uniform_intervention_gives_region_mean(self):
         V, A, params = rand_instance(k=3, r=4, seed=1)
-        beta_bar = np.full((3, 4), 0.25)
-        feats_bar = av.features(beta_bar, V).data
-        assert np.allclose(feats_bar, np.tile(V.mean(axis=0), (3, 1)), atol=1e-12)
+        scores = av.intervened(run(V, A, params), np.full((3, 4), 0.25)).attr_scores.data
+        expected = readout_oracle(A, params.w2, np.tile(V.mean(axis=0), (3, 1)))
+        assert np.allclose(scores, expected, atol=1e-12)
 
     def test_matches_compositional_oracle(self):
         V, A, params = rand_instance(k=4, r=3, seed=21)
@@ -159,19 +175,33 @@ class TestIntervened:
         rng = make_rng(23)
         beta_bar = rng.random((4, 3))
         beta_bar /= beta_bar.sum(axis=1, keepdims=True)
-        psi_bar, logits_bar = av.intervened(V, A, Z, params, beta_bar)
-        # oracle: compose the three public stages explicitly
-        feats = av.features(beta_bar, V)
-        psi_expected = av.embed(feats, A, params).data
-        logits_expected = av.predict(psi_expected, Z).data
-        assert np.array_equal(psi_bar.data, psi_expected)
-        assert np.array_equal(logits_bar.data, logits_expected)
+        bar = av.intervened(av.forward(V, A, Z, params), beta_bar)
+        # oracle: compose attended features, readout and prototype product in numpy
+        psi_expected = np.sum((A @ params.w2) * (beta_bar @ V), axis=1)
+        assert np.array_equal(bar.attention.data, beta_bar)
+        assert np.array_equal(bar.attr_scores.data, psi_expected)
+        assert np.array_equal(bar.logits.data, Z @ psi_expected)
+
+    def test_reuses_observed_products(self, monkeypatch):
+        # only attention.V and Z.psi run again; A.w2 comes from the observed pass
+        V, A, params = rand_instance(k=4, r=3, seed=24)
+        fwd = run(V, A, params)
+        calls = []
+        matmul = ad.matmul
+        monkeypatch.setattr(ad, "matmul", lambda a, b: calls.append(1) or matmul(a, b))
+        av.intervened(fwd, np.full((4, 3), 1.0 / 3))
+        assert len(calls) == 2
 
     def test_unnormalized_rows_rejected(self):
         V, A, params = rand_instance()
         bad = np.full((2, 3), 0.5)  # rows sum to 1.5
         with pytest.raises(ValueError, match="sum to 1"):
-            av.intervened(V, A, make_rng(0).random((3, 2)), params, bad)
+            av.intervened(run(V, A, params), bad)
+
+    def test_wrong_shape_rejected(self):
+        V, A, params = rand_instance()
+        with pytest.raises(ShapeError, match="differs from the observed"):
+            av.intervened(run(V, A, params), np.full((3, 2), 0.5))
 
     def test_no_gradient_into_intervention(self):
         V, A, params = rand_instance(seed=31)
@@ -180,11 +210,11 @@ class TestIntervened:
         w2 = ad.Tensor(params.w2, requires_grad=True)
         live = AttrVisualParams(w1=w1, w2=w2)
         beta_bar = ad.Tensor(np.full((2, 3), 1.0 / 3))
-        _, logits_bar = av.intervened(V, A, Z, live, beta_bar)
+        logits_bar = av.intervened(av.forward(V, A, Z, live), beta_bar).logits
         ad.tsum(ad.mul(logits_bar, logits_bar)).backward()
         assert beta_bar.grad is None
         assert w2.grad is not None
-        # the intervened pipeline never touches w1
+        # the intervened pass never touches w1
         assert w1.grad is None
 
     def test_w1_gradient_independent_of_intervention_draw(self):
@@ -200,7 +230,7 @@ class TestIntervened:
             rng = make_rng(interv_seed)
             beta_bar = rng.random((2, 3))
             beta_bar /= beta_bar.sum(axis=1, keepdims=True)
-            _, logits_bar = av.intervened(V, A, Z, live, beta_bar)
+            logits_bar = av.intervened(fwd, beta_bar).logits
             loss = ad.add(ad.tsum(ad.mul(fwd.logits, fwd.logits)),
                           ad.tsum(ad.mul(logits_bar, logits_bar)))
             loss.backward()
@@ -246,7 +276,7 @@ def test_gradients_pass_finite_difference_check():
 
 def test_export_attention_round_trip(tmp_path):
     V, A, params = rand_instance(k=4, r=5, seed=61)
-    beta = av.attention(V, A, params).data
+    beta = run(V, A, params).attention.data
     av.export_attention(beta, [f"attr_{i}" for i in range(4)], tmp_path / "beta")
     back = read_tensor(tmp_path / "beta.msdt")
     assert back.shape == (4, 5)

@@ -84,7 +84,6 @@ def test_matmul_shape_error():
 def test_sum_axes():
     check_op(lambda a: ad.tsum(ad.mul(ad.tsum(a, axis=0), ad.tsum(a, axis=0))), [(3, 4)])
     check_op(lambda a: ad.tsum(ad.mul(ad.tsum(a, axis=1, keepdims=True), a)), [(3, 4)])
-    check_op(lambda a: ad.tmean(ad.mul(a, a)), [(6,)])
 
 
 def test_exp_log():
@@ -136,14 +135,6 @@ def test_gradient_accumulates_across_reuse():
     out = ad.add(ad.mul(t, t), ad.mul(t, 3.0))  # x^2 + 3x -> 2x + 3 = 7
     out.backward(seed=np.array([1.0]))
     assert np.allclose(t.grad, [7.0])
-
-
-def test_detach_blocks_gradient():
-    t = ad.Tensor(np.array([1.0, 2.0]), requires_grad=True)
-    frozen = ad.mul(t, 2.0).detach()
-    out = ad.tsum(ad.mul(frozen, t))
-    out.backward()
-    assert np.array_equal(t.grad, frozen.data)  # only the live factor gets grad
 
 
 def test_constants_carry_no_grad():

@@ -13,8 +13,9 @@ from mczsl.data import SynthConfig, load_dataset
 from mczsl.errors import ConfigError
 from mczsl.evaluate import FusionConfig
 from mczsl.losses import LossWeights
-from mczsl.tensor_io import read_tensor
-from mczsl.training import Hyperparams, load_checkpoint
+from mczsl.numeric import make_rng
+from mczsl.tensor_io import read_tensor, write_tensor
+from mczsl.training import Hyperparams, init_state, load_checkpoint, save_checkpoint
 
 
 def tree_bytes(root):
@@ -144,8 +145,10 @@ class TestEval:
 
     @pytest.mark.parametrize("corrupt", [
         b"{not json\n", b"\xff\xfe{}", b"[1,2]", b"{}",
-        pytest.param(json.dumps({"epoch": 2, "hyperparams": {
-            **asdict(Hyperparams()), "batch_size": 0}}).encode(), id="batch_size_0"),
+        *[pytest.param(json.dumps({"epoch": 2, "hyperparams": {
+            **asdict(Hyperparams()), key: value}}).encode(), id=f"{key}_{value}")
+          for key, value in [("batch_size", 0), ("batch_size", 1.5), ("seed", "x"),
+                             ("epochs", 2.0), ("intervention_seed", "y")]],
     ])
     def test_corrupt_checkpoint_metadata_exits_3(self, data_dir, trained_run, tmp_path,
                                                  capsys, corrupt):
@@ -156,6 +159,33 @@ class TestEval:
                      "--out", str(tmp_path / "e")])
         assert code == 3
         assert str(ckpt / "metadata.json") in capsys.readouterr().err
+
+    def test_inconsistent_weight_shapes_exit_3(self, data_dir, trained_run, tmp_path, capsys):
+        ckpt = tmp_path / "checkpoint"
+        shutil.copytree(trained_run / "checkpoint", ckpt)
+        w4 = read_tensor(ckpt / "w4.msdt")
+        write_tensor(ckpt / "w4.msdt", w4[:-1])
+        code = main(["eval", "--data", str(data_dir), "--checkpoint", str(ckpt),
+                     "--out", str(tmp_path / "e")])
+        assert code == 3
+        assert str(ckpt / "w4.msdt") in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["eval", "export-attention", "intervene-compare"])
+    def test_checkpoint_for_other_shape_exits_3(self, data_dir, tmp_path, capsys, command):
+        # weights that are consistent among themselves but one feature wider
+        # than the dataset's regions
+        ds = load_dataset(data_dir)
+        state = init_state(ds.attributes.shape[1], ds.feature_dim + 1, make_rng(0))
+        out = tmp_path / "out"
+        ckpt = out / "intervene_random" / "checkpoint"
+        save_checkpoint(state, Hyperparams(), ckpt, epoch=0)
+        args = {"eval": ["--checkpoint", str(ckpt)],
+                "export-attention": ["--checkpoint", str(ckpt), "--samples", "0"],
+                "intervene-compare": ["--eval-only"]}[command]
+        code = main([command, "--data", str(data_dir), "--out", str(out), *args])
+        assert code == 3
+        err = capsys.readouterr().err
+        assert str(ckpt) in err and str(data_dir) in err
 
     def test_non_utf8_manifest_exits_3(self, data_dir, trained_run, tmp_path, capsys):
         data = tmp_path / "data"

@@ -5,6 +5,7 @@ import pytest
 
 from mczsl import autodiff as ad
 from mczsl import visual_attr as va
+from mczsl.attr_visual import causal_effect
 from mczsl.errors import ShapeError
 from mczsl.gradcheck import finite_difference_check
 from mczsl.numeric import make_rng, softmax
@@ -21,16 +22,32 @@ def rand_instance(r=3, k=3, d=4, da=3, seed=0):
     return V, A, params
 
 
+def run(V, A, params, Z=None):
+    """Observed pass; identity prototypes by default, so logits = scores."""
+    return va.forward(V, A, np.eye(A.shape[0]) if Z is None else Z, params)
+
+
+def region_scores(attr_scores, V, A, params):
+    """Read the R region scores back out of the K lifted attribute scores
+    (R == K <= D, Da, so the lift table V w_att A' is square and invertible)."""
+    return np.linalg.solve((V @ params.w_att @ A.T).T, attr_scores)
+
+
+def readout_oracle(V, w4, mixes):
+    """Entry r is v_r' w4 s_r for the attended mixes s (R x Da), by scalar math."""
+    return np.array([float(V[r] @ w4 @ mixes[r]) for r in range(V.shape[0])])
+
+
 class TestAttention:
     def test_two_attributes_zero_weight_half_half(self):
         V, A, params = rand_instance(r=4, k=2)
         params.w3 = np.zeros_like(params.w3)
-        gamma = va.attention(V, A, params).data
+        gamma = run(V, A, params).attention.data
         assert np.allclose(gamma, 0.5, atol=1e-12)
 
     def test_matches_direct_evaluation(self):
         V, A, params = rand_instance(r=2, k=3, seed=7)
-        gamma = va.attention(V, A, params).data
+        gamma = run(V, A, params).attention.data
         for r in range(2):
             scores = [float(V[r] @ params.w3 @ A[k]) for k in range(3)]
             z = sum(math.exp(s) for s in scores)
@@ -41,7 +58,7 @@ class TestAttention:
         # adding a constant to one row's scores leaves that row's weights unchanged
         V, A, params = rand_instance(r=3, k=4, seed=9)
         scores = V @ params.w3 @ A.T
-        gamma = va.attention(V, A, params).data
+        gamma = run(V, A, params).attention.data
         shifted = scores.copy()
         shifted[1] += 123.0
         assert np.max(np.abs(softmax(shifted, axis=1) - gamma)) < 1e-9
@@ -49,109 +66,123 @@ class TestAttention:
     def test_rows_sum_to_one(self):
         for seed in range(50):
             V, A, params = rand_instance(r=5, k=6, seed=seed)
-            gamma = va.attention(V, A, params).data
+            gamma = run(V, A, params).attention.data
             assert np.max(np.abs(gamma.sum(axis=1) - 1.0)) < 1e-6
 
 
 class TestFeatures:
+    """The attended mixes, pinned through the region scores of an intervened
+    pass, read back through the lift."""
+
     def test_one_hot_selects_attribute(self):
-        V, A, params = rand_instance(r=4, k=3)
-        gamma = np.zeros((4, 3))
+        V, A, params = rand_instance(r=3, k=3)
+        gamma = np.zeros((3, 3))
         gamma[:, 1] = 1.0
-        feats = va.features(gamma, A).data
-        assert np.array_equal(feats, np.tile(A[1], (4, 1)))
+        scores = va.intervened(run(V, A, params), gamma).attr_scores.data
+        got = region_scores(scores, V, A, params)
+        assert np.allclose(got, readout_oracle(V, params.w4, np.tile(A[1], (3, 1))), atol=1e-9)
 
     def test_uniform_gives_mean_attribute(self):
-        V, A, params = rand_instance(r=2, k=5)
-        gamma = np.full((2, 5), 0.2)
-        feats = va.features(gamma, A).data
-        assert np.allclose(feats, np.tile(A.mean(axis=0), (2, 1)), atol=1e-12)
+        V, A, params = rand_instance(r=5, k=5, d=5, da=5)
+        scores = va.intervened(run(V, A, params), np.full((5, 5), 0.2)).attr_scores.data
+        got = region_scores(scores, V, A, params)
+        expected = readout_oracle(V, params.w4, np.tile(A.mean(axis=0), (5, 1)))
+        assert np.allclose(got, expected, atol=1e-9)
 
     def test_matches_weighted_sum_oracle(self):
+        V, A, params = rand_instance(r=4, k=4, da=5, seed=4)
         rng = make_rng(4)
-        gamma = rng.random((3, 4))
+        gamma = rng.random((4, 4))
         gamma /= gamma.sum(axis=1, keepdims=True)
-        A = rng.standard_normal((4, 5))
-        feats = va.features(gamma, A).data
-        for r in range(3):
-            expected = np.zeros(5)
+        scores = va.intervened(run(V, A, params), gamma).attr_scores.data
+        expected = np.zeros((4, 5))
+        for r in range(4):
             for k in range(4):
-                expected += gamma[r, k] * A[k]
-            assert np.max(np.abs(feats[r] - expected)) < 1e-12
+                expected[r] += gamma[r, k] * A[k]
+        got = region_scores(scores, V, A, params)
+        assert np.allclose(got, readout_oracle(V, params.w4, expected), atol=1e-9)
 
     def test_convex_hull_property(self):
+        # s_r is a convex mix of attributes, so v_r' w4 s_r lies between the
+        # smallest and largest v_r' w4 a_k
         for seed in range(20):
-            V, A, params = rand_instance(r=4, k=5, seed=seed)
-            gamma = va.attention(V, A, params).data
-            feats = va.features(gamma, A).data
-            lo, hi = A.min(axis=0), A.max(axis=0)
-            assert np.all(feats >= lo - 1e-9)
-            assert np.all(feats <= hi + 1e-9)
+            V, A, params = rand_instance(r=4, k=4, da=4, seed=seed)
+            got = region_scores(run(V, A, params).attr_scores.data, V, A, params)
+            per_attribute = V @ params.w4 @ A.T
+            assert np.all(got >= per_attribute.min(axis=1) - 1e-9)
+            assert np.all(got <= per_attribute.max(axis=1) + 1e-9)
 
 
 class TestEmbed:
     def test_zero_weight(self):
         V, A, params = rand_instance()
         params.w4 = np.zeros_like(params.w4)
-        feats = va.features(va.attention(V, A, params), A)
-        assert np.array_equal(va.embed(V, feats, params).data, np.zeros(3))
+        assert np.array_equal(run(V, A, params).attr_scores.data, np.zeros(3))
 
     def test_single_region_direct_evaluation(self):
+        # one region and a one-hot attention: the mix is attribute 1, and the
+        # lift scales the region score by row 0 of the table
         rng = make_rng(5)
         V = rng.standard_normal((1, 4))
-        S = rng.standard_normal((1, 3))
+        A = rng.standard_normal((3, 3))
         params = VisualAttrParams(w3=np.zeros((4, 3)), w4=rng.standard_normal((4, 3)),
-                                  w_att=np.zeros((4, 3)))
-        got = va.embed(V, S, params).data
-        assert abs(got[0] - float(V[0] @ params.w4 @ S[0])) < 1e-12
+                                  w_att=rng.standard_normal((4, 3)))
+        got = va.intervened(run(V, A, params), np.array([[0.0, 1.0, 0.0]])).attr_scores.data
+        expected = float(V[0] @ params.w4 @ A[1]) * (V[0] @ params.w_att @ A.T)
+        assert np.max(np.abs(got - expected)) < 1e-12
 
     def test_linear_in_region_feature(self):
         V, A, params = rand_instance(seed=2)
-        S = make_rng(9).standard_normal((3, 3))
-        base = va.embed(V, S, params).data
+        gamma = make_rng(9).random((3, 3))
+        gamma /= gamma.sum(axis=1, keepdims=True)
+        base = region_scores(va.intervened(run(V, A, params), gamma).attr_scores.data,
+                             V, A, params)
         V2 = V.copy()
         V2[1] *= 2.0
-        doubled = va.embed(V2, S, params).data
-        assert abs(doubled[1] - 2.0 * base[1]) < 1e-12
-        assert abs(doubled[0] - base[0]) < 1e-12
+        doubled = region_scores(va.intervened(run(V2, A, params), gamma).attr_scores.data,
+                                V2, A, params)
+        assert abs(doubled[1] - 2.0 * base[1]) < 1e-9
+        assert abs(doubled[0] - base[0]) < 1e-9
 
 
 class TestProject:
     def test_zero_region_scores(self):
         V, A, params = rand_instance()
-        assert np.array_equal(va.project(np.zeros(3), V, A, params).data, np.zeros(3))
+        params.w4 = np.zeros_like(params.w4)
+        assert np.array_equal(run(V, A, params).attr_scores.data, np.zeros(3))
 
     def test_zero_lifting_weight(self):
         V, A, params = rand_instance()
         params.w_att = np.zeros_like(params.w_att)
-        got = va.project(make_rng(1).standard_normal(3), V, A, params).data
-        assert np.array_equal(got, np.zeros(3))
+        assert np.array_equal(run(V, A, params).attr_scores.data, np.zeros(3))
 
     def test_matches_two_step_matmul_oracle(self):
         V, A, params = rand_instance(r=2, k=3, seed=13)
-        psi_hat = make_rng(14).standard_normal(2)
-        got = va.project(psi_hat, V, A, params).data
+        fwd = run(V, A, params)
+        psi_hat = np.sum((V @ params.w4) * (fwd.attention.data @ A), axis=1)
         table = V @ params.w_att @ A.T  # R x K
         expected = psi_hat @ table
-        assert np.max(np.abs(got - expected)) < 1e-12
+        assert np.max(np.abs(fwd.attr_scores.data - expected)) < 1e-12
 
 
 class TestPredict:
     def test_one_hot_prototypes(self):
-        scores = np.array([2.0, -1.0, 0.5])
-        assert np.array_equal(va.predict(scores, np.eye(3)).data, scores)
+        fwd = run(*rand_instance(seed=3), Z=np.eye(3))
+        assert np.array_equal(fwd.logits.data, fwd.attr_scores.data)
 
     def test_zero_scores(self):
+        V, A, params = rand_instance()
+        params.w_att = np.zeros_like(params.w_att)
         Z = make_rng(0).random((4, 3))
-        assert np.array_equal(va.predict(np.zeros(3), Z).data, np.zeros(4))
+        assert np.array_equal(run(V, A, params, Z).logits.data, np.zeros(4))
 
     def test_dot_product_oracle(self):
-        rng = make_rng(8)
-        scores = rng.standard_normal(5)
-        Z = rng.standard_normal((3, 5))
-        logits = va.predict(scores, Z).data
+        V, A, params = rand_instance(k=5, seed=8)
+        Z = make_rng(8).standard_normal((3, 5))
+        fwd = run(V, A, params, Z)
+        scores = fwd.attr_scores.data
         for c in range(3):
-            assert abs(logits[c] - float(np.dot(scores, Z[c]))) < 1e-12
+            assert abs(fwd.logits.data[c] - float(np.dot(scores, Z[c]))) < 1e-12
 
 
 class TestIntervened:
@@ -159,15 +190,15 @@ class TestIntervened:
         V, A, params = rand_instance(r=4, k=5, seed=11)
         Z = make_rng(12).random((3, 5))
         fwd = va.forward(V, A, Z, params)
-        _, logits_bar = va.intervened(V, A, Z, params, fwd.attention.data)
+        logits_bar = va.intervened(fwd, fwd.attention.data).logits
         assert np.array_equal(logits_bar.data, fwd.logits.data)
-        assert np.array_equal(va.causal_effect(fwd.logits, logits_bar), np.zeros(3))
+        assert np.array_equal(causal_effect(fwd.logits, logits_bar), np.zeros(3))
 
     def test_uniform_intervention_mean_attribute_rows(self):
-        V, A, params = rand_instance(r=3, k=4, seed=15)
-        gamma_bar = np.full((3, 4), 0.25)
-        feats_bar = va.features(gamma_bar, A).data
-        assert np.allclose(feats_bar, np.tile(A.mean(axis=0), (3, 1)), atol=1e-12)
+        V, A, params = rand_instance(r=4, k=4, da=4, seed=15)
+        scores = va.intervened(run(V, A, params), np.full((4, 4), 0.25)).attr_scores.data
+        expected = readout_oracle(V, params.w4, np.tile(A.mean(axis=0), (4, 1)))
+        assert np.allclose(region_scores(scores, V, A, params), expected, atol=1e-9)
 
     def test_matches_compositional_oracle(self):
         V, A, params = rand_instance(r=3, k=4, seed=21)
@@ -175,17 +206,28 @@ class TestIntervened:
         rng = make_rng(23)
         gamma_bar = rng.random((3, 4))
         gamma_bar /= gamma_bar.sum(axis=1, keepdims=True)
-        scores_bar, logits_bar = va.intervened(V, A, Z, params, gamma_bar)
-        feats = va.features(gamma_bar, A)
-        region_scores = va.embed(V, feats, params).data
-        expected_scores = va.project(region_scores, V, A, params).data
-        assert np.array_equal(scores_bar.data, expected_scores)
-        assert np.array_equal(logits_bar.data, va.predict(expected_scores, Z).data)
+        bar = va.intervened(va.forward(V, A, Z, params), gamma_bar)
+        # oracle: compose attended mixes, readout, lift and prototype product in numpy
+        region = np.sum((V @ params.w4) * (gamma_bar @ A), axis=1)
+        expected_scores = region @ (V @ params.w_att @ A.T)
+        assert np.array_equal(bar.attr_scores.data, expected_scores)
+        assert np.array_equal(bar.logits.data, Z @ expected_scores)
+
+    def test_reuses_observed_products(self, monkeypatch):
+        # only gamma.A, region.table and Z.psi run again; V.w4 and the lift
+        # table come from the observed pass
+        V, A, params = rand_instance(r=3, k=4, seed=24)
+        fwd = run(V, A, params)
+        calls = []
+        matmul = ad.matmul
+        monkeypatch.setattr(ad, "matmul", lambda a, b: calls.append(1) or matmul(a, b))
+        va.intervened(fwd, np.full((3, 4), 0.25))
+        assert len(calls) == 3
 
     def test_unnormalized_rejected(self):
         V, A, params = rand_instance()
         with pytest.raises(ValueError, match="sum to 1"):
-            va.intervened(V, A, np.eye(3), params, np.full((3, 3), 0.9))
+            va.intervened(run(V, A, params), np.full((3, 3), 0.9))
 
     def test_detachment_and_w3_independence(self):
         V, A, params = rand_instance(seed=41)
@@ -201,7 +243,7 @@ class TestIntervened:
             gamma_bar = rng.random((3, 3))
             gamma_bar /= gamma_bar.sum(axis=1, keepdims=True)
             bar = ad.Tensor(gamma_bar)
-            _, logits_bar = va.intervened(V, A, Z, live, bar)
+            logits_bar = va.intervened(fwd, bar).logits
             loss = ad.add(ad.tsum(ad.mul(fwd.logits, fwd.logits)),
                           ad.tsum(ad.mul(logits_bar, logits_bar)))
             loss.backward()
@@ -215,20 +257,20 @@ class TestIntervened:
 
 class TestCausalEffect:
     def test_hand_arithmetic(self):
-        assert np.array_equal(va.causal_effect([3.0, 1.0], [1.0, 3.0]), [2.0, -2.0])
+        assert np.array_equal(causal_effect([3.0, 1.0], [1.0, 3.0]), [2.0, -2.0])
 
     def test_identical_zero(self):
         x = make_rng(1).standard_normal(4)
-        assert np.array_equal(va.causal_effect(x, x), np.zeros(4))
+        assert np.array_equal(causal_effect(x, x), np.zeros(4))
 
     def test_antisymmetry(self):
         rng = make_rng(2)
         a, b = rng.standard_normal(6), rng.standard_normal(6)
-        assert np.array_equal(va.causal_effect(a, b), -va.causal_effect(b, a))
+        assert np.array_equal(causal_effect(a, b), -causal_effect(b, a))
 
     def test_shape_error(self):
         with pytest.raises(ShapeError):
-            va.causal_effect(np.zeros(2), np.zeros(4))
+            causal_effect(np.zeros(2), np.zeros(4))
 
 
 def test_gradients_pass_finite_difference_check():
