@@ -1,15 +1,17 @@
 """Row-wise bilinear cross-attention and the attribute-to-visual sub-net.
 
-Both sub-nets are one cross-attention read in opposite directions. Every row
-q_i of the queries Q attends over the rows of the keys K with weights
-softmax(Q w_s K') by rows, and its readout is q_i' w_e (attention K)_i. The
-attribute-to-visual sub-net takes Q = A (K x Da), K = V (R x D), w_s = w1 and
-w_e = w2, so its readout is one confidence per attribute; visual_attr reads
-the same attention the other way. Class logits are dot products of the
+Both sub-nets are one cross-attention read in opposite directions, built from
+bilinear tables Q w K'. Every row q_i of the queries Q attends over the rows
+of the keys K with weights softmax(Q w_s K') by rows. Its readout
+q_i' w_e (attention K)_i is the row sum of attention times the table Q w_e K'.
+The attribute-to-visual sub-net takes Q = A (K x Da), K = V (R x D), w_s = w1
+and w_e = w2, so its readout is one confidence per attribute; visual_attr
+reads the same attention the other way. Class logits are dot products of the
 attribute scores with the class prototypes Z (C x K).
 
-V, A and Z are constants; only the weight matrices are trainable. Every pass
-builds autodiff graphs, so the same code path serves training and inference.
+V holds one sample's regions (R x D) or a block of samples (B x R x D). V, A
+and Z are constants; only the weight matrices are trainable. Every pass builds
+autodiff graphs, so the same code path serves training and inference.
 """
 from __future__ import annotations
 
@@ -36,43 +38,42 @@ class AttrVisualParams:
 
 @dataclass
 class SubnetForward:
-    """One sub-net pass. The last four fields do not depend on the attention;
+    """One sub-net pass. The last three fields do not depend on the attention;
     `intervened` reads the scores again from them under another attention."""
 
     attention: ad.Tensor  # queries x keys, rows sum to 1
     attr_scores: ad.Tensor  # K per-attribute confidences
     logits: ad.Tensor  # C class scores
-    keys: ad.Tensor  # the rows the attention mixes
-    projected: ad.Tensor  # Q w_e, one row per query
+    table: ad.Tensor  # queries x keys readout table Q w_e K'
     lift: ad.Tensor | None  # queries x K table from readout to attribute scores
-    prototypes: ad.Tensor  # Z
+    prototypes: ad.Tensor  # Z', K x C
 
 
-def _readout(attention, keys, projected, lift, prototypes) -> SubnetForward:
+def _readout(attention, table, lift, prototypes) -> SubnetForward:
     """The pass under `attention`: readout, lift (if any) and class logits."""
-    scores = ad.tsum(ad.mul(projected, ad.matmul(attention, keys)), axis=1)
+    scores = ad.tsum(ad.mul(attention, table), axis=-1, keepdims=lift is not None)
     if lift is not None:
-        scores = ad.matmul(scores, lift)
-    return SubnetForward(attention, scores, ad.matmul(prototypes, scores),
-                         keys, projected, lift, prototypes)
+        scores = ad.tsum(ad.mul(scores, lift), axis=-2)
+    return SubnetForward(attention, scores, ad.matmul(scores, prototypes),
+                         table, lift, prototypes)
 
 
 def cross_attention(Q, K, Z, names, w_s, w_e, w_lift=None) -> SubnetForward:
-    """Rows of Q attend over rows of K. With `w_lift`, the per-query readout
-    is lifted to attribute scores through the raw table Q w_lift K' (no
-    normalization). `names` label the weights in shape errors."""
+    """Rows of Q attend over rows of K (either may lead with a block axis). With
+    `w_lift`, the per-query readout is lifted to attribute scores through the
+    raw table Q w_lift K' (no normalization). `names` label weights in errors."""
     Q = np.asarray(Q, dtype=np.float64)
     K = np.asarray(K, dtype=np.float64)
     for w, name in zip((w_s, w_e, w_lift), names):
         w_shape = np.shape(w.data if isinstance(w, ad.Tensor) else w)
-        if w is not None and (Q.ndim != 2 or K.ndim != 2 or w_shape != (Q.shape[1], K.shape[1])):
+        if w is not None and ({Q.ndim, K.ndim} - {2, 3} or w_shape != (Q.shape[-1], K.shape[-1])):
             raise ShapeError(
                 f"bilinear shapes inconsistent: {Q.shape} x {name} {w_shape} x {K.shape}")
-    queries, keys_t = ad.constant(Q), ad.constant(K.T)
-    attention = ad.softmax(ad.matmul(ad.matmul(queries, ad.as_tensor(w_s)), keys_t), axis=1)
-    lift = None if w_lift is None else ad.matmul(ad.matmul(queries, ad.as_tensor(w_lift)), keys_t)
-    return _readout(attention, ad.constant(K), ad.matmul(queries, ad.as_tensor(w_e)),
-                    lift, ad.constant(np.asarray(Z, dtype=np.float64)))
+    queries, keys_t = ad.constant(Q), ad.constant(np.swapaxes(K, -1, -2))
+    table = lambda w: ad.matmul(ad.matmul(queries, ad.as_tensor(w)), keys_t)
+    return _readout(ad.softmax(table(w_s), axis=-1), table(w_e),
+                    None if w_lift is None else table(w_lift),
+                    ad.constant(np.asarray(Z, dtype=np.float64).T))
 
 
 def forward(V, A, Z, params: AttrVisualParams) -> SubnetForward:
@@ -101,8 +102,7 @@ def intervened(observed: SubnetForward, attn_bar) -> SubnetForward:
         raise ShapeError(f"intervention attention {attn_bar.shape} differs from the observed "
                          f"{observed.attention.data.shape}")
     check_normalized_rows(attn_bar)
-    return _readout(ad.constant(attn_bar), observed.keys, observed.projected,
-                    observed.lift, observed.prototypes)
+    return _readout(ad.constant(attn_bar), observed.table, observed.lift, observed.prototypes)
 
 
 def causal_effect(logits, logits_bar) -> np.ndarray:

@@ -1,8 +1,8 @@
 """Minimal reverse-mode automatic differentiation over numpy arrays.
 
-Just enough ops for the model: elementwise arithmetic with broadcasting,
-matrix products, reductions, exp/log, stable softmax/logsumexp, gather, and
-an elementwise floor. Every Tensor holds float64 data; gradients accumulate
+Just enough ops for the model: elementwise arithmetic and matrix products
+with numpy broadcasting, reductions, exp/log, stable softmax/logsumexp, gather,
+and an elementwise floor. Every Tensor holds float64 data; gradients accumulate
 in float64. Graphs are built eagerly and freed when the tensors go away.
 """
 from __future__ import annotations
@@ -173,27 +173,22 @@ def div(a, b) -> Tensor:
 
 
 def matmul(a, b) -> Tensor:
+    """np.matmul: leading axes broadcast, and a 1-D operand is a row (left) or
+    a column (right) vector whose axis the result drops."""
     a, b = as_tensor(a), as_tensor(b)
     ad, bd = a.data, b.data
-    if ad.ndim not in (1, 2) or bd.ndim not in (1, 2):
-        raise ShapeError(f"matmul supports 1-D/2-D operands, got {ad.shape} x {bd.shape}")
-    if ad.shape[-1] != bd.shape[0]:
-        raise ShapeError(f"matmul inner dimensions differ: {ad.shape} x {bd.shape}")
-    out_data = ad @ bd
+    try:
+        out_data = np.matmul(ad, bd)
+    except ValueError as e:
+        raise ShapeError(f"matmul shapes do not match: {ad.shape} x {bd.shape}") from e
 
     def backward(g):
-        if ad.ndim == 2 and bd.ndim == 2:
-            _accumulate(a, g @ bd.T)
-            _accumulate(b, ad.T @ g)
-        elif ad.ndim == 1 and bd.ndim == 2:
-            _accumulate(a, bd @ g)
-            _accumulate(b, np.outer(ad, g))
-        elif ad.ndim == 2 and bd.ndim == 1:
-            _accumulate(a, np.outer(g, bd))
-            _accumulate(b, ad.T @ g)
-        else:  # 1-D dot
-            _accumulate(a, g * bd)
-            _accumulate(b, g * ad)
+        a2 = ad[None, :] if ad.ndim == 1 else ad
+        b2 = bd[:, None] if bd.ndim == 1 else bd
+        g2 = g[..., None] if bd.ndim == 1 else g
+        g2 = g2[..., None, :] if ad.ndim == 1 else g2
+        _accumulate(a, _unbroadcast(g2 @ np.swapaxes(b2, -1, -2), a2.shape).reshape(ad.shape))
+        _accumulate(b, _unbroadcast(np.swapaxes(a2, -1, -2) @ g2, b2.shape).reshape(bd.shape))
 
     return _make(out_data, (a, b), backward)
 

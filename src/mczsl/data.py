@@ -14,7 +14,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import ConfigError, DataValidationError, FormatError
-from .numeric import make_rng
+from .numeric import check_finite_settings, make_rng
 from .tensor_io import read_tensor, write_tensor
 
 MANIFEST_NAME = "manifest.json"
@@ -91,6 +91,7 @@ class SynthConfig:
     noise: float = 0.05
 
     def __post_init__(self):
+        check_finite_settings(self)
         checks = [
             (self.classes >= 4, "classes >= 4"),
             (self.attributes >= 4, "attributes >= 4"),

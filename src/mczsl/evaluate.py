@@ -2,6 +2,8 @@
 
 Predictions fuse the two sub-nets' attribute scores with fixed coefficients
 and add a +1/-1 unseen/seen calibration offset to every candidate logit.
+`predict` scores samples in blocks through one batched forward of both
+sub-nets; every pass that needs no gradient goes through it.
 Accuracies are per-class means (each class weighs equally regardless of its
 sample count); the GZSL summary is the harmonic mean H = 2SU/(S+U).
 """
@@ -15,6 +17,7 @@ import numpy as np
 
 from .data import Dataset, Split
 from .errors import ShapeError
+from .numeric import check_finite_settings
 from .training import ModelState, forward_both
 
 SETTINGS = ("czsl", "gzsl")
@@ -27,6 +30,7 @@ class FusionConfig:
     setting: str = "gzsl"
 
     def __post_init__(self):
+        check_finite_settings(self)
         if self.alpha1 < 0 or self.alpha2 < 0 or self.alpha1 + self.alpha2 <= 0:
             raise ValueError("fusion coefficients must be nonnegative with positive sum")
         if self.setting not in SETTINGS:
@@ -55,34 +59,42 @@ def candidate_classes(split: Split, setting: str) -> list[int]:
     return sorted(split.seen_classes + split.unseen_classes)
 
 
-def fused_score(
-    psi, psi_attr, Z, split: Split, cfg: FusionConfig, indicator: float = 1.0
-) -> np.ndarray:
-    """Scores over candidate_classes(split, cfg.setting):
-    (alpha1*psi + alpha2*psi_attr) . z_c + indicator for unseen c, - indicator
-    for seen c. The protocol fixes indicator at 1."""
+def fused_score(psi, psi_attr, Z, split: Split, cfg: FusionConfig) -> np.ndarray:
+    """Scores over candidate_classes(split, cfg.setting), one row per row of the
+    attribute scores: (alpha1*psi + alpha2*psi_attr) . z_c + 1 for unseen c,
+    - 1 for seen c."""
     psi = np.asarray(psi, dtype=np.float64)
     psi_attr = np.asarray(psi_attr, dtype=np.float64)
     Z = np.asarray(Z, dtype=np.float64)
-    if psi.shape != psi_attr.shape or Z.ndim != 2 or Z.shape[1] != psi.shape[0]:
+    if psi.shape != psi_attr.shape or Z.ndim != 2 or Z.shape[1] != psi.shape[-1]:
         raise ShapeError(
             f"fusion shapes inconsistent: psi {psi.shape}, psi_attr {psi_attr.shape}, Z {Z.shape}"
         )
     fused = cfg.alpha1 * psi + cfg.alpha2 * psi_attr
     unseen = set(split.unseen_classes)
     cands = candidate_classes(split, cfg.setting)
-    offsets = np.array([indicator if c in unseen else -indicator for c in cands])
-    return Z[cands] @ fused + offsets
+    offsets = np.array([1.0 if c in unseen else -1.0 for c in cands])
+    return fused @ Z[cands].T + offsets
 
 
-def predict(regions, state: ModelState, dataset: Dataset, cfg: FusionConfig) -> int:
-    """Class of one sample's regions (R x D): highest fused score wins; exact
-    ties go to the lowest class index."""
-    f1, f2 = forward_both(regions, dataset, state.avca, state.vaca)
-    scores = fused_score(f1.attr_scores.data, f2.attr_scores.data,
-                         dataset.class_semantics, dataset.split, cfg)
-    cands = candidate_classes(dataset.split, cfg.setting)
-    return cands[int(np.argmax(scores))]
+BLOCK_VALUES = 2 ** 21  # region-feature values per block: 5 samples at the CUB-like shape
+
+
+def predict(indices, state: ModelState, dataset: Dataset, cfg: FusionConfig) -> list[int]:
+    """Classes of the samples `indices`: highest fused score wins; exact ties go
+    to the lowest class index. Copying the features one block at a time bounds
+    the memory a call takes."""
+    idx = np.asarray(indices, dtype=np.intp)
+    block = max(1, BLOCK_VALUES // (dataset.num_regions * dataset.feature_dim))
+    cands = np.asarray(candidate_classes(dataset.split, cfg.setting))
+    preds: list[int] = []
+    for start in range(0, len(idx), block):
+        f1, f2 = forward_both(dataset.features[idx[start:start + block]], dataset,
+                              state.avca, state.vaca)
+        scores = fused_score(f1.attr_scores.data, f2.attr_scores.data,
+                             dataset.class_semantics, dataset.split, cfg)
+        preds += cands[np.argmax(scores, axis=1)].tolist()
+    return preds
 
 
 def per_class_accuracy(pairs: list[tuple[int, int]]) -> dict[int, float]:
@@ -100,40 +112,32 @@ def _mean(values) -> float:
     return sum(values) / len(values)
 
 
-def _predict_many(indices, dataset, state, cfg) -> list[tuple[int, int]]:
-    """(true, predicted) class pairs for the samples `indices`."""
-    return [(int(dataset.labels[i]), predict(dataset.features[i], state, dataset, cfg))
-            for i in indices]
-
-
 def evaluate(dataset: Dataset, state: ModelState, cfg: FusionConfig) -> EvalReport:
     """CZSL: per-class mean top-1 over unseen test samples, unseen candidates
     only. GZSL: U and S are per-class means over unseen/seen test samples with
     all classes as candidates, summarized by H."""
     split = dataset.split
+    groups = {"unseen": split.test_unseen_idx}
+    if cfg.setting == "gzsl":
+        groups["seen"] = split.test_seen_idx
+    if not all(groups.values()):
+        raise ValueError(f"{cfg.setting.upper()} evaluation requires nonempty "
+                         f"{' and '.join(groups)} test splits")
     report = EvalReport(setting=cfg.setting)
+    acc: dict[str, dict[int, float]] = {}
+    for name, indices in groups.items():
+        pairs = list(zip(dataset.labels[indices].astype(int).tolist(),
+                         predict(indices, state, dataset, cfg)))
+        acc[name] = per_class_accuracy(pairs)
+        report.per_class_acc.update(acc[name])
+        for key in pairs:
+            report.confusion_counts[key] = report.confusion_counts.get(key, 0) + 1
     if cfg.setting == "czsl":
-        if not split.test_unseen_idx:
-            raise ValueError("CZSL evaluation requires a nonempty unseen test split")
-        pairs = _predict_many(split.test_unseen_idx, dataset, state, cfg)
-        acc = per_class_accuracy(pairs)
-        report.czsl_acc = _mean(acc.values())
-        report.per_class_acc = acc
+        report.czsl_acc = _mean(acc["unseen"].values())
     else:
-        if not split.test_unseen_idx or not split.test_seen_idx:
-            raise ValueError("GZSL evaluation requires nonempty seen and unseen test splits")
-        unseen_pairs = _predict_many(split.test_unseen_idx, dataset, state, cfg)
-        seen_pairs = _predict_many(split.test_seen_idx, dataset, state, cfg)
-        unseen_acc = per_class_accuracy(unseen_pairs)
-        seen_acc = per_class_accuracy(seen_pairs)
-        report.gzsl_u = _mean(unseen_acc.values())
-        report.gzsl_s = _mean(seen_acc.values())
+        report.gzsl_u = _mean(acc["unseen"].values())
+        report.gzsl_s = _mean(acc["seen"].values())
         report.gzsl_h = harmonic_mean(report.gzsl_s, report.gzsl_u)
-        report.per_class_acc = {**seen_acc, **unseen_acc}
-        pairs = unseen_pairs + seen_pairs
-    for true, pred in pairs:
-        key = (true, pred)
-        report.confusion_counts[key] = report.confusion_counts.get(key, 0) + 1
     return report
 
 

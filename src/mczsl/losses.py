@@ -13,6 +13,7 @@ import numpy as np
 from . import autodiff as ad
 from .data import Split
 from .errors import NumericError, ShapeError
+from .numeric import check_finite_settings
 
 # floor inside KL logarithms; avoids -inf on confident distributions
 KL_FLOOR = 1e-12
@@ -26,6 +27,7 @@ class LossWeights:
     lambda_distill: float = 0.001
 
     def __post_init__(self):
+        check_finite_settings(self)
         for name in ("lambda_cal", "lambda_ar", "lambda_causal", "lambda_distill"):
             if getattr(self, name) < 0:
                 raise ValueError(f"{name} must be nonnegative")

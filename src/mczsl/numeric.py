@@ -6,6 +6,9 @@ generator: the same seed produces the same stream on every platform.
 """
 from __future__ import annotations
 
+import math
+from dataclasses import fields
+
 import numpy as np
 
 from .errors import ConfigError
@@ -20,6 +23,15 @@ def spawn_rngs(seed: int, n: int) -> list[np.random.Generator]:
     """n independent child streams derived from one seed, in a fixed order."""
     children = np.random.SeedSequence(seed).spawn(n)
     return [np.random.Generator(np.random.PCG64(c)) for c in children]
+
+
+def check_finite_settings(settings) -> None:
+    """Refuse NaN and +-inf in the float fields of a settings dataclass; range
+    checks alone let them through (every comparison with NaN is false)."""
+    for f in fields(settings):
+        value = getattr(settings, f.name)
+        if isinstance(value, float) and not math.isfinite(value):
+            raise ConfigError(f"{type(settings).__name__}.{f.name} must be finite, got {value}")
 
 
 def softmax(v, axis: int = -1) -> np.ndarray:

@@ -32,7 +32,7 @@ from .losses import (
     seen_class_distribution,
     total_loss,
 )
-from .numeric import make_rng, sample_uniform, softmax, spawn_rngs
+from .numeric import check_finite_settings, make_rng, sample_uniform, softmax, spawn_rngs
 from .tensor_io import read_tensor, write_tensor
 from .visual_attr import VisualAttrParams
 
@@ -58,6 +58,7 @@ class Hyperparams:
     intervention_seed: int | None = None
 
     def __post_init__(self):
+        check_finite_settings(self)
         checks = [
             (self.learning_rate >= 0, "learning_rate >= 0"),
             (self.batch_size >= 1, "batch_size >= 1"),
@@ -125,9 +126,9 @@ def state_for_dataset(dataset: Dataset, rng: np.random.Generator) -> ModelState:
 def forward_both(
     V, dataset: Dataset, avca: AttrVisualParams, vaca: VisualAttrParams
 ) -> tuple[attr_visual.SubnetForward, attr_visual.SubnetForward]:
-    """Both sub-nets on one sample's regions V (R x D) against the dataset's
-    attributes and prototypes. Training, prediction and attention export all
-    score a sample here."""
+    """Both sub-nets on one sample's regions V (R x D), or on a block of
+    samples (B x R x D), against the dataset's attributes and prototypes.
+    Training, prediction and attention export all score samples here."""
     A, Z = dataset.attributes, dataset.class_semantics
     return attr_visual.forward(V, A, Z, avca), visual_attr.forward(V, A, Z, vaca)
 
@@ -288,22 +289,16 @@ def train_step(
 
 def _train_accuracy(dataset: Dataset, state: ModelState) -> float:
     """Fraction of training samples whose fused embedding ranks the true seen
-    class first: default fusion coefficients, seen classes as the only
-    candidates and no calibration offset (diagnostics, not the test protocol)."""
+    class first: default fusion coefficients and seen classes as the only
+    candidates, which all share one offset (diagnostics, not the test protocol)."""
     # imported here because evaluate imports this module
-    from .evaluate import FusionConfig, candidate_classes, fused_score
+    from .evaluate import FusionConfig, predict
 
-    cfg = FusionConfig(setting="gzsl")
-    seen_only = replace(dataset.split, unseen_classes=[])
-    cands = candidate_classes(seen_only, cfg.setting)
-    correct = 0
-    for i in dataset.split.train_idx:
-        f1, f2 = forward_both(dataset.features[i], dataset, state.avca, state.vaca)
-        scores = fused_score(f1.attr_scores.data, f2.attr_scores.data,
-                             dataset.class_semantics, seen_only, cfg, indicator=0.0)
-        if cands[int(np.argmax(scores))] == int(dataset.labels[i]):
-            correct += 1
-    return correct / max(1, len(dataset.split.train_idx))
+    seen_only = replace(dataset, split=replace(dataset.split, unseen_classes=[]))
+    idx = dataset.split.train_idx
+    preds = predict(idx, state, seen_only, FusionConfig(setting="gzsl"))
+    correct = sum(p == int(dataset.labels[i]) for i, p in zip(idx, preds))
+    return correct / max(1, len(idx))
 
 
 def train(dataset: Dataset, hp: Hyperparams) -> tuple[ModelState, TrainLog]:
@@ -393,11 +388,15 @@ def load_checkpoint(directory: str | Path) -> tuple[ModelState, dict]:
         built = Hyperparams(**{**hp, "loss_weights": LossWeights(**hp["loss_weights"])})
     except (TypeError, KeyError, ValueError) as e:
         raise FormatError(f"{meta_path}: 'hyperparams' do not build Hyperparams ({e!r})") from e
-    for name, typ in get_type_hints(Hyperparams).items():
-        value = getattr(built, name)
-        if typ in (int, int | None) and not (_is_int(value) or value is None and typ != int):
-            raise FormatError(
-                f"{meta_path}: 'hyperparams.{name}' must be an integer, got {value!r}")
+    for prefix, settings in (("", built), ("loss_weights.", built.loss_weights)):
+        for name, typ in get_type_hints(type(settings)).items():
+            value = getattr(settings, name)
+            if typ in (int, int | None) and not (_is_int(value) or value is None and typ != int):
+                raise FormatError(f"{meta_path}: 'hyperparams.{prefix}{name}' must be an "
+                                  f"integer, got {value!r}")
+            if typ is float and not (_is_int(value) or isinstance(value, float)):
+                raise FormatError(f"{meta_path}: 'hyperparams.{prefix}{name}' must be a "
+                                  f"number, got {value!r}")
     arrays = {name: read_tensor(directory / f"{name}.msdt") for name in PARAM_NAMES}
     da_d = arrays["w1"].shape
     for name, arr in arrays.items():

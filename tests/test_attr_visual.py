@@ -81,7 +81,7 @@ class TestFeatures:
         beta = np.zeros((3, 4))
         beta[:, 2] = 1.0
         scores = av.intervened(run(V, A, params), beta).attr_scores.data
-        assert np.array_equal(scores, np.sum((A @ params.w2) * V[2], axis=1))
+        assert np.array_equal(scores, ((A @ params.w2) @ V.T)[:, 2])
 
     def test_matches_weighted_sum_oracle(self):
         V, A, params = rand_instance(k=3, r=4, d=5, seed=3)
@@ -176,21 +176,22 @@ class TestIntervened:
         beta_bar = rng.random((4, 3))
         beta_bar /= beta_bar.sum(axis=1, keepdims=True)
         bar = av.intervened(av.forward(V, A, Z, params), beta_bar)
-        # oracle: compose attended features, readout and prototype product in numpy
-        psi_expected = np.sum((A @ params.w2) * (beta_bar @ V), axis=1)
+        # oracle: the readout table, its attention-weighted row sums and the
+        # prototype product in numpy
+        psi_expected = np.sum(beta_bar * ((A @ params.w2) @ V.T), axis=1)
         assert np.array_equal(bar.attention.data, beta_bar)
         assert np.array_equal(bar.attr_scores.data, psi_expected)
         assert np.array_equal(bar.logits.data, Z @ psi_expected)
 
     def test_reuses_observed_products(self, monkeypatch):
-        # only attention.V and Z.psi run again; A.w2 comes from the observed pass
+        # only Z.psi runs again; the readout table comes from the observed pass
         V, A, params = rand_instance(k=4, r=3, seed=24)
         fwd = run(V, A, params)
         calls = []
         matmul = ad.matmul
         monkeypatch.setattr(ad, "matmul", lambda a, b: calls.append(1) or matmul(a, b))
         av.intervened(fwd, np.full((4, 3), 1.0 / 3))
-        assert len(calls) == 2
+        assert len(calls) == 1
 
     def test_unnormalized_rows_rejected(self):
         V, A, params = rand_instance()

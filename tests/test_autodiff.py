@@ -71,7 +71,9 @@ def test_div():
     assert np.max(np.abs(tb.grad - expected_b)) < 1e-7
 
 
-@pytest.mark.parametrize("sa,sb", [((3, 4), (4, 2)), ((4,), (4, 2)), ((3, 4), (4,)), ((5,), (5,))])
+@pytest.mark.parametrize("sa,sb", [((3, 4), (4, 2)), ((4,), (4, 2)), ((3, 4), (4,)), ((5,), (5,)),
+                                   ((2, 3, 4), (4, 5)), ((3, 4), (2, 4, 5)), ((4,), (2, 4, 5)),
+                                   ((2, 1, 3, 4), (5, 4, 2))])
 def test_matmul_all_arities(sa, sb):
     check_op(lambda a, b: ad.tsum(ad.mul(ad.matmul(a, b), ad.matmul(a, b))), [sa, sb])
 
@@ -79,6 +81,8 @@ def test_matmul_all_arities(sa, sb):
 def test_matmul_shape_error():
     with pytest.raises(ShapeError, match=r"\(2, 3\).*\(2, 2\)"):
         ad.matmul(ad.Tensor(np.zeros((2, 3))), ad.Tensor(np.zeros((2, 2))))
+    with pytest.raises(ShapeError, match=r"\(2, 3, 4\).*\(3, 4, 5\)"):
+        ad.matmul(ad.Tensor(np.zeros((2, 3, 4))), ad.Tensor(np.zeros((3, 4, 5))))
 
 
 def test_sum_axes():

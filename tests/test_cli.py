@@ -148,7 +148,12 @@ class TestEval:
         *[pytest.param(json.dumps({"epoch": 2, "hyperparams": {
             **asdict(Hyperparams()), key: value}}).encode(), id=f"{key}_{value}")
           for key, value in [("batch_size", 0), ("batch_size", 1.5), ("seed", "x"),
-                             ("epochs", 2.0), ("intervention_seed", "y")]],
+                             ("epochs", 2.0), ("intervention_seed", "y"),
+                             ("learning_rate", True), ("weight_decay", float("inf"))]],
+        pytest.param(json.dumps({"epoch": 2, "hyperparams": {
+            **asdict(Hyperparams()),
+            "loss_weights": {**asdict(LossWeights()), "lambda_cal": True}}}).encode(),
+            id="lambda_cal_True"),
     ])
     def test_corrupt_checkpoint_metadata_exits_3(self, data_dir, trained_run, tmp_path,
                                                  capsys, corrupt):
@@ -411,6 +416,17 @@ def test_readme_cli_examples_parse():
     parser = build_parser()
     for argv in commands:
         parser.parse_args(argv[1:])
+
+
+@pytest.mark.parametrize("command,flag,value", [
+    ("eval", "--alpha1", "nan"), ("train", "--learning-rate", "inf"),
+    ("train", "--lambda-cal", "inf"), ("gen-synth", "--noise", "inf")])
+def test_non_finite_setting_exits_2(command, flag, value, data_dir, trained_run, tmp_path,
+                                    capsys):
+    inputs = {"eval": ["--data", str(data_dir), "--checkpoint", str(trained_run / "checkpoint")],
+              "train": ["--data", str(data_dir)], "gen-synth": []}[command]
+    assert main([command, *inputs, "--out", str(tmp_path / "out"), flag, value]) == 2
+    assert flag[2:].replace("-", "_") in capsys.readouterr().err
 
 
 def test_unknown_subcommand_exits_2():

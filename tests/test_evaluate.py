@@ -1,3 +1,7 @@
+import importlib
+import importlib.util
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -60,17 +64,18 @@ class TestFusedScore:
             assert abs(scores[i] - expected) < 1e-12
 
     def test_joint_scaling_preserves_argmax(self):
-        # scaling (alpha1, alpha2, indicator) by the same positive factor
+        # scaling (alpha1, alpha2) and the +-1 offsets by the same positive factor
         rng = make_rng(3)
         split = make_split([0, 1, 2], [3, 4])
         Z = rng.standard_normal((5, 6))
+        cfg = FusionConfig(alpha1=0.8, alpha2=0.2, setting="gzsl")
+        offsets = fused_score(np.zeros(6), np.zeros(6), Z, split, cfg)
         for _ in range(100):
             psi, psi2 = rng.standard_normal(6), rng.standard_normal(6)
             lam = float(rng.uniform(0.1, 10.0))
-            cfg = FusionConfig(alpha1=0.8, alpha2=0.2, setting="gzsl")
             scaled = FusionConfig(alpha1=0.8 * lam, alpha2=0.2 * lam, setting="gzsl")
-            s1 = fused_score(psi, psi2, Z, split, cfg, indicator=1.0)
-            s2 = fused_score(psi, psi2, Z, split, scaled, indicator=lam)
+            s1 = fused_score(psi, psi2, Z, split, cfg)
+            s2 = fused_score(psi, psi2, Z, split, scaled) + (lam - 1.0) * offsets
             assert np.argmax(s1) == np.argmax(s2)
 
     def test_shape_mismatch(self):
@@ -135,10 +140,10 @@ class TestPredictAndEvaluate:
 
     def test_predict_returns_valid_candidate(self, toy):
         ds, state = toy
-        czsl_pred = predict(ds.features[ds.split.test_unseen_idx[0]], state, ds,
-                            FusionConfig(setting="czsl"))
+        [czsl_pred] = predict([ds.split.test_unseen_idx[0]], state, ds,
+                              FusionConfig(setting="czsl"))
         assert czsl_pred in ds.split.unseen_classes
-        gzsl_pred = predict(ds.features[0], state, ds, FusionConfig(setting="gzsl"))
+        [gzsl_pred] = predict([0], state, ds, FusionConfig(setting="gzsl"))
         assert 0 <= gzsl_pred < ds.num_classes
 
     def test_tie_breaks_to_lowest_class_index(self, toy):
@@ -146,7 +151,7 @@ class TestPredictAndEvaluate:
         # zero weights give zero embeddings: all unseen candidates tie at +1
         for p in state.params().values():
             p[:] = 0.0
-        pred = predict(ds.features[0], state, ds, FusionConfig(setting="gzsl"))
+        [pred] = predict([0], state, ds, FusionConfig(setting="gzsl"))
         assert pred == min(ds.split.unseen_classes)
 
     def test_evaluate_matches_counting_oracle(self, toy):
@@ -158,7 +163,7 @@ class TestPredictAndEvaluate:
             per_total, per_correct = {}, {}
             for i in indices:
                 t = int(ds.labels[i])
-                p = predict(ds.features[i], state, ds, cfg)
+                [p] = predict([i], state, ds, cfg)
                 per_total[t] = per_total.get(t, 0) + 1
                 per_correct[t] = per_correct.get(t, 0) + (p == t)
             return {c: per_correct[c] / per_total[c] for c in per_total}
@@ -207,6 +212,37 @@ class TestPredictAndEvaluate:
             evaluate(ds, state, FusionConfig(setting="czsl"))
 
 
+def load_reference():
+    """perfbench's independent numpy scorer, loaded by path (it imports only numpy)."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "reference.py"
+    spec = importlib.util.spec_from_file_location("perfbench_reference", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+@pytest.mark.parametrize("setting", ["czsl", "gzsl"])
+def test_block_predict_independent_of_blocking(monkeypatch, setting):
+    # distinct prime dimensions, so a transposed or misrouted axis cannot fit
+    k, r, d, da = 7, 5, 11, 13
+    ds = build_dataset(num_classes=6, num_attributes=k, regions=r, feature_dim=d,
+                       attr_dim=da, samples_per_class=4, n_unseen=3, seed=17)
+    state = state_for_dataset(ds, make_rng(18))
+    for p in state.params().values():
+        p *= 4.0  # spread the scores beyond the +-1 offsets
+    idx = [int(i) for i in make_rng(19).permutation(ds.num_samples)]
+    cfg = FusionConfig(setting=setting)
+    # blocks of 5 samples; the package's `evaluate` attribute is the function
+    monkeypatch.setattr(importlib.import_module("mczsl.evaluate"), "BLOCK_VALUES", 5 * r * d)
+    blocked = predict(idx, state, ds, cfg)
+    assert blocked == [predict([i], state, ds, cfg)[0] for i in idx]
+    ref, margins = load_reference().predictions(ds, state.params(), idx, setting)
+    clear = [(b, c) for b, c, m in zip(blocked, ref, margins) if m >= 1e-9]
+    assert len(clear) > len(idx) // 2
+    assert all(b == c for b, c in clear)
+    assert len(set(blocked)) > 1
+
+
 def test_noise_free_training_recovers_planted_labels():
     # the generator plants a perfectly separable structure at zero noise;
     # after training, unseen test predictions recover the planted labels
@@ -219,8 +255,8 @@ def test_noise_free_training_recovers_planted_labels():
                      loss_weights=LossWeights(0.05, 0.03, 0.3, 0.001))
     state, _ = train(ds, hp)
     cfg = FusionConfig(setting="czsl")
-    pairs = [(int(ds.labels[i]), predict(ds.features[i], state, ds, cfg))
-             for i in ds.split.test_unseen_idx]
+    idx = ds.split.test_unseen_idx
+    pairs = list(zip((int(ds.labels[i]) for i in idx), predict(idx, state, ds, cfg)))
     match = sum(t == p for t, p in pairs) / len(pairs)
     assert match >= 0.90
 

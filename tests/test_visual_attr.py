@@ -207,22 +207,23 @@ class TestIntervened:
         gamma_bar = rng.random((3, 4))
         gamma_bar /= gamma_bar.sum(axis=1, keepdims=True)
         bar = va.intervened(va.forward(V, A, Z, params), gamma_bar)
-        # oracle: compose attended mixes, readout, lift and prototype product in numpy
-        region = np.sum((V @ params.w4) * (gamma_bar @ A), axis=1)
-        expected_scores = region @ (V @ params.w_att @ A.T)
+        # oracle: the readout table, its attention-weighted row sums, the
+        # region-weighted rows of the lift table and the prototype product in numpy
+        region = np.sum(gamma_bar * ((V @ params.w4) @ A.T), axis=1)
+        expected_scores = np.sum(region[:, None] * (V @ params.w_att @ A.T), axis=0)
         assert np.array_equal(bar.attr_scores.data, expected_scores)
         assert np.array_equal(bar.logits.data, Z @ expected_scores)
 
     def test_reuses_observed_products(self, monkeypatch):
-        # only gamma.A, region.table and Z.psi run again; V.w4 and the lift
-        # table come from the observed pass
+        # only Z.psi runs again; the readout and lift tables come from the
+        # observed pass
         V, A, params = rand_instance(r=3, k=4, seed=24)
         fwd = run(V, A, params)
         calls = []
         matmul = ad.matmul
         monkeypatch.setattr(ad, "matmul", lambda a, b: calls.append(1) or matmul(a, b))
         va.intervened(fwd, np.full((3, 4), 0.25))
-        assert len(calls) == 3
+        assert len(calls) == 1
 
     def test_unnormalized_rejected(self):
         V, A, params = rand_instance()
