@@ -2,7 +2,7 @@
 
 from .data import Dataset, Split, SynthConfig, generate_synthetic, load_dataset, save_dataset
 from .evaluate import EvalReport, FusionConfig, evaluate, fused_score, harmonic_mean, predict
-from .gradcheck import GradCheckReport, finite_difference_check
+from .gradcheck import GradCheckReport, directional_check, finite_difference_check
 from .losses import LossReport, LossWeights, acec_loss, ar_loss, causal_loss, distill_loss, total_loss
 from .training import (
     Hyperparams,
@@ -21,7 +21,7 @@ __all__ = [
     "Dataset", "Split", "SynthConfig",
     "generate_synthetic", "load_dataset", "save_dataset",
     "EvalReport", "FusionConfig", "evaluate", "fused_score", "harmonic_mean", "predict",
-    "GradCheckReport", "finite_difference_check",
+    "GradCheckReport", "directional_check", "finite_difference_check",
     "LossReport", "LossWeights",
     "acec_loss", "ar_loss", "causal_loss", "distill_loss", "total_loss",
     "Hyperparams", "ModelState", "TrainLog",

@@ -4,6 +4,8 @@ Just enough ops for the model: elementwise arithmetic and matrix products
 with numpy broadcasting, reductions, exp/log, stable softmax/logsumexp, gather,
 and an elementwise floor. Every Tensor holds float64 data; gradients accumulate
 in float64. Graphs are built eagerly and freed when the tensors go away.
+A backward pass computes gradients only for tensors that need one (trainable
+leaves and the nodes built from them), and only leaves keep theirs.
 """
 from __future__ import annotations
 
@@ -30,13 +32,19 @@ class Tensor:
         return float(self.data)
 
     def backward(self, seed=1.0) -> None:
-        """Accumulate d(self)/d(leaf) into every reachable leaf's .grad."""
+        """Accumulate d(self)/d(leaf) into every reachable leaf's .grad.
+
+        An interior node's .grad is dropped once it has been propagated, so a
+        pass holds only the gradients still in flight, and a later backward
+        through shared nodes cannot propagate a stale one again."""
         order = _topo_order(self)
         g0 = np.broadcast_to(np.asarray(seed, dtype=np.float64), self.data.shape)
         _accumulate(self, np.array(g0, dtype=np.float64))
         for t in reversed(order):
             if t._backward is not None and t.grad is not None:
                 t._backward(t.grad)
+            if t._parents:
+                t.grad = None
 
     # operator sugar
     def __add__(self, other):
@@ -187,10 +195,31 @@ def matmul(a, b) -> Tensor:
         b2 = bd[:, None] if bd.ndim == 1 else bd
         g2 = g[..., None] if bd.ndim == 1 else g
         g2 = g2[..., None, :] if ad.ndim == 1 else g2
-        _accumulate(a, _unbroadcast(g2 @ np.swapaxes(b2, -1, -2), a2.shape).reshape(ad.shape))
-        _accumulate(b, _unbroadcast(np.swapaxes(a2, -1, -2) @ g2, b2.shape).reshape(bd.shape))
+        # only operands that need a gradient get a product
+        if _needs_grad(a):
+            if a2.ndim == 2 < g2.ndim:  # sum_i g_i b_i' over the stacked batch rows
+                ga = _stacked(_swap(g2)).T @ _stacked(_swap(b2))
+            else:
+                ga = _unbroadcast(g2 @ _swap(b2), a2.shape)
+            _accumulate(a, ga.reshape(ad.shape))
+        if _needs_grad(b):
+            if b2.ndim == 2 < g2.ndim:  # sum_i a_i' g_i over the stacked batch rows
+                gb = _stacked(a2).T @ _stacked(g2)
+            else:
+                gb = _unbroadcast(_swap(a2) @ g2, b2.shape)
+            _accumulate(b, gb.reshape(bd.shape))
 
     return _make(out_data, (a, b), backward)
+
+
+def _swap(x: np.ndarray) -> np.ndarray:
+    return np.swapaxes(x, -1, -2)
+
+
+def _stacked(x: np.ndarray) -> np.ndarray:
+    """The matrices of a batched array stacked by rows: a view, not a copy, when
+    x is C-contiguous (V is, once its transposed view V' is swapped back)."""
+    return x.reshape(-1, x.shape[-1])
 
 
 def tsum(a, axis: int | None = None, keepdims: bool = False) -> Tensor:

@@ -184,14 +184,15 @@ def _load_for_eval(args: argparse.Namespace):
 
 def cmd_eval(args: argparse.Namespace) -> int:
     cfg = _resolve(args)
-    dataset, state = _load_for_eval(args)
     setting = cfg.get("setting", "both")
     if setting not in ("czsl", "gzsl", "both"):
         raise ConfigError(f"setting must be czsl, gzsl, or both, got {setting!r}")
     wanted = ["czsl", "gzsl"] if setting == "both" else [setting]
+    fusion = {s: _from_cfg(FusionConfig, cfg, setting=s) for s in wanted}
+    dataset, state = _load_for_eval(args)
     reports: dict[str, EvalReport] = {}
     for s in wanted:
-        rep = evaluate(dataset, state, _from_cfg(FusionConfig, cfg, setting=s))
+        rep = evaluate(dataset, state, fusion[s])
         reports[s] = rep
         if s == "czsl":
             print(f"CZSL: acc={rep.czsl_acc:.4f}")

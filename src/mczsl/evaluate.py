@@ -18,7 +18,7 @@ import numpy as np
 from .data import Dataset, Split
 from .errors import ShapeError
 from .numeric import check_finite_settings
-from .training import ModelState, forward_both
+from .training import BLOCK_VALUES, ModelState, block_samples, forward_both
 
 SETTINGS = ("czsl", "gzsl")
 
@@ -77,15 +77,12 @@ def fused_score(psi, psi_attr, Z, split: Split, cfg: FusionConfig) -> np.ndarray
     return fused @ Z[cands].T + offsets
 
 
-BLOCK_VALUES = 2 ** 21  # region-feature values per block: 5 samples at the CUB-like shape
-
-
 def predict(indices, state: ModelState, dataset: Dataset, cfg: FusionConfig) -> list[int]:
     """Classes of the samples `indices`: highest fused score wins; exact ties go
     to the lowest class index. Copying the features one block at a time bounds
     the memory a call takes."""
     idx = np.asarray(indices, dtype=np.intp)
-    block = max(1, BLOCK_VALUES // (dataset.num_regions * dataset.feature_dim))
+    block = block_samples(dataset, BLOCK_VALUES)
     cands = np.asarray(candidate_classes(dataset.split, cfg.setting))
     preds: list[int] = []
     for start in range(0, len(idx), block):

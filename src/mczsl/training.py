@@ -1,11 +1,11 @@
 """Deterministic mini-batch training.
 
-The loop is single-driver: seeded shuffling, per-sample forward passes for
-both sub-nets, fresh exogenous intervention attentions per sample, reverse-mode
-gradients of the combined loss, and an RMSProp update with momentum and
-decoupled weight decay. (seed, dataset, hyperparams) fully determine the final
-weights; intervention draws come from their own child stream so they can be
-varied independently of initialization and shuffling.
+The loop is single-driver: seeded shuffling, one batched forward pass of both
+sub-nets and one reverse-mode pass of the combined loss per block of samples,
+fresh exogenous intervention attentions per sample, and an RMSProp update with
+momentum and decoupled weight decay. (seed, dataset, hyperparams) fully
+determine the final weights; intervention draws come from their own child
+stream so they can be varied independently of initialization and shuffling.
 """
 from __future__ import annotations
 
@@ -40,6 +40,16 @@ INTERVENTION_KINDS = ("random", "uniform", "reversed", "random_plus_reversed")
 PARAM_NAMES = ("w1", "w2", "w3", "w4", "w_att")
 
 CHECKPOINT_META = "metadata.json"
+
+BLOCK_VALUES = 2 ** 21  # region-feature values per inference block: 5 samples at the CUB-like shape
+# A training block also holds its graph and gradients, so it takes half as
+# many: 2 samples at the CUB-like shape, a whole batch at the synthetic one.
+TRAIN_BLOCK_VALUES = BLOCK_VALUES // 2
+
+
+def block_samples(dataset: Dataset, values: int) -> int:
+    """Samples in a block of at most `values` region-feature values (at least 1)."""
+    return max(1, values // (dataset.num_regions * dataset.feature_dim))
 
 
 @dataclass(frozen=True)
@@ -180,53 +190,63 @@ def batch_loss_and_grads(
 ) -> tuple[LossReport, dict[str, np.ndarray]]:
     """Batch-mean loss report and batch-mean gradients for the five matrices.
 
+    The batch runs in blocks of `block_samples(dataset, TRAIN_BLOCK_VALUES)`
+    samples, each one tape graph: a batched forward of both sub-nets (so A w1
+    and A w2 run once per block), each sample's loss terms on its row of the
+    block's logits and attribute scores, and one backward. A block's graph is
+    freed before the next block's forward.
     intervention_fn(position, observed_beta, observed_gamma) supplies the
-    gradient-free (beta_bar, gamma_bar) pair for each sample.
+    gradient-free (beta_bar, gamma_bar) pair for each sample, in batch order.
     """
-    if len(batch_indices) == 0:
+    idx = np.asarray(batch_indices, dtype=np.intp)
+    if idx.size == 0:
         raise ValueError("batch must be nonempty")
     leaves = {name: ad.Tensor(params[name], requires_grad=True) for name in PARAM_NAMES}
     avca_p = AttrVisualParams(leaves["w1"], leaves["w2"])
     vaca_p = VisualAttrParams(leaves["w3"], leaves["w4"], leaves["w_att"])
     Z, split = dataset.class_semantics, dataset.split
-    n = len(batch_indices)
+    n = idx.size
     w = weights
     sums = {"acec1": 0.0, "ar1": 0.0, "causal1": 0.0,
             "acec2": 0.0, "ar2": 0.0, "causal2": 0.0, "distill": 0.0}
+    block = block_samples(dataset, TRAIN_BLOCK_VALUES)
 
-    for pos, i in enumerate(batch_indices):
-        V = dataset.features[i]
-        label = int(dataset.labels[i])
-        z_true = Z[label]
-        f1, f2 = forward_both(V, dataset, avca_p, vaca_p)
-        beta_bar, gamma_bar = intervention_fn(pos, f1.attention.data, f2.attention.data)
-        f1_bar = attr_visual.intervened(f1, beta_bar)
-        f2_bar = visual_attr.intervened(f2, gamma_bar)
+    def run_block(start: int) -> None:
+        rows = idx[start:start + block]
+        f1, f2 = forward_both(dataset.features[rows], dataset, avca_p, vaca_p)
+        bars = [intervention_fn(start + j, f1.attention.data[j], f2.attention.data[j])
+                for j in range(rows.size)]
+        f1_bar = attr_visual.intervened(f1, np.stack([beta for beta, _ in bars]))
+        f2_bar = visual_attr.intervened(f2, np.stack([gamma for _, gamma in bars]))
+        block_total = None
+        for j, i in enumerate(rows):
+            label = int(dataset.labels[i])
+            logits1, logits2 = ad.take(f1.logits, j), ad.take(f2.logits, j)
+            terms = {
+                "acec1": acec_loss(logits1, label, split, w.lambda_cal),
+                "acec2": acec_loss(logits2, label, split, w.lambda_cal),
+                "ar1": ar_loss(ad.take(f1.attr_scores, j), Z[label]),
+                "ar2": ar_loss(ad.take(f2.attr_scores, j), Z[label]),
+                "causal1": causal_loss(logits1, ad.take(f1_bar.logits, j), label, split),
+                "causal2": causal_loss(logits2, ad.take(f2_bar.logits, j), label, split),
+                "distill": distill_loss(seen_class_distribution(logits1, split),
+                                        seen_class_distribution(logits2, split)),
+            }
+            sample_total = (
+                terms["acec1"] + terms["acec2"]
+                + (terms["ar1"] + terms["ar2"]) * w.lambda_ar
+                + (terms["causal1"] + terms["causal2"]) * w.lambda_causal
+                + terms["distill"] * w.lambda_distill
+            )
+            if not np.isfinite(sample_total.data):
+                raise NumericError(f"non-finite loss at sample index {i}")
+            for name, term in terms.items():
+                sums[name] += term.item()
+            block_total = sample_total if block_total is None else block_total + sample_total
+        block_total.backward(seed=1.0 / n)
 
-        acec1 = acec_loss(f1.logits, label, split, w.lambda_cal)
-        acec2 = acec_loss(f2.logits, label, split, w.lambda_cal)
-        ar1 = ar_loss(f1.attr_scores, z_true)
-        ar2 = ar_loss(f2.attr_scores, z_true)
-        causal1 = causal_loss(f1.logits, f1_bar.logits, label, split)
-        causal2 = causal_loss(f2.logits, f2_bar.logits, label, split)
-        dist = distill_loss(
-            seen_class_distribution(f1.logits, split),
-            seen_class_distribution(f2.logits, split),
-        )
-        sample_total = (
-            acec1 + acec2
-            + (ar1 + ar2) * w.lambda_ar
-            + (causal1 + causal2) * w.lambda_causal
-            + dist * w.lambda_distill
-        )
-        if not np.isfinite(sample_total.data):
-            raise NumericError(f"non-finite loss at sample index {i}")
-        sample_total.backward(seed=1.0 / n)
-
-        sums["acec1"] += acec1.item(); sums["acec2"] += acec2.item()
-        sums["ar1"] += ar1.item(); sums["ar2"] += ar2.item()
-        sums["causal1"] += causal1.item(); sums["causal2"] += causal2.item()
-        sums["distill"] += dist.item()
+    for start in range(0, n, block):
+        run_block(start)
 
     grads = {name: (leaves[name].grad if leaves[name].grad is not None
                     else np.zeros_like(params[name]))

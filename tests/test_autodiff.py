@@ -149,5 +149,46 @@ def test_constants_carry_no_grad():
     assert np.array_equal(t.grad, np.ones(3))
 
 
+@pytest.mark.parametrize("leaf_shape,const_shape,leaf_first", [
+    ((3, 4), (4, 5), True), ((3, 4), (5, 3), False),
+    ((7, 11), (3, 5, 11), True), ((11, 13), (3, 5, 11), False)])
+def test_matmul_backward_skips_constant_operands(monkeypatch, leaf_shape, const_shape,
+                                                 leaf_first):
+    # one gradient product per backward: none for the constant operand. A
+    # batched right operand is a transposed view (as V' is); a 2-D leaf's
+    # gradient sums over the batch.
+    rng = make_rng(9)
+    leaf = ad.Tensor(rng.standard_normal(leaf_shape), requires_grad=True)
+    c = rng.standard_normal(const_shape)
+    const = ad.constant(np.swapaxes(c, -1, -2) if leaf_first and c.ndim == 3 else c)
+    out = ad.matmul(leaf, const) if leaf_first else ad.matmul(const, leaf)
+    g = rng.standard_normal(out.shape)
+    delivered = []
+    accumulate = ad._accumulate
+    monkeypatch.setattr(ad, "_accumulate", lambda t, grad: delivered.append(t) or
+                        accumulate(t, grad))
+    out._backward(g)
+    assert len(delivered) == 1 and delivered[0] is leaf
+    x, y = (leaf.data, const.data) if leaf_first else (const.data, leaf.data)
+    expected = (_unbatched(g @ np.swapaxes(y, -1, -2), x.shape) if leaf_first
+                else _unbatched(np.swapaxes(x, -1, -2) @ g, y.shape))
+    assert np.allclose(leaf.grad, expected, rtol=1e-12, atol=0)
+
+
+def _unbatched(product, shape):
+    return product.sum(axis=0) if product.ndim > len(shape) else product
+
+
+def test_backward_drops_interior_grads():
+    t = ad.Tensor(np.array([1.0, 2.0]), requires_grad=True)
+    y = ad.mul(t, t)
+    out = ad.tsum(y)
+    out.backward()
+    assert y.grad is None and out.grad is None
+    assert np.array_equal(t.grad, [2.0, 4.0])
+    out.backward()  # a second pass through the same graph adds d(out)/dt once more
+    assert np.array_equal(t.grad, [4.0, 8.0])
+
+
 def test_data_stays_float64():
     assert ad.Tensor(np.float32([1, 2])).data.dtype == np.float64

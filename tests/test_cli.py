@@ -429,5 +429,14 @@ def test_non_finite_setting_exits_2(command, flag, value, data_dir, trained_run,
     assert flag[2:].replace("-", "_") in capsys.readouterr().err
 
 
+def test_eval_checks_settings_before_loading(tmp_path, capsys):
+    # a bad setting is a configuration error even when the inputs are missing too
+    missing = tmp_path / "missing"
+    argv = ["eval", "--data", str(missing), "--checkpoint", str(missing),
+            "--out", str(tmp_path / "out"), "--alpha1", "nan"]
+    assert main(argv) == 2
+    assert "alpha1" in capsys.readouterr().err
+
+
 def test_unknown_subcommand_exits_2():
     assert main(["transmogrify"]) == 2

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from mczsl.errors import NumericError
-from mczsl.gradcheck import finite_difference_check
+from mczsl.gradcheck import directional_check, finite_difference_check
 from mczsl.numeric import make_rng
 
 
@@ -73,3 +73,31 @@ def test_worst_parameter_identified():
     report = finite_difference_check(loss_fn, params, tolerance=1e-4)
     assert report.worst_parameter == "bad[0]"
     assert report.per_parameter_errors["good"] < 1e-8
+
+
+def test_directional_check_passes_and_catches():
+    rng = make_rng(5)
+    params = {"a": rng.standard_normal((3, 2)), "b": rng.standard_normal(4)}
+    before = {k: v.copy() for k, v in params.items()}
+
+    def loss_fn(p, factor=1.0):
+        loss = float(np.sum(p["a"] ** 3) + np.sum(np.sin(p["b"])))
+        return loss, {"a": 3.0 * p["a"] ** 2, "b": factor * np.cos(p["b"])}
+
+    report = directional_check(loss_fn, params, directions=4)
+    assert report.passed and report.max_relative_error < 1e-8
+    assert sorted(report.per_parameter_errors) == ["u0", "u1", "u2", "u3"]
+    assert all(np.array_equal(params[k], before[k]) for k in params)  # restored
+    wrong = directional_check(lambda p: loss_fn(p, factor=1.5), params, directions=4)
+    assert not wrong.passed and wrong.worst_parameter.startswith("u")
+
+
+def test_directional_check_nonfinite_names_direction():
+    params = {"w": np.array([1e-6])}
+
+    def loss_fn(p):
+        v = p["w"][0]
+        return (float(np.log(v)) if v > 0 else float("nan")), {"w": 1.0 / p["w"]}
+
+    with pytest.raises(NumericError, match="direction u0"):
+        directional_check(loss_fn, params, epsilon=1e-5)

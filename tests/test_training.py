@@ -1,11 +1,14 @@
 import copy
+import importlib
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from conftest import build_dataset
 from mczsl.errors import ConfigError
-from mczsl.gradcheck import finite_difference_check
+from mczsl.gradcheck import directional_check, finite_difference_check
 from mczsl.losses import LossWeights
 from mczsl.numeric import make_rng
 from mczsl.training import (
@@ -253,6 +256,89 @@ def test_gradient_fidelity_at_checkpoint(small_dataset):
 
     report = finite_difference_check(loss_fn, state.params(), epsilon=1e-5, tolerance=1e-4)
     assert report.passed, report
+
+
+def prime_dataset(**dims):
+    # distinct prime dimensions, so a transposed or misrouted axis cannot fit
+    shape = dict(num_attributes=7, regions=5, feature_dim=11, attr_dim=13) | dims
+    return build_dataset(num_classes=6, samples_per_class=4, n_unseen=3, seed=17, **shape)
+
+
+def force_training_block(monkeypatch, ds, samples):
+    monkeypatch.setattr(importlib.import_module("mczsl.training"), "TRAIN_BLOCK_VALUES",
+                        samples * ds.num_regions * ds.feature_dim)
+
+
+def frozen_interventions(ds, n, seed=3):
+    rng = make_rng(seed)
+    K, R = ds.num_attributes, ds.num_regions
+    return [(make_intervention_attention("random", K, R, None, rng),
+             make_intervention_attention("random", R, K, None, rng)) for _ in range(n)]
+
+
+@pytest.mark.parametrize("block", [1, 2])
+def test_directional_gradient_check_on_blocked_batch(monkeypatch, block):
+    ds = prime_dataset()
+    force_training_block(monkeypatch, ds, block)
+    batch = ds.split.train_idx[:3]
+    frozen = frozen_interventions(ds, len(batch))
+    state = state_for_dataset(ds, make_rng(4))
+
+    def loss_fn(params):
+        rep, grads = batch_loss_and_grads(batch, ds, params, LossWeights(),
+                                          lambda pos, beta, gamma: frozen[pos])
+        return rep.total, grads
+
+    report = directional_check(loss_fn, state.params(), directions=3, seed=5)
+    assert report.passed, report
+
+
+def test_blocking_does_not_change_results(monkeypatch):
+    ds = prime_dataset()
+    batch = ds.split.train_idx[:5]
+    frozen = frozen_interventions(ds, len(batch))
+    params = state_for_dataset(ds, make_rng(4)).params()
+    runs = {}
+    for block in (1, 2, len(batch)):
+        force_training_block(monkeypatch, ds, block)
+        seen = []
+
+        def draw(pos, beta, gamma):
+            seen.append((pos, beta.copy(), gamma.copy()))
+            return frozen[pos]
+
+        runs[block] = batch_loss_and_grads(batch, ds, params, LossWeights(), draw), seen
+    (ref_report, ref_grads), ref_seen = runs[1]
+    assert [pos for pos, _, _ in ref_seen] == list(range(len(batch)))
+    for (report, grads), seen in runs.values():
+        for name in ("acec", "ar", "causal", "distill", "total"):
+            a, b = getattr(report, name), getattr(ref_report, name)
+            assert abs(a - b) <= 1e-12 * abs(b), name
+        for name, g in grads.items():
+            assert np.max(np.abs(g - ref_grads[name])) <= 1e-12 * np.max(np.abs(ref_grads[name]))
+        assert [pos for pos, _, _ in seen] == list(range(len(batch)))
+        for (_, beta, gamma), (_, ref_beta, ref_gamma) in zip(seen, ref_seen):
+            assert np.array_equal(beta, ref_beta) and np.array_equal(gamma, ref_gamma)
+
+
+def test_training_memory_does_not_grow_with_the_batch(monkeypatch):
+    # blocks of 2: only one block's graph is alive at a time, so doubling the
+    # batch leaves the traced high-water where it was
+    ds = prime_dataset(num_attributes=40, regions=49, feature_dim=256, attr_dim=30)
+    force_training_block(monkeypatch, ds, 2)
+    params = state_for_dataset(ds, make_rng(4)).params()
+    peaks = []
+    for n in (4, 8):
+        batch = ds.split.train_idx[:n]
+        frozen = frozen_interventions(ds, n)
+        tracemalloc.start()
+        try:
+            batch_loss_and_grads(batch, ds, params, LossWeights(),
+                                 lambda pos, beta, gamma: frozen[pos])
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] <= 1.10 * peaks[0], peaks
 
 
 class TestCheckpoint:
