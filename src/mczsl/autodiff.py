@@ -265,15 +265,16 @@ def floor_at(a, lo: float) -> Tensor:
     return _make(out_data, (a,), backward)
 
 
-def take(a, indices) -> Tensor:
-    """Gather along axis 0 (entries of a vector, rows of a matrix)."""
+def take(a, indices, axis: int = 0) -> Tensor:
+    """Gather along `axis`: entries of a vector, rows of a matrix (axis 0) or
+    the same columns of every row (axis -1). Repeated indices accumulate."""
     a = as_tensor(a)
     idx = np.asarray(indices, dtype=np.intp)
-    out_data = a.data[idx]
+    out_data = np.take(a.data, idx, axis=axis)
 
     def backward(g):
         full = np.zeros_like(a.data)
-        np.add.at(full, idx, g)
+        np.add.at(full, (slice(None),) * (axis % a.data.ndim) + (idx,), g)
         _accumulate(a, full)
 
     return _make(out_data, (a,), backward)
@@ -294,14 +295,14 @@ def softmax(a, axis: int = -1) -> Tensor:
 
 
 def logsumexp(a) -> Tensor:
-    """log(sum(exp(a))) of a vector, max-shifted; backward is softmax(a)."""
+    """log(sum(exp(a))) along the last axis, max-shifted; backward is softmax(a)."""
     a = as_tensor(a)
-    m = float(np.max(a.data))
+    m = np.max(a.data, axis=-1, keepdims=True)
     e = np.exp(a.data - m)
-    z = e.sum()
-    out_data = np.log(z) + m
+    z = e.sum(axis=-1, keepdims=True)
+    out_data = (np.log(z) + m)[..., 0]
 
     def backward(g):
-        _accumulate(a, g * (e / z))
+        _accumulate(a, g[..., None] * (e / z))
 
     return _make(out_data, (a,), backward)

@@ -241,9 +241,6 @@ def cmd_intervene_compare(args: argparse.Namespace) -> int:
 
 def cmd_export_attention(args: argparse.Namespace) -> int:
     cfg = _resolve(args)
-    dataset, state = _load_for_eval(args)
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
     try:
         indices = [int(tok) for tok in args.samples.split(",") if tok]
     except ValueError as e:
@@ -251,6 +248,9 @@ def cmd_export_attention(args: argparse.Namespace) -> int:
     if not indices:
         raise ConfigError("--samples selected no sample indices")
     top_n = cfg.get("top_n", 10)
+    dataset, state = _load_for_eval(args)
+    out = Path(args.out)
+    out.mkdir(parents=True, exist_ok=True)
     names = dataset.attribute_names or [f"attr_{k}" for k in range(dataset.num_attributes)]
     for i in indices:
         if not 0 <= i < dataset.num_samples:

@@ -1,8 +1,10 @@
 """Loss terms and their weighted combination.
 
-All per-sample terms return scalar autodiff Tensors so gradients flow through
-them; batch averaging is the caller's job. The combined report works on plain
-floats after batch reduction.
+Every term works along the last axis: it takes logits (..., C) or attribute
+scores (..., K) with one label per row and returns one autodiff value per row,
+so gradients flow through it. A 1-D input is one row and gives a scalar.
+Batch averaging is the caller's job. `weighted_total` combines the terms, on
+autodiff rows or on the plain floats of the batch report.
 """
 from __future__ import annotations
 
@@ -43,13 +45,24 @@ class LossReport:
     weights: LossWeights
 
 
-def _seen_cross_entropy(logits, label: int, split: Split) -> ad.Tensor:
-    seen_logits = ad.take(logits, split.seen_classes)
-    pos = split.seen_classes.index(label)
-    return ad.logsumexp(seen_logits) - ad.tsum(ad.take(seen_logits, [pos]))
+def _seen_one_hot(labels, split: Split) -> np.ndarray:
+    """One-hot rows over the seen classes, one per label; refuses unseen labels."""
+    labels = np.asarray(labels)
+    hot = labels[..., None] == np.asarray(split.seen_classes)
+    missing = ~hot.any(axis=-1)
+    if missing.any():
+        raise ValueError(f"label {labels[missing][0]} is not a seen class")
+    return hot.astype(np.float64)
 
 
-def acec_loss(logits, label: int, split: Split, lambda_cal: float) -> ad.Tensor:
+def _seen_cross_entropy(logits: ad.Tensor, hot: np.ndarray, split: Split) -> ad.Tensor:
+    if hot.shape[:-1] != logits.data.shape[:-1]:
+        raise ShapeError(f"{hot.shape[:-1]} labels for logits of shape {logits.data.shape}")
+    seen_logits = ad.take(logits, split.seen_classes, axis=-1)
+    return ad.logsumexp(seen_logits) - ad.tsum(ad.mul(seen_logits, ad.constant(hot)), axis=-1)
+
+
+def acec_loss(logits, labels, split: Split, lambda_cal: float) -> ad.Tensor:
     """Cross-entropy over seen classes plus the self-calibration term, from a
     sub-net's class logits (one per class).
 
@@ -58,17 +71,15 @@ def acec_loss(logits, label: int, split: Split, lambda_cal: float) -> ad.Tensor:
     unseen classes and -1 for seen ones; it pushes mass onto unseen classes
     during training.
     """
-    if label not in set(split.seen_classes):
-        raise ValueError(f"label {label} is not a seen class")
     logits = ad.as_tensor(logits)
-    term1 = _seen_cross_entropy(logits, label, split)
+    term1 = _seen_cross_entropy(logits, _seen_one_hot(labels, split), split)
     if lambda_cal == 0.0 or not split.unseen_classes:
         return term1
-    indicator = np.full(logits.data.shape[0], -1.0)
+    indicator = np.full(logits.data.shape[-1], -1.0)
     indicator[split.unseen_classes] = 1.0
     shifted = ad.add(logits, ad.constant(indicator))
     lse_all = ad.logsumexp(shifted)
-    unseen_sum = ad.tsum(ad.take(shifted, split.unseen_classes))
+    unseen_sum = ad.tsum(ad.take(shifted, split.unseen_classes, axis=-1), axis=-1)
     n_unseen = float(len(split.unseen_classes))
     return ad.add(term1, ad.mul(ad.sub(ad.mul(lse_all, n_unseen), unseen_sum), lambda_cal))
 
@@ -80,29 +91,28 @@ def ar_loss(f, z_true) -> ad.Tensor:
     if f.data.shape != z.shape:
         raise ShapeError(f"embedding {f.data.shape} vs prototype {z.shape}")
     diff = ad.sub(f, ad.constant(z))
-    return ad.tsum(ad.mul(diff, diff))
+    return ad.tsum(ad.mul(diff, diff), axis=-1)
 
 
-def causal_loss(logits, logits_bar, label: int, split: Split) -> ad.Tensor:
+def causal_loss(logits, logits_bar, labels, split: Split) -> ad.Tensor:
     """Seen-class cross-entropy of both the observed and the intervened class
     logits; supervises how much the learned attention helps the prediction.
     Gradients flow through both branches (the intervention itself is constant)."""
-    if label not in set(split.seen_classes):
-        raise ValueError(f"label {label} is not a seen class")
+    hot = _seen_one_hot(labels, split)
     return ad.add(
-        _seen_cross_entropy(logits, label, split),
-        _seen_cross_entropy(logits_bar, label, split),
+        _seen_cross_entropy(ad.as_tensor(logits), hot, split),
+        _seen_cross_entropy(ad.as_tensor(logits_bar), hot, split),
     )
 
 
 def seen_class_distribution(logits, split: Split) -> ad.Tensor:
-    """Softmax over the seen-class entries of a logit vector."""
-    return ad.softmax(ad.take(ad.as_tensor(logits), split.seen_classes), axis=-1)
+    """Softmax over the seen-class entries of each row of logits."""
+    return ad.softmax(ad.take(logits, split.seen_classes, axis=-1), axis=-1)
 
 
 def _kl(p: ad.Tensor, q: ad.Tensor) -> ad.Tensor:
     log_ratio = ad.sub(ad.log(ad.floor_at(p, KL_FLOOR)), ad.log(ad.floor_at(q, KL_FLOOR)))
-    return ad.tsum(ad.mul(p, log_ratio))
+    return ad.tsum(ad.mul(p, log_ratio), axis=-1)
 
 
 def distill_loss(p1, p2) -> ad.Tensor:
@@ -111,13 +121,13 @@ def distill_loss(p1, p2) -> ad.Tensor:
     p1, p2 = ad.as_tensor(p1), ad.as_tensor(p2)
     for name, p in (("p1", p1), ("p2", p2)):
         d = p.data
-        if d.ndim != 1 or np.any(d < 0) or abs(d.sum() - 1.0) > 1e-6:
+        if d.ndim == 0 or np.any(d < 0) or np.any(np.abs(d.sum(axis=-1) - 1.0) > 1e-6):
             raise ValueError(f"{name} is not a probability distribution")
     if p1.data.shape != p2.data.shape:
-        raise ShapeError(f"distributions differ in length: {p1.data.shape} vs {p2.data.shape}")
+        raise ShapeError(f"distributions differ in shape: {p1.data.shape} vs {p2.data.shape}")
     jsd = ad.mul(ad.add(_kl(p1, p2), _kl(p2, p1)), 0.5)
     diff = ad.sub(p1, p2)
-    return ad.add(jsd, ad.tsum(ad.mul(diff, diff)))
+    return ad.add(jsd, ad.tsum(ad.mul(diff, diff), axis=-1))
 
 
 @dataclass(frozen=True)
@@ -127,20 +137,22 @@ class SubnetLossValues:
     causal: float
 
 
+def weighted_total(acec, ar, causal, distill, weights: LossWeights):
+    """The paper's objective acec + l_ar*ar + l_causal*causal + l_distill*distill,
+    on floats or on autodiff rows alike."""
+    return (acec + ar * weights.lambda_ar + causal * weights.lambda_causal
+            + distill * weights.lambda_distill)
+
+
 def total_loss(
     avca: SubnetLossValues, vaca: SubnetLossValues, distill: float, weights: LossWeights
 ) -> LossReport:
     """Combine the two sub-nets' terms (summed 1:1) with the shared distillation
-    term: total = acec + l_ar*ar + l_causal*causal + l_distill*distill."""
+    term through `weighted_total`."""
     acec = avca.acec + vaca.acec
     ar = avca.ar + vaca.ar
     causal = avca.causal + vaca.causal
-    total = (
-        acec
-        + weights.lambda_ar * ar
-        + weights.lambda_causal * causal
-        + weights.lambda_distill * distill
-    )
+    total = weighted_total(acec, ar, causal, distill, weights)
     if not np.isfinite(total):
         raise NumericError("total loss is non-finite")
     return LossReport(acec=acec, ar=ar, causal=causal, distill=distill, total=total,

@@ -1,11 +1,12 @@
 """Deterministic mini-batch training.
 
-The loop is single-driver: seeded shuffling, one batched forward pass of both
-sub-nets and one reverse-mode pass of the combined loss per block of samples,
-fresh exogenous intervention attentions per sample, and an RMSProp update with
-momentum and decoupled weight decay. (seed, dataset, hyperparams) fully
-determine the final weights; intervention draws come from their own child
-stream so they can be varied independently of initialization and shuffling.
+The loop is single-driver: seeded shuffling; per block of samples, one
+batched forward pass of both sub-nets, the loss terms on the block's rows and
+one reverse-mode pass of the combined loss; fresh exogenous intervention
+attentions per sample; and an RMSProp update with momentum and decoupled
+weight decay. (seed, dataset, hyperparams) fully determine the final weights;
+intervention draws come from their own child stream so they can be varied
+independently of initialization and shuffling.
 """
 from __future__ import annotations
 
@@ -31,6 +32,7 @@ from .losses import (
     distill_loss,
     seen_class_distribution,
     total_loss,
+    weighted_total,
 )
 from .numeric import check_finite_settings, make_rng, sample_uniform, softmax, spawn_rngs
 from .tensor_io import read_tensor, write_tensor
@@ -178,7 +180,7 @@ def make_intervention_attention(
     raise ValueError(f"unknown intervention kind {kind!r}; expected one of {INTERVENTION_KINDS}")
 
 
-InterventionFn = Callable[[int, np.ndarray, np.ndarray], tuple[np.ndarray, np.ndarray]]
+InterventionFn = Callable[[slice, np.ndarray, np.ndarray], tuple[np.ndarray, np.ndarray]]
 
 
 def batch_loss_and_grads(
@@ -192,11 +194,12 @@ def batch_loss_and_grads(
 
     The batch runs in blocks of `block_samples(dataset, TRAIN_BLOCK_VALUES)`
     samples, each one tape graph: a batched forward of both sub-nets (so A w1
-    and A w2 run once per block), each sample's loss terms on its row of the
-    block's logits and attribute scores, and one backward. A block's graph is
-    freed before the next block's forward.
-    intervention_fn(position, observed_beta, observed_gamma) supplies the
-    gradient-free (beta_bar, gamma_bar) pair for each sample, in batch order.
+    and A w2 run once per block), the seven loss terms once on the block's
+    (b, C) logits and (b, K) attribute scores, one loss per row, and one
+    backward. A block's graph is freed before the next block's forward.
+    intervention_fn(positions, betas, gammas) gets the slice of the batch that
+    a block covers and its observed attentions (b x K x R, b x R x K), and
+    returns the gradient-free (beta_bars, gamma_bars) of the same shapes.
     """
     idx = np.asarray(batch_indices, dtype=np.intp)
     if idx.size == 0:
@@ -206,57 +209,40 @@ def batch_loss_and_grads(
     vaca_p = VisualAttrParams(leaves["w3"], leaves["w4"], leaves["w_att"])
     Z, split = dataset.class_semantics, dataset.split
     n = idx.size
-    w = weights
-    sums = {"acec1": 0.0, "ar1": 0.0, "causal1": 0.0,
-            "acec2": 0.0, "ar2": 0.0, "causal2": 0.0, "distill": 0.0}
     block = block_samples(dataset, TRAIN_BLOCK_VALUES)
 
-    def run_block(start: int) -> None:
+    def run_block(start: int) -> np.ndarray:
         rows = idx[start:start + block]
+        labels = dataset.labels[rows]
         f1, f2 = forward_both(dataset.features[rows], dataset, avca_p, vaca_p)
-        bars = [intervention_fn(start + j, f1.attention.data[j], f2.attention.data[j])
-                for j in range(rows.size)]
-        f1_bar = attr_visual.intervened(f1, np.stack([beta for beta, _ in bars]))
-        f2_bar = visual_attr.intervened(f2, np.stack([gamma for _, gamma in bars]))
-        block_total = None
-        for j, i in enumerate(rows):
-            label = int(dataset.labels[i])
-            logits1, logits2 = ad.take(f1.logits, j), ad.take(f2.logits, j)
-            terms = {
-                "acec1": acec_loss(logits1, label, split, w.lambda_cal),
-                "acec2": acec_loss(logits2, label, split, w.lambda_cal),
-                "ar1": ar_loss(ad.take(f1.attr_scores, j), Z[label]),
-                "ar2": ar_loss(ad.take(f2.attr_scores, j), Z[label]),
-                "causal1": causal_loss(logits1, ad.take(f1_bar.logits, j), label, split),
-                "causal2": causal_loss(logits2, ad.take(f2_bar.logits, j), label, split),
-                "distill": distill_loss(seen_class_distribution(logits1, split),
-                                        seen_class_distribution(logits2, split)),
-            }
-            sample_total = (
-                terms["acec1"] + terms["acec2"]
-                + (terms["ar1"] + terms["ar2"]) * w.lambda_ar
-                + (terms["causal1"] + terms["causal2"]) * w.lambda_causal
-                + terms["distill"] * w.lambda_distill
-            )
-            if not np.isfinite(sample_total.data):
-                raise NumericError(f"non-finite loss at sample index {i}")
-            for name, term in terms.items():
-                sums[name] += term.item()
-            block_total = sample_total if block_total is None else block_total + sample_total
-        block_total.backward(seed=1.0 / n)
+        beta_bars, gamma_bars = intervention_fn(slice(start, start + rows.size),
+                                                f1.attention.data, f2.attention.data)
+        terms = (
+            acec_loss(f1.logits, labels, split, weights.lambda_cal),
+            ar_loss(f1.attr_scores, Z[labels]),
+            causal_loss(f1.logits, attr_visual.intervened(f1, beta_bars).logits, labels, split),
+            acec_loss(f2.logits, labels, split, weights.lambda_cal),
+            ar_loss(f2.attr_scores, Z[labels]),
+            causal_loss(f2.logits, visual_attr.intervened(f2, gamma_bars).logits, labels, split),
+            distill_loss(seen_class_distribution(f1.logits, split),
+                         seen_class_distribution(f2.logits, split)),
+        )
+        acec1, ar1, causal1, acec2, ar2, causal2, distill = terms
+        row_totals = weighted_total(acec1 + acec2, ar1 + ar2, causal1 + causal2, distill,
+                                    weights)
+        bad = np.flatnonzero(~np.isfinite(row_totals.data))
+        if bad.size:
+            raise NumericError(f"non-finite loss at sample index {rows[bad[0]]}")
+        ad.tsum(row_totals).backward(seed=1.0 / n)
+        return np.array([t.data.sum() for t in terms])
 
-    for start in range(0, n, block):
-        run_block(start)
-
+    sums = sum(run_block(start) for start in range(0, n, block))
     grads = {name: (leaves[name].grad if leaves[name].grad is not None
                     else np.zeros_like(params[name]))
              for name in PARAM_NAMES}
-    report = total_loss(
-        SubnetLossValues(sums["acec1"] / n, sums["ar1"] / n, sums["causal1"] / n),
-        SubnetLossValues(sums["acec2"] / n, sums["ar2"] / n, sums["causal2"] / n),
-        sums["distill"] / n,
-        weights,
-    )
+    means = (sums / n).tolist()
+    report = total_loss(SubnetLossValues(*means[:3]), SubnetLossValues(*means[3:6]),
+                        means[6], weights)
     return report, grads
 
 
@@ -291,15 +277,13 @@ def train_step(
     (attribute-side first, then region-side)."""
     if len(batch_indices) == 0:
         raise ValueError("batch must be nonempty")
-    K = dataset.num_attributes
-    R = dataset.num_regions
+    K, R = dataset.num_attributes, dataset.num_regions
 
-    def draw(pos, beta, gamma):
-        beta_bar = make_intervention_attention(
-            hp.intervention, K, R, beta, intervention_rng, batch_counter)
-        gamma_bar = make_intervention_attention(
-            hp.intervention, R, K, gamma, intervention_rng, batch_counter)
-        return beta_bar, gamma_bar
+    def draw(positions, betas, gammas):
+        pick = lambda rows, cols, observed: make_intervention_attention(
+            hp.intervention, rows, cols, observed, intervention_rng, batch_counter)
+        bars = [(pick(K, R, beta), pick(R, K, gamma)) for beta, gamma in zip(betas, gammas)]
+        return tuple(np.stack(side) for side in zip(*bars))
 
     report, grads = batch_loss_and_grads(
         batch_indices, dataset, state.params(), hp.loss_weights, draw)

@@ -50,7 +50,7 @@ def test_gradient_fidelity_full_model():
 
     def loss_fn(params):
         rep, grads = batch_loss_and_grads(batch, ds, params, SYNTH_WEIGHTS,
-                                          lambda p, b, g: frozen[p])
+                                          lambda p, b, g: tuple(map(np.stack, zip(*frozen[p]))))
         return rep.total, grads
 
     report = finite_difference_check(loss_fn, state.params(), epsilon=1e-5, tolerance=1e-4)

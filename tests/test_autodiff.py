@@ -114,6 +114,15 @@ def test_take_scatter_accumulates():
     out = ad.tsum(ad.take(t, [0, 0, 2]))
     out.backward()
     assert np.array_equal(t.grad, [2.0, 0.0, 1.0])
+    # the same columns of every row, a repeated column accumulating
+    m = ad.Tensor(np.arange(12.0).reshape(3, 4), requires_grad=True)
+    cols = ad.take(m, [3, 1, 3], axis=-1)
+    assert np.array_equal(cols.data, m.data[:, [3, 1, 3]])
+    weights = np.array([[1.0, 2.0, 4.0], [8.0, 16.0, 32.0], [64.0, 128.0, 256.0]])
+    ad.tsum(ad.mul(cols, ad.constant(weights))).backward()
+    assert np.array_equal(m.grad, [[0.0, 2.0, 0.0, 5.0],
+                                   [0.0, 16.0, 0.0, 40.0],
+                                   [0.0, 128.0, 0.0, 320.0]])
 
 
 def test_softmax_jacobian():
@@ -132,6 +141,16 @@ def test_logsumexp_backward_is_softmax():
     ad.logsumexp(t).backward()
     e = np.exp(x - x.max())
     assert np.max(np.abs(t.grad - e / e.sum())) < 1e-12
+    # 2-D: one value per row, each row's gradient its own softmax
+    x = 10.0 * rng.standard_normal((3, 5))
+    t = ad.Tensor(x.copy(), requires_grad=True)
+    out = ad.logsumexp(t)
+    assert out.data.shape == (3,)
+    assert np.max(np.abs(out.data - np.log(np.exp(x).sum(axis=-1)))) < 1e-12
+    seed = np.array([1.0, -2.0, 0.5])
+    out.backward(seed=seed)
+    e = np.exp(x - x.max(axis=-1, keepdims=True))
+    assert np.max(np.abs(t.grad - seed[:, None] * e / e.sum(axis=-1, keepdims=True))) < 1e-12
 
 
 def test_gradient_accumulates_across_reuse():

@@ -438,5 +438,18 @@ def test_eval_checks_settings_before_loading(tmp_path, capsys):
     assert "alpha1" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("samples,message", [("a,b", "comma-separated integers"),
+                                             (",", "no sample indices")])
+def test_export_attention_checks_samples_before_loading(tmp_path, capsys, samples, message):
+    # a malformed --samples is a configuration error even when the inputs are
+    # missing too, and no output directory is created for it
+    missing, out = tmp_path / "missing", tmp_path / "out"
+    argv = ["export-attention", "--data", str(missing), "--checkpoint", str(missing),
+            "--out", str(out), "--samples", samples]
+    assert main(argv) == 2
+    assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_unknown_subcommand_exits_2():
     assert main(["transmogrify"]) == 2

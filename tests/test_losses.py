@@ -242,6 +242,75 @@ class TestTotal:
             LossWeights(lambda_ar=-0.1)
 
 
+class TestRows:
+    """A block call equals the stack of its rows' 1-D calls."""
+
+    # leading axes (2, 3), C = 7 classes (4 seen, 3 unseen), K = 11 attributes
+    LEAD, C, K = (2, 3), 7, 11
+    SPLIT = make_split([0, 2, 3, 5], [1, 4, 6])
+
+    def rows(self):
+        rng = make_rng(23)
+        logits = rng.standard_normal(self.LEAD + (self.C,))
+        logits_bar = rng.standard_normal(self.LEAD + (self.C,))
+        labels = rng.choice(self.SPLIT.seen_classes, size=self.LEAD)
+        scores = rng.standard_normal(self.LEAD + (self.K,))
+        protos = rng.random(self.LEAD + (self.K,))
+        return logits, logits_bar, labels, scores, protos
+
+    def assert_rowwise(self, block_fn, row_fn):
+        block = block_fn()
+        assert block.shape[:len(self.LEAD)] == self.LEAD
+        for pos in np.ndindex(*self.LEAD):
+            row = row_fn(pos)
+            assert row.shape == block.shape[len(self.LEAD):]
+            assert np.all(np.abs(block[pos] - row) <= 1e-15 * np.abs(row))
+
+    @pytest.mark.parametrize("lambda_cal", [0.0, 0.07])
+    def test_acec(self, lambda_cal):
+        logits, _, labels, _, _ = self.rows()
+        self.assert_rowwise(
+            lambda: acec_loss(logits, labels, self.SPLIT, lambda_cal).data,
+            lambda i: acec_loss(logits[i], int(labels[i]), self.SPLIT, lambda_cal).data)
+
+    def test_ar(self):
+        _, _, _, scores, protos = self.rows()
+        self.assert_rowwise(lambda: ar_loss(scores, protos).data,
+                            lambda i: ar_loss(scores[i], protos[i]).data)
+
+    def test_causal(self):
+        logits, logits_bar, labels, _, _ = self.rows()
+        self.assert_rowwise(
+            lambda: causal_loss(logits, logits_bar, labels, self.SPLIT).data,
+            lambda i: causal_loss(logits[i], logits_bar[i], int(labels[i]), self.SPLIT).data)
+
+    def test_seen_class_distribution(self):
+        logits, _, _, _, _ = self.rows()
+        self.assert_rowwise(lambda: seen_class_distribution(logits, self.SPLIT).data,
+                            lambda i: seen_class_distribution(logits[i], self.SPLIT).data)
+
+    def test_distill(self):
+        logits, logits_bar, _, _, _ = self.rows()
+        p1 = seen_class_distribution(logits, self.SPLIT).data
+        p2 = seen_class_distribution(logits_bar, self.SPLIT).data
+        self.assert_rowwise(lambda: distill_loss(p1, p2).data,
+                            lambda i: distill_loss(p1[i], p2[i]).data)
+
+    def test_one_unseen_label_in_a_block_rejected(self):
+        logits, logits_bar, labels, _, _ = self.rows()
+        labels = labels.copy()
+        labels[1, 2] = self.SPLIT.unseen_classes[0]
+        with pytest.raises(ValueError, match="not a seen class"):
+            acec_loss(logits, labels, self.SPLIT, 0.1)
+        with pytest.raises(ValueError, match="not a seen class"):
+            causal_loss(logits, logits_bar, labels, self.SPLIT)
+
+    def test_one_label_per_row(self):
+        logits, _, labels, _, _ = self.rows()
+        with pytest.raises(ShapeError):
+            acec_loss(logits, labels[0], self.SPLIT, 0.1)
+
+
 class FullModelLoss:
     """Full two-sub-net forward wired into one selected loss term."""
 

@@ -7,7 +7,8 @@ import numpy as np
 import pytest
 
 from conftest import build_dataset
-from mczsl.errors import ConfigError
+from mczsl.autodiff import Tensor, _topo_order
+from mczsl.errors import ConfigError, NumericError
 from mczsl.gradcheck import directional_check, finite_difference_check
 from mczsl.losses import LossWeights
 from mczsl.numeric import make_rng
@@ -251,7 +252,7 @@ def test_gradient_fidelity_at_checkpoint(small_dataset):
 
     def loss_fn(params):
         rep, grads = batch_loss_and_grads(batch, small_dataset, params,
-                                          hp.loss_weights, lambda p, b, g: frozen[p])
+                                          hp.loss_weights, replay(frozen))
         return rep.total, grads
 
     report = finite_difference_check(loss_fn, state.params(), epsilon=1e-5, tolerance=1e-4)
@@ -276,6 +277,15 @@ def frozen_interventions(ds, n, seed=3):
              make_intervention_attention("random", R, K, None, rng)) for _ in range(n)]
 
 
+def replay(frozen):
+    """A block callback that hands out the frozen per-sample (beta, gamma) pairs."""
+    def draw(positions, betas, gammas):
+        pairs = frozen[positions]
+        assert betas.shape[0] == gammas.shape[0] == len(pairs)
+        return tuple(np.stack(side) for side in zip(*pairs))
+    return draw
+
+
 @pytest.mark.parametrize("block", [1, 2])
 def test_directional_gradient_check_on_blocked_batch(monkeypatch, block):
     ds = prime_dataset()
@@ -285,8 +295,7 @@ def test_directional_gradient_check_on_blocked_batch(monkeypatch, block):
     state = state_for_dataset(ds, make_rng(4))
 
     def loss_fn(params):
-        rep, grads = batch_loss_and_grads(batch, ds, params, LossWeights(),
-                                          lambda pos, beta, gamma: frozen[pos])
+        rep, grads = batch_loss_and_grads(batch, ds, params, LossWeights(), replay(frozen))
         return rep.total, grads
 
     report = directional_check(loss_fn, state.params(), directions=3, seed=5)
@@ -303,22 +312,77 @@ def test_blocking_does_not_change_results(monkeypatch):
         force_training_block(monkeypatch, ds, block)
         seen = []
 
-        def draw(pos, beta, gamma):
-            seen.append((pos, beta.copy(), gamma.copy()))
-            return frozen[pos]
+        def draw(positions, betas, gammas):
+            seen.append((positions, betas.copy(), gammas.copy()))
+            return replay(frozen)(positions, betas, gammas)
 
         runs[block] = batch_loss_and_grads(batch, ds, params, LossWeights(), draw), seen
     (ref_report, ref_grads), ref_seen = runs[1]
-    assert [pos for pos, _, _ in ref_seen] == list(range(len(batch)))
-    for (report, grads), seen in runs.values():
+    ref_betas = np.concatenate([betas for _, betas, _ in ref_seen])
+    ref_gammas = np.concatenate([gammas for _, _, gammas in ref_seen])
+    for block, ((report, grads), seen) in runs.items():
         for name in ("acec", "ar", "causal", "distill", "total"):
             a, b = getattr(report, name), getattr(ref_report, name)
             assert abs(a - b) <= 1e-12 * abs(b), name
         for name, g in grads.items():
             assert np.max(np.abs(g - ref_grads[name])) <= 1e-12 * np.max(np.abs(ref_grads[name]))
-        assert [pos for pos, _, _ in seen] == list(range(len(batch)))
-        for (_, beta, gamma), (_, ref_beta, ref_gamma) in zip(seen, ref_seen):
-            assert np.array_equal(beta, ref_beta) and np.array_equal(gamma, ref_gamma)
+        # the blocks' positions tile the batch in order
+        starts = list(range(0, len(batch), block))
+        assert [(p.start, p.stop) for p, _, _ in seen] == [
+            (start, min(start + block, len(batch))) for start in starts]
+        assert np.array_equal(np.concatenate([betas for _, betas, _ in seen]), ref_betas)
+        assert np.array_equal(np.concatenate([gammas for _, _, gammas in seen]), ref_gammas)
+
+
+def test_train_step_draws_interventions_per_sample_in_batch_order(monkeypatch):
+    # blocks of 2 over a batch of 5: the step's interventions are the per-sample
+    # (beta, gamma) pairs of a same-seed stream, drawn in batch order
+    ds = prime_dataset()
+    force_training_block(monkeypatch, ds, 2)
+    batch = ds.split.train_idx[:5]
+    hp = Hyperparams(learning_rate=1e-3, batch_size=5, intervention="random")
+    stepped = state_for_dataset(ds, make_rng(4))
+    replayed = clone_state(stepped)
+    train_step(batch, ds, stepped, hp, make_rng(9))
+    _, grads = batch_loss_and_grads(batch, ds, replayed.params(), hp.loss_weights,
+                                    replay(frozen_interventions(ds, len(batch), seed=9)))
+    rmsprop_update(replayed, grads, hp)
+    assert states_equal(stepped, replayed)
+
+
+def test_tape_does_not_grow_with_the_block(monkeypatch):
+    # the loss terms run once per block on its rows, so a block of 5 samples
+    # builds as many tape nodes as a block of 1
+    ds = prime_dataset()
+    frozen = frozen_interventions(ds, 5)
+    params = state_for_dataset(ds, make_rng(4)).params()
+    backward = Tensor.backward
+    nodes = []
+
+    def counting_backward(self, seed=1.0):
+        nodes.append(len(_topo_order(self)))
+        backward(self, seed)
+
+    monkeypatch.setattr(Tensor, "backward", counting_backward)
+    for block in (1, 5):
+        force_training_block(monkeypatch, ds, block)
+        batch_loss_and_grads(ds.split.train_idx[:block], ds, params, LossWeights(),
+                             replay(frozen))
+    assert len(nodes) == 2 and nodes[0] == nodes[1], nodes
+
+
+def test_non_finite_loss_names_the_dataset_sample(monkeypatch):
+    ds = prime_dataset()
+    force_training_block(monkeypatch, ds, 2)
+    batch = ds.split.train_idx[2:6]
+    bad = batch[3]  # second row of the second block
+    assert bad not in (1, 3)
+    ds.features[bad] *= 1e300
+    frozen = frozen_interventions(ds, len(batch))
+    params = state_for_dataset(ds, make_rng(4)).params()
+    with np.errstate(all="ignore"), pytest.raises(NumericError,
+                                                  match=rf"sample index {bad}$"):
+        batch_loss_and_grads(batch, ds, params, LossWeights(), replay(frozen))
 
 
 def test_training_memory_does_not_grow_with_the_batch(monkeypatch):
@@ -333,8 +397,7 @@ def test_training_memory_does_not_grow_with_the_batch(monkeypatch):
         frozen = frozen_interventions(ds, n)
         tracemalloc.start()
         try:
-            batch_loss_and_grads(batch, ds, params, LossWeights(),
-                                 lambda pos, beta, gamma: frozen[pos])
+            batch_loss_and_grads(batch, ds, params, LossWeights(), replay(frozen))
             peaks.append(tracemalloc.get_traced_memory()[1])
         finally:
             tracemalloc.stop()
