@@ -1,11 +1,13 @@
 """Minimal reverse-mode automatic differentiation over numpy arrays.
 
-Just enough ops for the model: elementwise arithmetic and matrix products
-with numpy broadcasting, reductions, exp/log, stable softmax/logsumexp, gather,
-and an elementwise floor. Every Tensor holds float64 data; gradients accumulate
-in float64. Graphs are built eagerly and freed when the tensors go away.
-A backward pass computes gradients only for tensors that need one (trainable
-leaves and the nodes built from them), and only leaves keep theirs.
+Just enough ops for the model: add, sub and mul with numpy broadcasting,
+matrix products, sums, log, an elementwise floor, gather, and stable
+softmax/logsumexp. Every Tensor holds float64 data; gradients accumulate in
+float64. Graphs are built eagerly and freed when the tensors go away.
+Each op states one gradient function per operand, and `_make` keeps only
+those of operands that need a gradient (trainable leaves and the nodes built
+from them), so a backward pass computes no gradient for a constant. Only
+leaves keep their gradients.
 """
 from __future__ import annotations
 
@@ -37,13 +39,14 @@ class Tensor:
         An interior node's .grad is dropped once it has been propagated, so a
         pass holds only the gradients still in flight, and a later backward
         through shared nodes cannot propagate a stale one again."""
+        if not (self.requires_grad or self._parents):
+            return  # a constant has no gradient
         order = _topo_order(self)
         g0 = np.broadcast_to(np.asarray(seed, dtype=np.float64), self.data.shape)
         _accumulate(self, np.array(g0, dtype=np.float64))
         for t in reversed(order):
-            if t._backward is not None and t.grad is not None:
-                t._backward(t.grad)
             if t._parents:
+                t._backward(t.grad)
                 t.grad = None
 
     # operator sugar
@@ -62,9 +65,6 @@ class Tensor:
 
     def __rsub__(self, other):
         return sub(other, self)
-
-    def __truediv__(self, other):
-        return div(self, other)
 
     def __neg__(self):
         return mul(self, -1.0)
@@ -87,41 +87,39 @@ def constant(x) -> Tensor:
 
 def _topo_order(root: Tensor) -> list[Tensor]:
     # iterative DFS; recursion would be fine at our depths but this is cheap
-    order: list[Tensor] = []
-    seen: set[int] = set()
-    stack: list[tuple[Tensor, bool]] = [(root, False)]
+    order, seen, stack = [], set(), [(root, False)]
     while stack:
         node, expanded = stack.pop()
         if expanded:
             order.append(node)
-            continue
-        if id(node) in seen:
-            continue
-        seen.add(id(node))
-        stack.append((node, True))
-        for p in node._parents:
-            if id(p) not in seen:
-                stack.append((p, False))
+        elif id(node) not in seen:
+            seen.add(id(node))
+            stack.append((node, True))
+            for p in node._parents:
+                if id(p) not in seen:
+                    stack.append((p, False))
     return order
 
 
 def _accumulate(t: Tensor, g: np.ndarray) -> None:
-    # leaf constants never receive gradient; interior nodes need it to propagate
-    if not (t.requires_grad or t._parents):
-        return
     if t.grad is None:
         t.grad = np.zeros_like(t.data)
     t.grad += g
 
 
-def _needs_grad(*tensors: Tensor) -> bool:
-    return any(t.requires_grad or t._parents for t in tensors)
-
-
-def _make(data, parents, backward) -> Tensor:
+def _make(data, *pulls) -> Tensor:
+    """A node holding `data`. Each pull is (operand, g -> that operand's
+    gradient); only operands that need a gradient (trainable leaves and the
+    nodes built from them) keep theirs, and the node's backward runs those."""
     out = Tensor(data)
-    if _needs_grad(*parents):
-        out._parents = parents
+    live = [p for p in pulls if p[0].requires_grad or p[0]._parents]
+    if live:
+        out._parents = tuple([p[0] for p in live])
+
+        def backward(g):
+            for t, grad in live:
+                _accumulate(t, grad(g))
+
         out._backward = backward
     return out
 
@@ -138,46 +136,23 @@ def _unbroadcast(g: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
 
 def add(a, b) -> Tensor:
     a, b = as_tensor(a), as_tensor(b)
-    out_data = a.data + b.data
-
-    def backward(g):
-        _accumulate(a, _unbroadcast(g, a.data.shape))
-        _accumulate(b, _unbroadcast(g, b.data.shape))
-
-    return _make(out_data, (a, b), backward)
+    return _make(a.data + b.data,
+                 (a, lambda g: _unbroadcast(g, a.data.shape)),
+                 (b, lambda g: _unbroadcast(g, b.data.shape)))
 
 
 def sub(a, b) -> Tensor:
     a, b = as_tensor(a), as_tensor(b)
-    out_data = a.data - b.data
-
-    def backward(g):
-        _accumulate(a, _unbroadcast(g, a.data.shape))
-        _accumulate(b, _unbroadcast(-g, b.data.shape))
-
-    return _make(out_data, (a, b), backward)
+    return _make(a.data - b.data,
+                 (a, lambda g: _unbroadcast(g, a.data.shape)),
+                 (b, lambda g: _unbroadcast(-g, b.data.shape)))
 
 
 def mul(a, b) -> Tensor:
     a, b = as_tensor(a), as_tensor(b)
-    out_data = a.data * b.data
-
-    def backward(g):
-        _accumulate(a, _unbroadcast(g * b.data, a.data.shape))
-        _accumulate(b, _unbroadcast(g * a.data, b.data.shape))
-
-    return _make(out_data, (a, b), backward)
-
-
-def div(a, b) -> Tensor:
-    a, b = as_tensor(a), as_tensor(b)
-    out_data = a.data / b.data
-
-    def backward(g):
-        _accumulate(a, _unbroadcast(g / b.data, a.data.shape))
-        _accumulate(b, _unbroadcast(-g * a.data / (b.data * b.data), b.data.shape))
-
-    return _make(out_data, (a, b), backward)
+    return _make(a.data * b.data,
+                 (a, lambda g: _unbroadcast(g * b.data, a.data.shape)),
+                 (b, lambda g: _unbroadcast(g * a.data, b.data.shape)))
 
 
 def matmul(a, b) -> Tensor:
@@ -190,26 +165,28 @@ def matmul(a, b) -> Tensor:
     except ValueError as e:
         raise ShapeError(f"matmul shapes do not match: {ad.shape} x {bd.shape}") from e
 
-    def backward(g):
-        a2 = ad[None, :] if ad.ndim == 1 else ad
-        b2 = bd[:, None] if bd.ndim == 1 else bd
-        g2 = g[..., None] if bd.ndim == 1 else g
-        g2 = g2[..., None, :] if ad.ndim == 1 else g2
-        # only operands that need a gradient get a product
-        if _needs_grad(a):
-            if a2.ndim == 2 < g2.ndim:  # sum_i g_i b_i' over the stacked batch rows
-                ga = _stacked(_swap(g2)).T @ _stacked(_swap(b2))
-            else:
-                ga = _unbroadcast(g2 @ _swap(b2), a2.shape)
-            _accumulate(a, ga.reshape(ad.shape))
-        if _needs_grad(b):
-            if b2.ndim == 2 < g2.ndim:  # sum_i a_i' g_i over the stacked batch rows
-                gb = _stacked(a2).T @ _stacked(g2)
-            else:
-                gb = _unbroadcast(_swap(a2) @ g2, b2.shape)
-            _accumulate(b, gb.reshape(bd.shape))
+    def grad_a(g):
+        a2, b2, g2 = _matrices(ad, bd, g)
+        if a2.ndim == 2 < g2.ndim:  # sum_i g_i b_i' over the stacked batch rows
+            return (_stacked(_swap(g2)).T @ _stacked(_swap(b2))).reshape(ad.shape)
+        return _unbroadcast(g2 @ _swap(b2), a2.shape).reshape(ad.shape)
 
-    return _make(out_data, (a, b), backward)
+    def grad_b(g):
+        a2, b2, g2 = _matrices(ad, bd, g)
+        if b2.ndim == 2 < g2.ndim:  # sum_i a_i' g_i over the stacked batch rows
+            return (_stacked(a2).T @ _stacked(g2)).reshape(bd.shape)
+        return _unbroadcast(_swap(a2) @ g2, b2.shape).reshape(bd.shape)
+
+    return _make(out_data, (a, grad_a), (b, grad_b))
+
+
+def _matrices(ad: np.ndarray, bd: np.ndarray, g: np.ndarray):
+    """The operands and the output gradient of a product with the axes of 1-D
+    operands restored, so every one is (a stack of) matrices."""
+    a2 = ad[None, :] if ad.ndim == 1 else ad
+    b2 = bd[:, None] if bd.ndim == 1 else bd
+    g2 = g[..., None] if bd.ndim == 1 else g
+    return a2, b2, g2[..., None, :] if ad.ndim == 1 else g2
 
 
 def _swap(x: np.ndarray) -> np.ndarray:
@@ -224,45 +201,24 @@ def _stacked(x: np.ndarray) -> np.ndarray:
 
 def tsum(a, axis: int | None = None, keepdims: bool = False) -> Tensor:
     a = as_tensor(a)
-    out_data = a.data.sum(axis=axis, keepdims=keepdims)
 
-    def backward(g):
+    def grad(g):
         if axis is not None and not keepdims:
             g = np.expand_dims(g, axis)
-        _accumulate(a, np.broadcast_to(g, a.data.shape).copy())
+        return np.broadcast_to(g, a.data.shape).copy()
 
-    return _make(out_data, (a,), backward)
-
-
-def exp(a) -> Tensor:
-    a = as_tensor(a)
-    out_data = np.exp(a.data)
-
-    def backward(g):
-        _accumulate(a, g * out_data)
-
-    return _make(out_data, (a,), backward)
+    return _make(a.data.sum(axis=axis, keepdims=keepdims), (a, grad))
 
 
 def log(a) -> Tensor:
     a = as_tensor(a)
-    out_data = np.log(a.data)
-
-    def backward(g):
-        _accumulate(a, g / a.data)
-
-    return _make(out_data, (a,), backward)
+    return _make(np.log(a.data), (a, lambda g: g / a.data))
 
 
 def floor_at(a, lo: float) -> Tensor:
     """Elementwise max(a, lo); gradient passes through where a >= lo."""
     a = as_tensor(a)
-    out_data = np.maximum(a.data, lo)
-
-    def backward(g):
-        _accumulate(a, g * (a.data >= lo))
-
-    return _make(out_data, (a,), backward)
+    return _make(np.maximum(a.data, lo), (a, lambda g: g * (a.data >= lo)))
 
 
 def take(a, indices, axis: int = 0) -> Tensor:
@@ -270,28 +226,21 @@ def take(a, indices, axis: int = 0) -> Tensor:
     the same columns of every row (axis -1). Repeated indices accumulate."""
     a = as_tensor(a)
     idx = np.asarray(indices, dtype=np.intp)
-    out_data = np.take(a.data, idx, axis=axis)
 
-    def backward(g):
+    def grad(g):
         full = np.zeros_like(a.data)
         np.add.at(full, (slice(None),) * (axis % a.data.ndim) + (idx,), g)
-        _accumulate(a, full)
+        return full
 
-    return _make(out_data, (a,), backward)
+    return _make(np.take(a.data, idx, axis=axis), (a, grad))
 
 
 def softmax(a, axis: int = -1) -> Tensor:
     """Stable softmax along `axis` with the exact softmax Jacobian in backward."""
     a = as_tensor(a)
-    shifted = a.data - np.max(a.data, axis=axis, keepdims=True)
-    e = np.exp(shifted)
+    e = np.exp(a.data - np.max(a.data, axis=axis, keepdims=True))
     s = e / e.sum(axis=axis, keepdims=True)
-
-    def backward(g):
-        inner = (g * s).sum(axis=axis, keepdims=True)
-        _accumulate(a, (g - inner) * s)
-
-    return _make(s, (a,), backward)
+    return _make(s, (a, lambda g: (g - (g * s).sum(axis=axis, keepdims=True)) * s))
 
 
 def logsumexp(a) -> Tensor:
@@ -300,9 +249,4 @@ def logsumexp(a) -> Tensor:
     m = np.max(a.data, axis=-1, keepdims=True)
     e = np.exp(a.data - m)
     z = e.sum(axis=-1, keepdims=True)
-    out_data = (np.log(z) + m)[..., 0]
-
-    def backward(g):
-        _accumulate(a, g[..., None] * (e / z))
-
-    return _make(out_data, (a,), backward)
+    return _make((np.log(z) + m)[..., 0], (a, lambda g: g[..., None] * (e / z)))

@@ -27,9 +27,11 @@ from .evaluate import (
 )
 from .losses import LossWeights
 from .training import (
+    BLOCK_VALUES,
     INTERVENTION_KINDS,
     Hyperparams,
     ModelState,
+    block_samples,
     forward_both,
     load_checkpoint,
     save_checkpoint,
@@ -249,22 +251,24 @@ def cmd_export_attention(args: argparse.Namespace) -> int:
         raise ConfigError("--samples selected no sample indices")
     top_n = cfg.get("top_n", 10)
     dataset, state = _load_for_eval(args)
+    bad = [i for i in indices if not 0 <= i < dataset.num_samples]
+    if bad:
+        raise ConfigError(f"sample index {bad[0]} outside [0, {dataset.num_samples})")
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     names = dataset.attribute_names or [f"attr_{k}" for k in range(dataset.num_attributes)]
-    for i in indices:
-        if not 0 <= i < dataset.num_samples:
-            raise ConfigError(f"sample index {i} outside [0, {dataset.num_samples})")
-        f1, f2 = forward_both(dataset.features[i], dataset, state.avca, state.vaca)
-        attr_visual.export_attention(f1.attention.data, names,
-                                     out / f"sample_{i}_region_attention")
-        attr_visual.export_attention(f2.attention.data, names,
-                                     out / f"sample_{i}_attribute_attention")
-        scores = f1.attr_scores.data
-        ranked = np.argsort(-scores, kind="stable")[: min(top_n, len(scores))]
-        lines = [f"{k}\t{names[k]}\t{scores[k]:.6f}" for k in ranked]
-        (out / f"sample_{i}_top_attributes.txt").write_text(
-            "\n".join(lines) + "\n", encoding="utf-8")
+    block = block_samples(dataset, BLOCK_VALUES)
+    for start in range(0, len(indices), block):
+        rows = indices[start:start + block]
+        f1, f2 = forward_both(dataset.features[rows], dataset, state.avca, state.vaca)
+        for i, beta, gamma, scores in zip(rows, f1.attention.data, f2.attention.data,
+                                          f1.attr_scores.data):
+            attr_visual.export_attention(beta, names, out / f"sample_{i}_region_attention")
+            attr_visual.export_attention(gamma, names, out / f"sample_{i}_attribute_attention")
+            ranked = np.argsort(-scores, kind="stable")[: min(top_n, len(scores))]
+            lines = [f"{k}\t{names[k]}\t{scores[k]:.6f}" for k in ranked]
+            (out / f"sample_{i}_top_attributes.txt").write_text(
+                "\n".join(lines) + "\n", encoding="utf-8")
     print(f"exported attention maps for {len(indices)} sample(s) -> {out}")
     return 0
 

@@ -1,10 +1,11 @@
 """Finite-difference verification of analytic gradients.
 
-Every trainable path in the package must pass this check: the analytic
-gradient of a scalar loss is compared entry-by-entry against the central
-difference (f(p+eps) - f(p-eps)) / (2 eps), all in float64. The directional
-check compares it along a few random unit directions instead, at 2 loss
-evaluations per direction whatever the shape.
+Every trainable path in the package must pass this check. Both checks compare,
+in float64, the slope <grad f, u> of a scalar loss along unit vectors u with
+the central difference (f(p + eps u) - f(p - eps u)) / (2 eps): the entrywise
+check along each parameter entry in turn (so it moves that entry alone, to
+p +- eps), the directional check along a few seeded random unit vectors over
+all parameters. A non-finite analytic gradient is refused: NaN compares false.
 """
 from __future__ import annotations
 
@@ -42,51 +43,22 @@ def finite_difference_check(
     epsilon: float = 1e-5,
     tolerance: float = 1e-4,
 ) -> GradCheckReport:
-    """Check loss_fn's analytic gradients against central differences.
+    """Check loss_fn's analytic gradients one parameter entry at a time.
 
     loss_fn maps the parameter dict to (loss, grads) and must be deterministic
     for fixed parameters; grads must be keyed and shaped like params. Arrays in
-    `params` are perturbed in place and restored.
+    `params` are moved in place and restored. The report names entries
+    ("w1[3]") and keeps the worst error of each parameter.
     """
-    if epsilon <= 0:
-        raise ValueError(f"epsilon must be positive, got {epsilon}")
-    base_loss, analytic = loss_fn(params)
-    if not math.isfinite(base_loss):
-        raise NumericError("loss is non-finite at the unperturbed parameters")
 
-    per_param: dict[str, float] = {}
-    worst = ""
-    worst_err = 0.0
-    for name, p in params.items():
-        grad = np.asarray(analytic[name], dtype=np.float64)
-        if grad.shape != p.shape:
-            raise ValueError(f"gradient for {name} has shape {grad.shape}, expected {p.shape}")
-        flat = p.reshape(-1)
-        param_worst = 0.0
-        for i in range(flat.size):
-            orig = flat[i]
-            flat[i] = orig + epsilon
-            f_plus, _ = loss_fn(params)
-            flat[i] = orig - epsilon
-            f_minus, _ = loss_fn(params)
-            flat[i] = orig
-            if not (math.isfinite(f_plus) and math.isfinite(f_minus)):
-                raise NumericError(f"loss non-finite while perturbing {name}[{i}]")
-            numeric = (f_plus - f_minus) / (2.0 * epsilon)
-            a = grad.reshape(-1)[i]
-            err = abs(a - numeric) / max(abs(a), abs(numeric), _DENOM_FLOOR)
-            if err > param_worst:
-                param_worst = err
-            if err > worst_err:
-                worst_err = err
-                worst = f"{name}[{i}]"
-        per_param[name] = param_worst
-    return GradCheckReport(
-        max_relative_error=worst_err,
-        worst_parameter=worst,
-        per_parameter_errors=per_param,
-        tolerance=tolerance,
-    )
+    def unit_vectors():
+        for name, p in params.items():
+            for i in range(p.size):
+                u = np.zeros(p.shape)
+                u.flat[i] = 1.0
+                yield f"{name}[{i}]", name, {name: u}
+
+    return _compare(loss_fn, params, "entry", unit_vectors(), epsilon, tolerance)
 
 
 def directional_check(
@@ -97,44 +69,55 @@ def directional_check(
     tolerance: float = 1e-4,
     seed: int = 0,
 ) -> GradCheckReport:
-    """Check <grad f, u> against (f(p + eps u) - f(p - eps u)) / (2 eps) along
-    `directions` seeded random unit vectors u over all parameters jointly.
-
-    loss_fn is as for finite_difference_check; arrays in `params` are moved in
-    place and restored. The report names directions ("u0", "u1", ...) where the
-    entrywise check names parameter entries.
+    """Check loss_fn's analytic gradients along `directions` seeded random unit
+    vectors over all parameters jointly, at 2 loss evaluations each whatever
+    the shape. loss_fn and `params` are as for finite_difference_check; the
+    report names directions ("u0", "u1", ...).
     """
+    rng = make_rng(seed)
+
+    def random_units():
+        for k in range(directions):
+            u = {name: rng.standard_normal(p.shape) for name, p in params.items()}
+            norm = math.sqrt(sum(float(np.sum(v * v)) for v in u.values()))
+            yield f"u{k}", f"u{k}", {name: v / norm for name, v in u.items()}
+
+    return _compare(loss_fn, params, "direction", random_units(), epsilon, tolerance)
+
+
+def _compare(loss_fn, params, kind, units, epsilon, tolerance) -> GradCheckReport:
+    """Compare <grad f, u> with (f(p + eps u) - f(p - eps u)) / (2 eps) for each
+    (label, group, u) of `units`, u mapping parameter names to the direction's
+    part in each. A group's error is the worst of its labels'."""
     if epsilon <= 0:
         raise ValueError(f"epsilon must be positive, got {epsilon}")
     base_loss, analytic = loss_fn(params)
     if not math.isfinite(base_loss):
         raise NumericError("loss is non-finite at the unperturbed parameters")
+    grads = {name: np.asarray(analytic[name], dtype=np.float64) for name in params}
     for name, p in params.items():
-        if np.shape(analytic[name]) != p.shape:
-            raise ValueError(f"gradient for {name} has shape {np.shape(analytic[name])}, "
+        if grads[name].shape != p.shape:
+            raise ValueError(f"gradient for {name} has shape {grads[name].shape}, "
                              f"expected {p.shape}")
-    rng = make_rng(seed)
+        if not np.all(np.isfinite(grads[name])):
+            raise NumericError(f"analytic gradient of {name} is non-finite")
     originals = {name: p.copy() for name, p in params.items()}
     errors: dict[str, float] = {}
-    for k in range(directions):
-        u = {name: rng.standard_normal(p.shape) for name, p in params.items()}
-        norm = math.sqrt(sum(float(np.sum(v * v)) for v in u.values()))
-        slope = sum(float(np.sum(np.asarray(analytic[name]) * v)) for name, v in u.items()) / norm
+    worst, worst_err = "", 0.0
+    for label, group, u in units:
+        slope = sum(float(np.sum(grads[name] * v)) for name, v in u.items())
         values = []
         for step in (epsilon, -epsilon):
-            for name, p in params.items():
-                p[...] = originals[name] + (step / norm) * u[name]
+            for name, v in u.items():
+                params[name][...] = originals[name] + step * v
             values.append(loss_fn(params)[0])
-        for name, p in params.items():
-            p[...] = originals[name]
+        for name in u:
+            params[name][...] = originals[name]
         if not all(math.isfinite(v) for v in values):
-            raise NumericError(f"loss non-finite while moving along direction u{k}")
+            raise NumericError(f"loss non-finite while perturbing {kind} {label}")
         numeric = (values[0] - values[1]) / (2.0 * epsilon)
-        errors[f"u{k}"] = abs(slope - numeric) / max(abs(slope), abs(numeric), _DENOM_FLOOR)
-    worst = max(errors, key=errors.get, default="")
-    return GradCheckReport(
-        max_relative_error=errors.get(worst, 0.0),
-        worst_parameter=worst,
-        per_parameter_errors=errors,
-        tolerance=tolerance,
-    )
+        err = abs(slope - numeric) / max(abs(slope), abs(numeric), _DENOM_FLOOR)
+        errors[group] = max(errors.get(group, 0.0), err)
+        if err > worst_err:
+            worst, worst_err = label, err
+    return GradCheckReport(worst_err, worst, errors, tolerance)

@@ -7,7 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from mczsl import attr_visual
+from mczsl import attr_visual, cli
 from mczsl.cli import PRESETS, build_parser, main, parse_config_file
 from mczsl.data import SynthConfig, load_dataset
 from mczsl.errors import ConfigError
@@ -261,11 +261,27 @@ class TestExportAttention:
         scores = [float(ln.split("\t")[2]) for ln in lines]
         assert scores == sorted(scores, reverse=True)
 
+    def test_blocks_do_not_change_exports(self, monkeypatch, data_dir, trained_run, tmp_path):
+        # samples are scored in blocks; one sample per block writes the same bytes
+        outputs = []
+        for block_values in (cli.BLOCK_VALUES, 1):
+            monkeypatch.setattr(cli, "BLOCK_VALUES", block_values)
+            out = tmp_path / f"attn_{block_values}"
+            assert main(["export-attention", "--data", str(data_dir), "--checkpoint",
+                         str(trained_run / "checkpoint"), "--out", str(out),
+                         "--samples", "7,0,5,7"]) == 0
+            outputs.append({p.name: p.read_bytes() for p in out.iterdir()})
+        assert len(outputs[0]) == 3 * 5 and outputs[0] == outputs[1]
+
     def test_bad_sample_index_exits_2(self, data_dir, trained_run, tmp_path):
-        code = main(["export-attention", "--data", str(data_dir), "--checkpoint",
-                     str(trained_run / "checkpoint"), "--out", str(tmp_path / "a"),
-                     "--samples", "99999"])
-        assert code == 2
+        # every index is checked before anything is written, so a bad one
+        # after a good one leaves no partial output
+        for samples in ("99999", "0,99999"):
+            code = main(["export-attention", "--data", str(data_dir), "--checkpoint",
+                         str(trained_run / "checkpoint"), "--out", str(tmp_path / "a"),
+                         "--samples", samples])
+            assert code == 2
+            assert not (tmp_path / "a").exists()
 
 
 class TestConfigFile:

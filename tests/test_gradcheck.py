@@ -101,3 +101,17 @@ def test_directional_check_nonfinite_names_direction():
 
     with pytest.raises(NumericError, match="direction u0"):
         directional_check(loss_fn, params, epsilon=1e-5)
+
+
+@pytest.mark.parametrize("check", [finite_difference_check, directional_check])
+def test_nonfinite_analytic_gradient_is_refused(check):
+    # a comparison with NaN is false, so a NaN entry would pass unless refused
+    params = {"w": np.array([1.0, 2.0]), "v": np.array([0.5])}
+
+    def loss_fn(p):
+        grad_v = 2.0 * p["v"]
+        grad_v[0] = np.nan
+        return float(np.sum(p["w"] ** 2) + np.sum(p["v"] ** 2)), {"w": 2.0 * p["w"], "v": grad_v}
+
+    with pytest.raises(NumericError, match="gradient of v"):
+        check(loss_fn, params)

@@ -1,13 +1,21 @@
 """The benchmark's tracer (perfbench/tracer.py) patches library functions by
 module and attribute name, so every module it names must stay importable and
 every attribute must stay defined; otherwise each traced benchmark run fails
-or silently reads 0 for that layer. The target lists are read from the source,
-so the test neither runs nor writes anything under perfbench/."""
+or silently reads 0 for that layer. The target lists are read from the source.
+The tracer also hooks the autodiff tape (Tensor construction, backward,
+matmul and gradient delivery); one small training step runs under it, loaded
+by path, to check that those hooks still count and come off again. Nothing is
+written under perfbench/."""
 import ast
 import importlib
+import importlib.util
 from pathlib import Path
 
 import pytest
+
+from mczsl import autodiff as ad
+from mczsl import training
+from mczsl.numeric import make_rng
 
 TRACER = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
 
@@ -51,3 +59,33 @@ def test_traced_attribute_exists(module, attr):
     stale = (module, attr) in KNOWN_STALE
     assert present != stale, (f"{module}.{attr} is listed as stale but exists" if stale
                               else f"perfbench traces {module}.{attr}, which does not exist")
+
+
+def load_tracer():
+    spec = importlib.util.spec_from_file_location("perfbench_tracer", TRACER)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_tracer_counts_one_training_step(monkeypatch, small_dataset):
+    tracer = load_tracer()
+    hooks = (ad.matmul, ad._accumulate, ad.Tensor.backward, ad.Tensor.__init__)
+
+    def traced_step():
+        state = training.state_for_dataset(small_dataset, make_rng(1))
+        with tracer.Tracer() as t:
+            training.train_step(small_dataset.split.train_idx[:3], small_dataset, state,
+                                training.Hyperparams(), make_rng(2))
+        return t
+
+    full = traced_step()
+    assert (ad.matmul, ad._accumulate, ad.Tensor.backward, ad.Tensor.__init__) == hooks
+    assert full.counts["autodiff.matmul_calls"] > 0
+    assert full.counts["autodiff.tensors_created"] > 0
+    assert "training.step" in {span[0] for span in full.spans}
+    # the same step without a backward pass counts the forward products alone
+    monkeypatch.setattr(ad.Tensor, "backward", lambda self, seed=1.0: None)
+    forward = traced_step()
+    assert forward.counts["autodiff.matmul_calls"] == full.counts["autodiff.matmul_calls"]
+    assert full.counts["autodiff.matmul_flop"] > forward.counts["autodiff.matmul_flop"] > 0
