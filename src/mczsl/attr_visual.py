@@ -9,6 +9,10 @@ and w_e = w2, so its readout is one confidence per attribute; visual_attr
 reads the same attention the other way. Class logits are dot products of the
 attribute scores with the class prototypes Z (C x K).
 
+Each table is (Q w) K' from a query-side product Q w that the caller builds.
+A w1 and A w2 do not depend on the image, so training builds them once per
+batch and `predict` once per call; V w3, V w4 and V w_att are built per block.
+
 V holds one sample's regions (R x D) or a block of samples (B x R x D). V, A
 and Z are constants; only the weight matrices are trainable. Every pass builds
 autodiff graphs, so the same code path serves training and inference.
@@ -22,7 +26,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .errors import ShapeError
-from .tensor_io import write_tensor
+from .tensor_io import write_atomic, write_tensor
 
 
 @dataclass
@@ -58,28 +62,43 @@ def _readout(attention, table, lift, prototypes) -> SubnetForward:
                          table, lift, prototypes)
 
 
-def cross_attention(Q, K, Z, names, w_s, w_e, w_lift=None) -> SubnetForward:
-    """Rows of Q attend over rows of K (either may lead with a block axis). With
-    `w_lift`, the per-query readout is lifted to attribute scores through the
-    raw table Q w_lift K' (no normalization). `names` label weights in errors."""
+def query_products(Q, names, weights) -> list[ad.Tensor]:
+    """Q w for each weight w: the query side of the tables (Q w) K'. Q may lead
+    with a block axis; `names` label the weights in errors."""
     Q = np.asarray(Q, dtype=np.float64)
-    K = np.asarray(K, dtype=np.float64)
-    for w, name in zip((w_s, w_e, w_lift), names):
+    for w, name in zip(weights, names):
         w_shape = np.shape(w.data if isinstance(w, ad.Tensor) else w)
-        if w is not None and ({Q.ndim, K.ndim} - {2, 3} or w_shape != (Q.shape[-1], K.shape[-1])):
-            raise ShapeError(
-                f"bilinear shapes inconsistent: {Q.shape} x {name} {w_shape} x {K.shape}")
-    queries, keys_t = ad.constant(Q), ad.constant(np.swapaxes(K, -1, -2))
-    table = lambda w: ad.matmul(ad.matmul(queries, ad.as_tensor(w)), keys_t)
-    return _readout(ad.softmax(table(w_s), axis=-1), table(w_e),
-                    None if w_lift is None else table(w_lift),
+        if Q.ndim not in (2, 3) or len(w_shape) != 2 or w_shape[0] != Q.shape[-1]:
+            raise ShapeError(f"bilinear shapes inconsistent: {Q.shape} x {name} {w_shape}")
+    queries = ad.constant(Q)
+    return [ad.matmul(queries, ad.as_tensor(w)) for w in weights]
+
+
+def cross_attention(products, K, Z) -> SubnetForward:
+    """Rows of Q attend over rows of K (either may lead with a block axis), from
+    the query-side products (Q w_s, Q w_e) or (Q w_s, Q w_e, Q w_lift). With a
+    third product, the per-query readout is lifted to attribute scores through
+    the raw table Q w_lift K' (no normalization)."""
+    K = np.asarray(K, dtype=np.float64)
+    if K.ndim not in (2, 3) or any(p.data.shape[-1] != K.shape[-1] for p in products):
+        raise ShapeError(f"bilinear shapes inconsistent: query products "
+                         f"{[p.data.shape for p in products]} x keys {K.shape}")
+    keys_t = ad.constant(np.swapaxes(K, -1, -2))
+    scores, readout, *lift = [ad.matmul(p, keys_t) for p in products]
+    return _readout(ad.softmax(scores, axis=-1), readout, lift[0] if lift else None,
                     ad.constant(np.asarray(Z, dtype=np.float64).T))
+
+
+def weight_products(A, params: AttrVisualParams) -> list[ad.Tensor]:
+    """(A w1, A w2), the attribute side's query products: a caller that scores
+    many blocks builds them once."""
+    return query_products(A, ("w1", "w2"), (params.w1, params.w2))
 
 
 def forward(V, A, Z, params: AttrVisualParams) -> SubnetForward:
     """Attributes attend over regions: beta (K x R) = softmax(A w1 V') by rows,
     and attribute k scores a_k' w2 (beta V)_k."""
-    return cross_attention(A, V, Z, ("w1", "w2"), params.w1, params.w2)
+    return cross_attention(weight_products(A, params), V, Z)
 
 
 def check_normalized_rows(weights: np.ndarray, tol: float = 1e-4) -> None:
@@ -121,4 +140,4 @@ def export_attention(attn: np.ndarray, attribute_names: list[str], out_prefix: s
     write_tensor(out_prefix.parent / (out_prefix.name + ".msdt"), np.asarray(attn))
     lines = [f"{i}\t{name}" for i, name in enumerate(attribute_names)]
     sidecar = out_prefix.parent / (out_prefix.name + ".attributes.txt")
-    sidecar.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    write_atomic(sidecar, "\n".join(lines) + "\n")

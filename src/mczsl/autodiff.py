@@ -43,7 +43,7 @@ class Tensor:
             return  # a constant has no gradient
         order = _topo_order(self)
         g0 = np.broadcast_to(np.asarray(seed, dtype=np.float64), self.data.shape)
-        _accumulate(self, np.array(g0, dtype=np.float64))
+        _accumulate(self, g0)
         for t in reversed(order):
             if t._parents:
                 t._backward(t.grad)
@@ -103,8 +103,10 @@ def _topo_order(root: Tensor) -> list[Tensor]:
 
 def _accumulate(t: Tensor, g: np.ndarray) -> None:
     if t.grad is None:
-        t.grad = np.zeros_like(t.data)
-    t.grad += g
+        # a copy, never g itself: _unbroadcast can hand one g to both operands
+        t.grad = np.array(g, dtype=np.float64)
+    else:
+        t.grad += g
 
 
 def _make(data, *pulls) -> Tensor:

@@ -26,6 +26,7 @@ from .evaluate import (
     write_report_json,
 )
 from .losses import LossWeights
+from .tensor_io import write_atomic
 from .training import (
     BLOCK_VALUES,
     INTERVENTION_KINDS,
@@ -34,6 +35,7 @@ from .training import (
     block_samples,
     forward_both,
     load_checkpoint,
+    report_dict,
     save_checkpoint,
     train,
 )
@@ -148,18 +150,10 @@ def cmd_train(args: argparse.Namespace) -> int:
     out.mkdir(parents=True, exist_ok=True)
     save_checkpoint(state, hp, out / "checkpoint", epoch=hp.epochs,
                     loss_history=log.epoch_reports)
-    entries = [
-        {
-            "epoch": e,
-            "acec": r.acec, "ar": r.ar, "causal": r.causal,
-            "distill": r.distill, "total": r.total,
-            "train_accuracy": log.train_accuracy[e],
-            "seconds": log.epoch_seconds[e],
-        }
-        for e, r in enumerate(log.epoch_reports)
-    ]
-    (out / "train_log.json").write_text(
-        json.dumps(entries, indent=2, sort_keys=True) + "\n", encoding="utf-8")
+    entries = [report_dict(r) | {"epoch": e, "train_accuracy": log.train_accuracy[e],
+                                 "seconds": log.epoch_seconds[e]}
+               for e, r in enumerate(log.epoch_reports)]
+    write_atomic(out / "train_log.json", json.dumps(entries, indent=2, sort_keys=True) + "\n")
     if entries:
         last = entries[-1]
         print(f"trained {hp.epochs} epochs: total={last['total']:.4f} "
@@ -205,8 +199,7 @@ def cmd_eval(args: argparse.Namespace) -> int:
     write_report_json(reports, out / "eval_report.json")
     if args.csv:
         for s, rep in reports.items():
-            (out / f"per_class_{s}.csv").write_text(
-                per_class_csv(rep, dataset.class_names), encoding="utf-8")
+            write_atomic(out / f"per_class_{s}.csv", per_class_csv(rep, dataset.class_names))
     return 0
 
 
@@ -234,7 +227,7 @@ def cmd_intervene_compare(args: argparse.Namespace) -> int:
         rows.append((kind, czsl.czsl_acc, gzsl.gzsl_u, gzsl.gzsl_s, gzsl.gzsl_h))
     lines = ["kind,czsl_acc,gzsl_u,gzsl_s,gzsl_h"]
     lines += [f"{k},{a:.6f},{u:.6f},{s:.6f},{h:.6f}" for k, a, u, s, h in rows]
-    (out / "intervene_table.csv").write_text("\n".join(lines) + "\n", encoding="utf-8")
+    write_atomic(out / "intervene_table.csv", "\n".join(lines) + "\n")
     print(f"{'kind':24s} {'acc':>8s} {'U':>8s} {'S':>8s} {'H':>8s}")
     for k, a, u, s, h in rows:
         print(f"{k:24s} {a:8.4f} {u:8.4f} {s:8.4f} {h:8.4f}")
@@ -258,17 +251,17 @@ def cmd_export_attention(args: argparse.Namespace) -> int:
     out.mkdir(parents=True, exist_ok=True)
     names = dataset.attribute_names or [f"attr_{k}" for k in range(dataset.num_attributes)]
     block = block_samples(dataset, BLOCK_VALUES)
+    products = attr_visual.weight_products(dataset.attributes, state.avca)
     for start in range(0, len(indices), block):
         rows = indices[start:start + block]
-        f1, f2 = forward_both(dataset.features[rows], dataset, state.avca, state.vaca)
+        f1, f2 = forward_both(dataset.features[rows], dataset, products, state.vaca)
         for i, beta, gamma, scores in zip(rows, f1.attention.data, f2.attention.data,
                                           f1.attr_scores.data):
             attr_visual.export_attention(beta, names, out / f"sample_{i}_region_attention")
             attr_visual.export_attention(gamma, names, out / f"sample_{i}_attribute_attention")
             ranked = np.argsort(-scores, kind="stable")[: min(top_n, len(scores))]
             lines = [f"{k}\t{names[k]}\t{scores[k]:.6f}" for k in ranked]
-            (out / f"sample_{i}_top_attributes.txt").write_text(
-                "\n".join(lines) + "\n", encoding="utf-8")
+            write_atomic(out / f"sample_{i}_top_attributes.txt", "\n".join(lines) + "\n")
     print(f"exported attention maps for {len(indices)} sample(s) -> {out}")
     return 0
 
@@ -334,10 +327,7 @@ def main(argv: list[str] | None = None) -> int:
         return 2 if e.code not in (0,) else 0
     try:
         return args.func(args)
-    except FormatError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 3
-    except (FileNotFoundError, OSError) as e:
+    except (FormatError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 3
     except NumericError as e:

@@ -15,7 +15,7 @@ import numpy as np
 
 from .errors import ConfigError, DataValidationError, FormatError
 from .numeric import check_finite_settings, make_rng
-from .tensor_io import read_tensor, write_tensor
+from .tensor_io import read_tensor, write_atomic, write_tensor
 
 MANIFEST_NAME = "manifest.json"
 
@@ -276,9 +276,7 @@ def save_dataset(ds: Dataset, directory: str | Path) -> None:
         manifest["class_names"] = ds.class_names
     if ds.attribute_names:
         manifest["attribute_names"] = ds.attribute_names
-    (directory / MANIFEST_NAME).write_text(
-        json.dumps(manifest, indent=2, sort_keys=True) + "\n", encoding="utf-8"
-    )
+    write_atomic(directory / MANIFEST_NAME, json.dumps(manifest, indent=2, sort_keys=True) + "\n")
 
 
 def load_dataset(directory: str | Path) -> Dataset:
@@ -302,17 +300,10 @@ def load_dataset(directory: str | Path) -> Dataset:
     if unknown:
         raise FormatError(f"{manifest_path}: unknown keys {sorted(unknown)}")
 
-    def tensor(key: str) -> np.ndarray:
-        rel = manifest[key]
-        path = directory / rel
-        if not path.exists():
-            raise FileNotFoundError(f"tensor file not found: {path}")
-        return read_tensor(path)
-
-    attributes = tensor("attributes")
-    class_semantics = tensor("class_semantics")
-    features = tensor("features")
-    labels_f = tensor("labels")
+    # read_tensor refuses a missing file with FileNotFoundError
+    attributes, class_semantics, features, labels_f = (
+        read_tensor(directory / manifest[key])
+        for key in ("attributes", "class_semantics", "features", "labels"))
     if labels_f.ndim != 1:
         raise FormatError(f"{directory / manifest['labels']}: labels must be rank-1")
     if not np.all(labels_f == np.round(labels_f)):

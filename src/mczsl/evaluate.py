@@ -15,9 +15,11 @@ from pathlib import Path
 
 import numpy as np
 
+from . import attr_visual
 from .data import Dataset, Split
 from .errors import ShapeError
 from .numeric import check_finite_settings
+from .tensor_io import write_atomic
 from .training import BLOCK_VALUES, ModelState, block_samples, forward_both
 
 SETTINGS = ("czsl", "gzsl")
@@ -79,15 +81,16 @@ def fused_score(psi, psi_attr, Z, split: Split, cfg: FusionConfig) -> np.ndarray
 
 def predict(indices, state: ModelState, dataset: Dataset, cfg: FusionConfig) -> list[int]:
     """Classes of the samples `indices`: highest fused score wins; exact ties go
-    to the lowest class index. Copying the features one block at a time bounds
-    the memory a call takes."""
+    to the lowest class index. A w1 and A w2 run once per call. Copying the
+    features one block at a time bounds the memory a call takes."""
     idx = np.asarray(indices, dtype=np.intp)
     block = block_samples(dataset, BLOCK_VALUES)
     cands = np.asarray(candidate_classes(dataset.split, cfg.setting))
+    products = attr_visual.weight_products(dataset.attributes, state.avca)
     preds: list[int] = []
     for start in range(0, len(idx), block):
         f1, f2 = forward_both(dataset.features[idx[start:start + block]], dataset,
-                              state.avca, state.vaca)
+                              products, state.vaca)
         scores = fused_score(f1.attr_scores.data, f2.attr_scores.data,
                              dataset.class_semantics, dataset.split, cfg)
         preds += cands[np.argmax(scores, axis=1)].tolist()
@@ -122,9 +125,11 @@ def evaluate(dataset: Dataset, state: ModelState, cfg: FusionConfig) -> EvalRepo
                          f"{' and '.join(groups)} test splits")
     report = EvalReport(setting=cfg.setting)
     acc: dict[str, dict[int, float]] = {}
+    # one predict call over every group; zip stops at a group's last label, so
+    # each group takes its own predictions from the shared iterator
+    preds = iter(predict([i for ids in groups.values() for i in ids], state, dataset, cfg))
     for name, indices in groups.items():
-        pairs = list(zip(dataset.labels[indices].astype(int).tolist(),
-                         predict(indices, state, dataset, cfg)))
+        pairs = list(zip(dataset.labels[indices].astype(int).tolist(), preds))
         acc[name] = per_class_accuracy(pairs)
         report.per_class_acc.update(acc[name])
         for key in pairs:
@@ -154,8 +159,7 @@ def report_to_dict(report: EvalReport) -> dict:
 
 def write_report_json(reports: dict[str, EvalReport], path: str | Path) -> None:
     payload = {name: report_to_dict(r) for name, r in sorted(reports.items())}
-    Path(path).write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n",
-                          encoding="utf-8")
+    write_atomic(path, json.dumps(payload, indent=2, sort_keys=True) + "\n")
 
 
 def per_class_csv(report: EvalReport, class_names: list[str] | None = None) -> str:

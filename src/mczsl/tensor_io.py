@@ -8,6 +8,7 @@ offset where parsing failed.
 """
 from __future__ import annotations
 
+import os
 import struct
 from pathlib import Path
 
@@ -22,6 +23,22 @@ MAX_RANK = 3
 _MAX_ELEMENTS = 1 << 31
 
 
+def write_atomic(path: str | Path, *chunks: bytes | str) -> None:
+    """Write the chunks (str as UTF-8) to a temporary file next to `path`, then
+    rename it into place: a write that fails leaves the earlier file intact and
+    no temporary file behind."""
+    path = Path(path)
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        with open(tmp, "wb") as f:
+            for chunk in chunks:
+                f.write(chunk.encode("utf-8") if isinstance(chunk, str) else chunk)
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
+
+
 def write_tensor(path: str | Path, array: np.ndarray) -> None:
     """Write an array as an MSDT file (values cast to float32)."""
     a = np.ascontiguousarray(array, dtype=np.float32)
@@ -29,9 +46,7 @@ def write_tensor(path: str | Path, array: np.ndarray) -> None:
         raise FormatError(f"tensor rank {a.ndim} outside supported range 1..{MAX_RANK}")
     header = MAGIC + struct.pack("<BB", VERSION, a.ndim)
     header += struct.pack(f"<{a.ndim}I", *a.shape)
-    with open(path, "wb") as f:
-        f.write(header)
-        f.write(a.tobytes(order="C"))
+    write_atomic(path, header, a.tobytes(order="C"))
 
 
 def read_tensor(path: str | Path) -> np.ndarray:

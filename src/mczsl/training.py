@@ -35,11 +35,12 @@ from .losses import (
     weighted_total,
 )
 from .numeric import check_finite_settings, make_rng, sample_uniform, softmax, spawn_rngs
-from .tensor_io import read_tensor, write_tensor
+from .tensor_io import read_tensor, write_atomic, write_tensor
 from .visual_attr import VisualAttrParams
 
 INTERVENTION_KINDS = ("random", "uniform", "reversed", "random_plus_reversed")
 PARAM_NAMES = ("w1", "w2", "w3", "w4", "w_att")
+LOSS_FIELDS = ("acec", "ar", "causal", "distill", "total")  # the LossReport figures
 
 CHECKPOINT_META = "metadata.json"
 
@@ -89,10 +90,16 @@ class Hyperparams:
 
 @dataclass
 class ModelState:
+    """The five weights and their RMSProp state, which starts at zero."""
+
     avca: AttrVisualParams
     vaca: VisualAttrParams
-    sq_avg: dict[str, np.ndarray]
-    momentum_buf: dict[str, np.ndarray]
+    sq_avg: dict[str, np.ndarray] = field(init=False)
+    momentum_buf: dict[str, np.ndarray] = field(init=False)
+
+    def __post_init__(self):
+        self.sq_avg = {k: np.zeros_like(v) for k, v in self.params().items()}
+        self.momentum_buf = {k: np.zeros_like(v) for k, v in self.params().items()}
 
     def params(self) -> dict[str, np.ndarray]:
         return {
@@ -123,12 +130,7 @@ def init_state(attr_dim: int, feature_dim: int, rng: np.random.Generator) -> Mod
         w4=init(feature_dim, attr_dim),
         w_att=init(feature_dim, attr_dim),
     )
-    zeros = lambda arr: {k: np.zeros_like(v) for k, v in arr.items()}
-    params = {
-        "w1": avca.w1, "w2": avca.w2,
-        "w3": vaca.w3, "w4": vaca.w4, "w_att": vaca.w_att,
-    }
-    return ModelState(avca=avca, vaca=vaca, sq_avg=zeros(params), momentum_buf=zeros(params))
+    return ModelState(avca, vaca)
 
 
 def state_for_dataset(dataset: Dataset, rng: np.random.Generator) -> ModelState:
@@ -136,13 +138,14 @@ def state_for_dataset(dataset: Dataset, rng: np.random.Generator) -> ModelState:
 
 
 def forward_both(
-    V, dataset: Dataset, avca: AttrVisualParams, vaca: VisualAttrParams
+    V, dataset: Dataset, products, vaca: VisualAttrParams
 ) -> tuple[attr_visual.SubnetForward, attr_visual.SubnetForward]:
     """Both sub-nets on one sample's regions V (R x D), or on a block of
     samples (B x R x D), against the dataset's attributes and prototypes.
+    `products` are (A w1, A w2) from `attr_visual.weight_products`, built once.
     Training, prediction and attention export all score samples here."""
     A, Z = dataset.attributes, dataset.class_semantics
-    return attr_visual.forward(V, A, Z, avca), visual_attr.forward(V, A, Z, vaca)
+    return attr_visual.cross_attention(products, V, Z), visual_attr.forward(V, A, Z, vaca)
 
 
 def make_intervention_attention(
@@ -192,11 +195,13 @@ def batch_loss_and_grads(
 ) -> tuple[LossReport, dict[str, np.ndarray]]:
     """Batch-mean loss report and batch-mean gradients for the five matrices.
 
-    The batch runs in blocks of `block_samples(dataset, TRAIN_BLOCK_VALUES)`
-    samples, each one tape graph: a batched forward of both sub-nets (so A w1
-    and A w2 run once per block), the seven loss terms once on the block's
-    (b, C) logits and (b, K) attribute scores, one loss per row, and one
-    backward. A block's graph is freed before the next block's forward.
+    A w1 and A w2 run once per batch. The batch runs in blocks of
+    `block_samples(dataset, TRAIN_BLOCK_VALUES)` samples, each one tape graph:
+    a batched forward of both sub-nets that reads A w1 and A w2 through a leaf
+    each, the seven loss terms once on the block's (b, C) logits and (b, K)
+    attribute scores, one loss per row, and one backward. A block's graph is
+    freed before the next block's forward. The leaves' gradients sum over the
+    blocks and go back through the two products once, after the last block.
     intervention_fn(positions, betas, gammas) gets the slice of the batch that
     a block covers and its observed attentions (b x K x R, b x R x K), and
     returns the gradient-free (beta_bars, gamma_bars) of the same shapes.
@@ -205,7 +210,9 @@ def batch_loss_and_grads(
     if idx.size == 0:
         raise ValueError("batch must be nonempty")
     leaves = {name: ad.Tensor(params[name], requires_grad=True) for name in PARAM_NAMES}
-    avca_p = AttrVisualParams(leaves["w1"], leaves["w2"])
+    products = attr_visual.weight_products(dataset.attributes,
+                                           AttrVisualParams(leaves["w1"], leaves["w2"]))
+    product_leaves = [ad.Tensor(p.data, requires_grad=True) for p in products]
     vaca_p = VisualAttrParams(leaves["w3"], leaves["w4"], leaves["w_att"])
     Z, split = dataset.class_semantics, dataset.split
     n = idx.size
@@ -214,7 +221,7 @@ def batch_loss_and_grads(
     def run_block(start: int) -> np.ndarray:
         rows = idx[start:start + block]
         labels = dataset.labels[rows]
-        f1, f2 = forward_both(dataset.features[rows], dataset, avca_p, vaca_p)
+        f1, f2 = forward_both(dataset.features[rows], dataset, product_leaves, vaca_p)
         beta_bars, gamma_bars = intervention_fn(slice(start, start + rows.size),
                                                 f1.attention.data, f2.attention.data)
         terms = (
@@ -237,6 +244,8 @@ def batch_loss_and_grads(
         return np.array([t.data.sum() for t in terms])
 
     sums = sum(run_block(start) for start in range(0, n, block))
+    for product, leaf in zip(products, product_leaves):
+        product.backward(seed=leaf.grad)
     grads = {name: (leaves[name].grad if leaves[name].grad is not None
                     else np.zeros_like(params[name]))
              for name in PARAM_NAMES}
@@ -328,25 +337,18 @@ def train(dataset: Dataset, hp: Hyperparams) -> tuple[ModelState, TrainLog]:
             batch_reports.append((len(batch), rep))
         total_n = sum(nb for nb, _ in batch_reports)
 
-        def wmean(get):
-            return sum(nb * get(r) for nb, r in batch_reports) / total_n
+        def wmean(name):
+            return sum(nb * getattr(r, name) for nb, r in batch_reports) / total_n
 
-        log.epoch_reports.append(LossReport(
-            acec=wmean(lambda r: r.acec),
-            ar=wmean(lambda r: r.ar),
-            causal=wmean(lambda r: r.causal),
-            distill=wmean(lambda r: r.distill),
-            total=wmean(lambda r: r.total),
-            weights=hp.loss_weights,
-        ))
+        log.epoch_reports.append(LossReport(**{k: wmean(k) for k in LOSS_FIELDS},
+                                            weights=hp.loss_weights))
         log.train_accuracy.append(_train_accuracy(dataset, state))
         log.epoch_seconds.append(time.perf_counter() - t0)
     return state, log
 
 
-def _report_dict(r: LossReport) -> dict:
-    return {"acec": r.acec, "ar": r.ar, "causal": r.causal,
-            "distill": r.distill, "total": r.total}
+def report_dict(r: LossReport) -> dict:
+    return {k: getattr(r, k) for k in LOSS_FIELDS}
 
 
 def save_checkpoint(
@@ -363,10 +365,9 @@ def save_checkpoint(
         "epoch": epoch,
         "seed": hp.seed,
         "hyperparams": asdict(hp),
-        "loss_history": [_report_dict(r) for r in (loss_history or [])],
+        "loss_history": [report_dict(r) for r in (loss_history or [])],
     }
-    (directory / CHECKPOINT_META).write_text(
-        json.dumps(meta, indent=2, sort_keys=True) + "\n", encoding="utf-8")
+    write_atomic(directory / CHECKPOINT_META, json.dumps(meta, indent=2, sort_keys=True) + "\n")
 
 
 def _is_int(value) -> bool:
@@ -413,8 +414,5 @@ def load_checkpoint(directory: str | Path) -> tuple[ModelState, dict]:
                               "(w1 and w2 are Da x D; w3, w4 and w_att are D x Da)")
     state = ModelState(
         avca=AttrVisualParams(w1=arrays["w1"], w2=arrays["w2"]),
-        vaca=VisualAttrParams(w3=arrays["w3"], w4=arrays["w4"], w_att=arrays["w_att"]),
-        sq_avg={k: np.zeros_like(v) for k, v in arrays.items()},
-        momentum_buf={k: np.zeros_like(v) for k, v in arrays.items()},
-    )
+        vaca=VisualAttrParams(w3=arrays["w3"], w4=arrays["w4"], w_att=arrays["w_att"]))
     return state, meta

@@ -6,7 +6,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .attr_visual import SubnetForward, cross_attention, intervened
+from .attr_visual import SubnetForward, cross_attention, intervened, query_products
 
 __all__ = ["VisualAttrParams", "forward", "intervened"]
 
@@ -25,4 +25,5 @@ def forward(V, A, Z, params: VisualAttrParams) -> SubnetForward:
     """Regions attend over attributes: gamma (R x K) = softmax(V w3 A') by
     rows, region r scores v_r' w4 (gamma A)_r, and the table V w_att A' lifts
     the region scores to attribute scores."""
-    return cross_attention(V, A, Z, ("w3", "w4", "w_att"), params.w3, params.w4, params.w_att)
+    products = query_products(V, ("w3", "w4", "w_att"), (params.w3, params.w4, params.w_att))
+    return cross_attention(products, A, Z)

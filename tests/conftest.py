@@ -1,8 +1,39 @@
+import builtins
+import errno
+import importlib
+
 import numpy as np
 import pytest
 
 from mczsl.data import Dataset, Split, SynthConfig, generate_synthetic
 from mczsl.numeric import make_rng
+
+
+class _FullDisk:
+    """A file whose writes stop with ENOSPC once `budget` bytes are written."""
+
+    def __init__(self, f, budget):
+        self.f, self.budget = f, budget
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self.f.close()
+
+    def write(self, data):
+        self.f.write(data[:self.budget])
+        if len(data) > self.budget:
+            raise OSError(errno.ENOSPC, "No space left on device")
+        self.budget -= len(data)
+
+
+def fill_disk_after(monkeypatch, budget):
+    """Make every file the package writes fail after `budget` bytes."""
+    tensor_io = importlib.import_module("mczsl.tensor_io")
+    monkeypatch.setattr(tensor_io, "open",
+                        lambda path, mode: _FullDisk(builtins.open(path, mode), budget),
+                        raising=False)
 
 
 @pytest.fixture(scope="session")

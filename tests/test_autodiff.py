@@ -244,5 +244,15 @@ def test_backward_drops_interior_grads():
     assert np.array_equal(t.grad, [4.0, 8.0])
 
 
+def test_operands_of_one_node_get_their_own_grads():
+    # add's backward hands the same g to both operands; each keeps a copy
+    a = ad.Tensor(np.array([1.0, 2.0]), requires_grad=True)
+    b = ad.Tensor(np.array([3.0, 4.0]), requires_grad=True)
+    ad.add(a, b).backward()
+    assert a.grad is not b.grad
+    a.grad += 5.0
+    assert np.array_equal(a.grad, [6.0, 6.0]) and np.array_equal(b.grad, [1.0, 1.0])
+
+
 def test_data_stays_float64():
     assert ad.Tensor(np.float32([1, 2])).data.dtype == np.float64

@@ -7,6 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from conftest import fill_disk_after
 from mczsl import attr_visual, cli
 from mczsl.cli import PRESETS, build_parser, main, parse_config_file
 from mczsl.data import SynthConfig, load_dataset
@@ -130,6 +131,17 @@ class TestEval:
         expected = 0.0 if s + u == 0 else 2 * s * u / (s + u)
         assert abs(h - expected) < 1e-9
         assert (out / "per_class_gzsl.csv").exists()
+
+    def test_failed_write_keeps_the_earlier_report(self, data_dir, trained_run, tmp_path,
+                                                    monkeypatch):
+        out = tmp_path / "eval"
+        args = ["eval", "--data", str(data_dir), "--checkpoint",
+                str(trained_run / "checkpoint"), "--out", str(out), "--csv"]
+        assert main(args + ["--setting", "both"]) == 0
+        before = tree_bytes(out)
+        fill_disk_after(monkeypatch, 100)  # partway through eval_report.json
+        assert main(args + ["--setting", "czsl"]) == 3
+        assert tree_bytes(out) == before  # the earlier files, and no temporary file
 
     def test_matches_library_evaluation(self, data_dir, trained_run, tmp_path):
         out = tmp_path / "eval"

@@ -3,6 +3,7 @@ import struct
 import numpy as np
 import pytest
 
+from conftest import fill_disk_after
 from mczsl.errors import FormatError
 from mczsl.numeric import make_rng
 from mczsl.tensor_io import MAGIC, read_tensor, write_tensor
@@ -39,6 +40,17 @@ def test_layout_is_as_documented(tmp_path):
     assert struct.unpack("<2I", blob[6:14]) == (2, 3)
     payload = np.frombuffer(blob, dtype="<f4", offset=14)
     assert np.array_equal(payload, np.arange(6.0, dtype=np.float32))
+
+
+def test_failed_write_leaves_the_earlier_file(tmp_path, monkeypatch):
+    path = tmp_path / "w.msdt"
+    write_tensor(path, np.arange(6.0).reshape(2, 3))
+    before = path.read_bytes()
+    fill_disk_after(monkeypatch, 20)  # the header is 14 bytes: fail inside the payload
+    with pytest.raises(OSError, match="No space left"):
+        write_tensor(path, np.ones((2, 3)))
+    assert path.read_bytes() == before
+    assert [p.name for p in tmp_path.iterdir()] == ["w.msdt"]
 
 
 def test_missing_file(tmp_path):

@@ -352,7 +352,8 @@ def test_train_step_draws_interventions_per_sample_in_batch_order(monkeypatch):
 
 def test_tape_does_not_grow_with_the_block(monkeypatch):
     # the loss terms run once per block on its rows, so a block of 5 samples
-    # builds as many tape nodes as a block of 1
+    # builds as many tape nodes as a block of 1; after the block, the batch's
+    # A w1 and A w2 add one two-node backward each (the product and its weight)
     ds = prime_dataset()
     frozen = frozen_interventions(ds, 5)
     params = state_for_dataset(ds, make_rng(4)).params()
@@ -368,7 +369,46 @@ def test_tape_does_not_grow_with_the_block(monkeypatch):
         force_training_block(monkeypatch, ds, block)
         batch_loss_and_grads(ds.split.train_idx[:block], ds, params, LossWeights(),
                              replay(frozen))
-    assert len(nodes) == 2 and nodes[0] == nodes[1], nodes
+    assert len(nodes) == 6 and nodes[:3] == nodes[3:] and nodes[1:3] == [2, 2], nodes
+
+
+def record_weight_products(monkeypatch, ds):
+    """Count the products of A (K x Da) with a Da x D weight: A w1 and A w2."""
+    ad = importlib.import_module("mczsl.autodiff")
+    matmul, shapes = ad.matmul, []
+
+    def recording(a, b):
+        shapes.append((np.shape(getattr(a, "data", a)), np.shape(getattr(b, "data", b))))
+        return matmul(a, b)
+
+    monkeypatch.setattr(ad, "matmul", recording)
+    weight_side = ((ds.num_attributes, ds.attributes.shape[1]),
+                   (ds.attributes.shape[1], ds.feature_dim))
+    return lambda: shapes.count(weight_side)
+
+
+def test_weight_products_run_once_per_batch(monkeypatch):
+    ds = prime_dataset()
+    force_training_block(monkeypatch, ds, 1)
+    batch = ds.split.train_idx[:5]
+    params = state_for_dataset(ds, make_rng(4)).params()
+    count = record_weight_products(monkeypatch, ds)
+    batch_loss_and_grads(batch, ds, params, LossWeights(),
+                         replay(frozen_interventions(ds, len(batch))))
+    assert count() == 2  # not 2 per block of 1
+
+
+def test_weight_products_run_once_per_predict_call(monkeypatch):
+    from mczsl.evaluate import FusionConfig, predict
+
+    ds = prime_dataset()
+    assert ds.num_samples == 24
+    monkeypatch.setattr(importlib.import_module("mczsl.evaluate"), "BLOCK_VALUES",
+                        5 * ds.num_regions * ds.feature_dim)
+    state = state_for_dataset(ds, make_rng(4))
+    count = record_weight_products(monkeypatch, ds)
+    predict(list(range(24)), state, ds, FusionConfig(setting="gzsl"))
+    assert count() == 2  # not 2 per block of 5
 
 
 def test_non_finite_loss_names_the_dataset_sample(monkeypatch):
