@@ -17,7 +17,7 @@ import numpy as np
 
 from . import attr_visual
 from .data import SynthConfig, generate_synthetic, load_dataset, save_dataset
-from .errors import ConfigError, FormatError, NumericError
+from .errors import ConfigError, DataValidationError, FormatError, NumericError
 from .evaluate import (
     EvalReport,
     FusionConfig,
@@ -327,7 +327,8 @@ def main(argv: list[str] | None = None) -> int:
         return 2 if e.code not in (0,) else 0
     try:
         return args.func(args)
-    except (FormatError, OSError) as e:
+    except (FormatError, DataValidationError, OSError) as e:
+        # the CLI validates only datasets that it loaded from files
         print(f"error: {e}", file=sys.stderr)
         return 3
     except NumericError as e:

@@ -8,6 +8,7 @@ manifest plus MSDT tensor files; all tensor payloads round-trip bit-exactly.
 from __future__ import annotations
 
 import json
+import reprlib
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -19,22 +20,10 @@ from .tensor_io import read_tensor, write_atomic, write_tensor
 
 MANIFEST_NAME = "manifest.json"
 
-_REQUIRED_KEYS = {
-    "name",
-    "num_classes",
-    "num_attributes",
-    "feature_dim",
-    "regions_per_sample",
-    "attributes",
-    "class_semantics",
-    "features",
-    "labels",
-    "seen_classes",
-    "unseen_classes",
-    "train_idx",
-    "test_seen_idx",
-    "test_unseen_idx",
-}
+_SHAPE_KEYS = ("num_classes", "num_attributes", "feature_dim", "regions_per_sample")
+_SPLIT_KEYS = ("seen_classes", "unseen_classes", "train_idx", "test_seen_idx", "test_unseen_idx")
+_REQUIRED_KEYS = {"name", *_SHAPE_KEYS, "attributes", "class_semantics", "features", "labels",
+                  *_SPLIT_KEYS}
 _OPTIONAL_KEYS = {"class_names", "attribute_names"}
 
 
@@ -198,10 +187,12 @@ def generate_synthetic(config: SynthConfig, seed: int) -> Dataset:
     return ds
 
 
-def validate_dataset(ds: Dataset) -> None:
-    """Raise DataValidationError naming the first violated invariant."""
+def validate_dataset(ds: Dataset, source: Path | None = None) -> None:
+    """Raise DataValidationError naming the first violated invariant, and the
+    manifest `source` of a loaded dataset."""
     def fail(invariant: str):
-        raise DataValidationError(f"dataset invariant violated: {invariant}")
+        where = f"{source}: " if source else ""
+        raise DataValidationError(f"{where}dataset invariant violated: {invariant}")
 
     if ds.features.ndim != 3:
         fail("features must be N x R x D")
@@ -299,6 +290,18 @@ def load_dataset(directory: str | Path) -> Dataset:
     unknown = keys - _REQUIRED_KEYS - _OPTIONAL_KEYS
     if unknown:
         raise FormatError(f"{manifest_path}: unknown keys {sorted(unknown)}")
+    # exact JSON types: a bool is not an integer, and 10.7 is not 10
+    of_type = lambda t: lambda v: type(v) is t
+    list_of = lambda t: lambda v: type(v) is list and set(map(type, v)) <= {t}
+    for key_set, ok, what in (
+            (["name"], of_type(str), "a string"),
+            (_SHAPE_KEYS, of_type(int), "an integer"),
+            (_SPLIT_KEYS, list_of(int), "a list of integers"),
+            (sorted(_OPTIONAL_KEYS & keys), list_of(str), "a list of strings")):
+        for key in key_set:
+            if not ok(manifest[key]):
+                raise FormatError(f"{manifest_path}: {key!r} must be {what}, "
+                                  f"got {reprlib.repr(manifest[key])}")
 
     # read_tensor refuses a missing file with FileNotFoundError
     attributes, class_semantics, features, labels_f = (
@@ -319,34 +322,22 @@ def load_dataset(directory: str | Path) -> Dataset:
     if features.ndim != 3:
         raise FormatError(f"{directory / manifest['features']}: features must be rank-3 (N x R x D)")
     for key, actual in declared.items():
-        if int(manifest[key]) != actual:
+        if manifest[key] != actual:
             raise FormatError(
                 f"{manifest_path}: manifest {key}={manifest[key]} disagrees with tensor ({actual})"
             )
 
-    def int_list(key: str) -> list[int]:
-        v = manifest[key]
-        if not isinstance(v, list) or not all(isinstance(x, int) for x in v):
-            raise FormatError(f"{manifest_path}: {key} must be a list of integers")
-        return v
-
     ds = Dataset(
-        name=str(manifest["name"]),
+        name=manifest["name"],
         features=features,
         labels=labels,
         attributes=attributes,
         class_semantics=class_semantics,
-        split=Split(
-            seen_classes=int_list("seen_classes"),
-            unseen_classes=int_list("unseen_classes"),
-            train_idx=int_list("train_idx"),
-            test_seen_idx=int_list("test_seen_idx"),
-            test_unseen_idx=int_list("test_unseen_idx"),
-        ),
-        class_names=list(manifest.get("class_names", [])),
-        attribute_names=list(manifest.get("attribute_names", [])),
+        split=Split(**{key: manifest[key] for key in _SPLIT_KEYS}),
+        class_names=manifest.get("class_names", []),
+        attribute_names=manifest.get("attribute_names", []),
     )
-    validate_dataset(ds)
+    validate_dataset(ds, manifest_path)
     return ds
 
 

@@ -43,6 +43,7 @@ class LossReport:
     distill: float
     total: float
     weights: LossWeights
+    correct: int = 0  # samples ranked right, counted by training.batch_loss_and_grads
 
 
 def _seen_one_hot(labels, split: Split) -> np.ndarray:

@@ -1,12 +1,12 @@
 """Deterministic mini-batch training.
 
 The loop is single-driver: seeded shuffling; per block of samples, one
-batched forward pass of both sub-nets, the loss terms on the block's rows and
-one reverse-mode pass of the combined loss; fresh exogenous intervention
-attentions per sample; and an RMSProp update with momentum and decoupled
-weight decay. (seed, dataset, hyperparams) fully determine the final weights;
-intervention draws come from their own child stream so they can be varied
-independently of initialization and shuffling.
+batched forward pass of both sub-nets (which also counts the train accuracy),
+the loss terms on the block's rows and one reverse-mode pass of the combined
+loss; fresh exogenous intervention attentions per sample; and an RMSProp
+update with momentum and decoupled weight decay. (seed, dataset, hyperparams)
+fully determine the final weights; intervention draws come from their own
+child stream so they can be varied independently of initialization and shuffling.
 """
 from __future__ import annotations
 
@@ -113,6 +113,9 @@ class ModelState:
 
 @dataclass
 class TrainLog:
+    """Per epoch: mean losses; the running train accuracy, each sample judged by
+    the weights before its own batch's update; wall-clock seconds (not deterministic)."""
+
     epoch_reports: list[LossReport] = field(default_factory=list)
     train_accuracy: list[float] = field(default_factory=list)
     epoch_seconds: list[float] = field(default_factory=list)
@@ -205,7 +208,11 @@ def batch_loss_and_grads(
     intervention_fn(positions, betas, gammas) gets the slice of the batch that
     a block covers and its observed attentions (b x K x R, b x R x K), and
     returns the gradient-free (beta_bars, gamma_bars) of the same shapes.
+    The report's `correct` counts the rows whose fused score (default fusion,
+    seen classes as the only candidates) ranks their label first.
     """
+    # imported here because evaluate imports this module
+    from .evaluate import FusionConfig, candidate_classes, fused_score
     idx = np.asarray(batch_indices, dtype=np.intp)
     if idx.size == 0:
         raise ValueError("batch must be nonempty")
@@ -215,10 +222,12 @@ def batch_loss_and_grads(
     product_leaves = [ad.Tensor(p.data, requires_grad=True) for p in products]
     vaca_p = VisualAttrParams(leaves["w3"], leaves["w4"], leaves["w_att"])
     Z, split = dataset.class_semantics, dataset.split
+    seen_only, fusion = replace(split, unseen_classes=[]), FusionConfig()
+    seen = np.asarray(candidate_classes(seen_only, fusion.setting))
     n = idx.size
     block = block_samples(dataset, TRAIN_BLOCK_VALUES)
 
-    def run_block(start: int) -> np.ndarray:
+    def run_block(start: int) -> tuple[np.ndarray, int]:
         rows = idx[start:start + block]
         labels = dataset.labels[rows]
         f1, f2 = forward_both(dataset.features[rows], dataset, product_leaves, vaca_p)
@@ -241,9 +250,11 @@ def batch_loss_and_grads(
         if bad.size:
             raise NumericError(f"non-finite loss at sample index {rows[bad[0]]}")
         ad.tsum(row_totals).backward(seed=1.0 / n)
-        return np.array([t.data.sum() for t in terms])
+        scores = fused_score(f1.attr_scores.data, f2.attr_scores.data, Z, seen_only, fusion)
+        correct = int(np.sum(seen[np.argmax(scores, axis=1)] == labels))
+        return np.array([t.data.sum() for t in terms]), correct
 
-    sums = sum(run_block(start) for start in range(0, n, block))
+    sums, correct = map(sum, zip(*(run_block(start) for start in range(0, n, block))))
     for product, leaf in zip(products, product_leaves):
         product.backward(seed=leaf.grad)
     grads = {name: (leaves[name].grad if leaves[name].grad is not None
@@ -252,7 +263,7 @@ def batch_loss_and_grads(
     means = (sums / n).tolist()
     report = total_loss(SubnetLossValues(*means[:3]), SubnetLossValues(*means[3:6]),
                         means[6], weights)
-    return report, grads
+    return replace(report, correct=correct), grads
 
 
 def rmsprop_update(state: ModelState, grads: dict[str, np.ndarray], hp: Hyperparams) -> None:
@@ -280,7 +291,7 @@ def train_step(
     intervention_rng: np.random.Generator,
     batch_counter: int = 0,
 ) -> LossReport:
-    """One optimizer step on a batch; returns the pre-update loss report.
+    """One optimizer step on a batch; returns the batch's pre-update report.
 
     Draws one fresh intervention per sample per sub-net, in batch order
     (attribute-side first, then region-side)."""
@@ -298,20 +309,6 @@ def train_step(
         batch_indices, dataset, state.params(), hp.loss_weights, draw)
     rmsprop_update(state, grads, hp)
     return report
-
-
-def _train_accuracy(dataset: Dataset, state: ModelState) -> float:
-    """Fraction of training samples whose fused embedding ranks the true seen
-    class first: default fusion coefficients and seen classes as the only
-    candidates, which all share one offset (diagnostics, not the test protocol)."""
-    # imported here because evaluate imports this module
-    from .evaluate import FusionConfig, predict
-
-    seen_only = replace(dataset, split=replace(dataset.split, unseen_classes=[]))
-    idx = dataset.split.train_idx
-    preds = predict(idx, state, seen_only, FusionConfig(setting="gzsl"))
-    correct = sum(p == int(dataset.labels[i]) for i, p in zip(idx, preds))
-    return correct / max(1, len(idx))
 
 
 def train(dataset: Dataset, hp: Hyperparams) -> tuple[ModelState, TrainLog]:
@@ -340,9 +337,10 @@ def train(dataset: Dataset, hp: Hyperparams) -> tuple[ModelState, TrainLog]:
         def wmean(name):
             return sum(nb * getattr(r, name) for nb, r in batch_reports) / total_n
 
+        correct = sum(r.correct for _, r in batch_reports)
         log.epoch_reports.append(LossReport(**{k: wmean(k) for k in LOSS_FIELDS},
-                                            weights=hp.loss_weights))
-        log.train_accuracy.append(_train_accuracy(dataset, state))
+                                            weights=hp.loss_weights, correct=correct))
+        log.train_accuracy.append(correct / total_n)
         log.epoch_seconds.append(time.perf_counter() - t0)
     return state, log
 

@@ -177,6 +177,26 @@ class TestEval:
         assert code == 3
         assert str(ckpt / "metadata.json") in capsys.readouterr().err
 
+    @pytest.mark.parametrize("edit", [
+        pytest.param(lambda m: {"num_classes": [10]}, id="num_classes_list"),
+        pytest.param(lambda m: {"class_names": 5}, id="class_names_int"),
+        pytest.param(lambda m: {"train_idx": [True, False]}, id="train_idx_bools"),
+        pytest.param(lambda m: {"num_classes": "ten"}, id="num_classes_string"),
+        pytest.param(lambda m: {"num_classes": 10.7}, id="num_classes_float"),
+        pytest.param(lambda m: {"train_idx": [0, 99999]}, id="train_idx_out_of_range"),
+        pytest.param(lambda m: {"seen_classes": m["seen_classes"] + m["unseen_classes"][:1]},
+                     id="seen_unseen_overlap"),
+    ])
+    def test_bad_manifest_field_exits_3(self, data_dir, trained_run, tmp_path, capsys, edit):
+        data = tmp_path / "data"
+        shutil.copytree(data_dir, data)
+        manifest = json.loads((data / "manifest.json").read_text())
+        (data / "manifest.json").write_text(json.dumps(manifest | edit(manifest)))
+        code = main(["eval", "--data", str(data), "--checkpoint",
+                     str(trained_run / "checkpoint"), "--out", str(tmp_path / "e")])
+        assert code == 3
+        assert str(data / "manifest.json") in capsys.readouterr().err
+
     def test_inconsistent_weight_shapes_exit_3(self, data_dir, trained_run, tmp_path, capsys):
         ckpt = tmp_path / "checkpoint"
         shutil.copytree(trained_run / "checkpoint", ckpt)

@@ -7,8 +7,10 @@ import numpy as np
 import pytest
 
 from conftest import build_dataset
+from mczsl import attr_visual as av, visual_attr as va
 from mczsl.autodiff import Tensor, _topo_order
 from mczsl.errors import ConfigError, NumericError
+from mczsl.evaluate import FusionConfig
 from mczsl.gradcheck import directional_check, finite_difference_check
 from mczsl.losses import LossWeights
 from mczsl.numeric import make_rng
@@ -31,6 +33,17 @@ def states_equal(a, b):
 
 def clone_state(state):
     return copy.deepcopy(state)
+
+
+def ranks_own_class_first(ds, state, i) -> bool:
+    """Oracle: sample i's highest fused score over the seen classes (default
+    fusion, no offset) is its own label, with each sub-net run on the sample alone."""
+    cfg, seen = FusionConfig(), sorted(ds.split.seen_classes)
+    A, Z = ds.attributes, ds.class_semantics
+    psi1 = av.forward(ds.features[i], A, Z, state.avca).attr_scores.data
+    psi2 = va.forward(ds.features[i], A, Z, state.vaca).attr_scores.data
+    scores = Z[seen] @ (cfg.alpha1 * psi1 + cfg.alpha2 * psi2)
+    return seen[int(np.argmax(scores))] == int(ds.labels[i])
 
 
 class TestHyperparams:
@@ -205,27 +218,33 @@ class TestTrain:
         with pytest.raises(ValueError, match="no training samples"):
             train(small_dataset, Hyperparams(epochs=1, learning_rate=1e-3))
 
-    def test_train_accuracy_is_share_ranking_own_class_first(self, default_dataset):
-        # after the epoch, a train sample counts when its highest fused score
-        # over the seen classes (default fusion, no offset) is its own label
-        from mczsl import attr_visual as av, visual_attr as va
-        from mczsl.evaluate import FusionConfig
+    def test_train_accuracy_counts_each_batch_before_its_update(self, default_dataset,
+                                                                monkeypatch):
+        # a train sample counts when it ranks its own class first under the
+        # weights its own batch's forward used: before that batch's update
+        from mczsl import training
 
         ds = default_dataset
+        steps = []
+        real_step = training.train_step
+
+        def spy(batch, dataset, state, *args):
+            steps.append((list(batch), clone_state(state)))
+            return real_step(batch, dataset, state, *args)
+
+        monkeypatch.setattr(training, "train_step", spy)
         hp = Hyperparams(learning_rate=3e-3, batch_size=50, epochs=1, seed=1)
-        state, log = train(ds, hp)
-        cfg = FusionConfig()
-        seen = sorted(ds.split.seen_classes)
-        A, Z = ds.attributes, ds.class_semantics
-        hits = 0
-        for i in ds.split.train_idx:
-            psi1 = av.forward(ds.features[i], A, Z, state.avca).attr_scores.data
-            psi2 = va.forward(ds.features[i], A, Z, state.vaca).attr_scores.data
-            scores = Z[seen] @ (cfg.alpha1 * psi1 + cfg.alpha2 * psi2)
-            hits += seen[int(np.argmax(scores))] == int(ds.labels[i])
+        _, log = train(ds, hp)
+        assert [len(batch) for batch, _ in steps] == [50, 48]
+        # batch 1 under the initial weights, batch 2 under those after step 1
+        initial, _ = train(ds, Hyperparams(batch_size=50, epochs=0, seed=1))
+        assert states_equal(steps[0][1], initial)
+        assert not states_equal(steps[1][1], initial)
+        hits = sum(ranks_own_class_first(ds, state, i) for batch, state in steps for i in batch)
         expected = hits / len(ds.split.train_idx)
         assert 0.0 < expected < 1.0  # informative: neither all nor none
         assert log.train_accuracy == [expected]
+        assert log.epoch_reports[0].correct == hits
 
     def test_short_final_batch_kept(self, small_dataset):
         # 6 train samples, batch 4 -> batches of 4 and 2
@@ -324,6 +343,7 @@ def test_blocking_does_not_change_results(monkeypatch):
         for name in ("acec", "ar", "causal", "distill", "total"):
             a, b = getattr(report, name), getattr(ref_report, name)
             assert abs(a - b) <= 1e-12 * abs(b), name
+        assert report.correct == ref_report.correct
         for name, g in grads.items():
             assert np.max(np.abs(g - ref_grads[name])) <= 1e-12 * np.max(np.abs(ref_grads[name]))
         # the blocks' positions tile the batch in order
@@ -332,6 +352,21 @@ def test_blocking_does_not_change_results(monkeypatch):
             (start, min(start + block, len(batch))) for start in starts]
         assert np.array_equal(np.concatenate([betas for _, betas, _ in seen]), ref_betas)
         assert np.array_equal(np.concatenate([gammas for _, _, gammas in seen]), ref_gammas)
+
+
+@pytest.mark.parametrize("block", [1, 2, 5])
+def test_hit_count_matches_per_sample_forward(monkeypatch, block):
+    # each row is judged by its own sample's fused seen-class score, whatever
+    # block it falls in
+    ds = prime_dataset()
+    force_training_block(monkeypatch, ds, block)
+    batch = ds.split.train_idx[:5]
+    state = state_for_dataset(ds, make_rng(5))
+    report, _ = batch_loss_and_grads(batch, ds, state.params(), LossWeights(),
+                                     replay(frozen_interventions(ds, len(batch))))
+    hits = sum(ranks_own_class_first(ds, state, i) for i in batch)
+    assert 0 < hits < len(batch)  # informative: neither all nor none
+    assert report.correct == hits
 
 
 def test_train_step_draws_interventions_per_sample_in_batch_order(monkeypatch):
