@@ -5,13 +5,13 @@ bilinear tables Q w K'. Every row q_i of the queries Q attends over the rows
 of the keys K with weights softmax(Q w_s K') by rows. Its readout
 q_i' w_e (attention K)_i is the row sum of attention times the table Q w_e K'.
 The attribute-to-visual sub-net takes Q = A (K x Da), K = V (R x D), w_s = w1
-and w_e = w2, so its readout is one confidence per attribute; visual_attr
-reads the same attention the other way. Class logits are dot products of the
-attribute scores with the class prototypes Z (C x K).
+and w_e = w2, so its readout is one confidence per attribute. Class logits
+are dot products of the attribute scores with the class prototypes Z (C x K).
 
-Each table is (Q w) K' from a query-side product Q w that the caller builds.
-A w1 and A w2 do not depend on the image, so training builds them once per
-batch and `predict` once per call; V w3, V w4 and V w_att are built per block.
+The five trained matrices live in one dict, ATTR_SIDE for this sub-net and
+REGION_SIDE for the other; `query_products` builds the query side Q w of each
+table (Q w) K' from it. A w1 and A w2 do not depend on the image, so training
+builds them once per batch and `predict` once per call; V w3, V w4, V w_att per block.
 
 V holds one sample's regions (R x D) or a block of samples (B x R x D). V, A
 and Z are constants; only the weight matrices are trainable. Every pass builds
@@ -27,6 +27,9 @@ import numpy as np
 from . import autodiff as ad
 from .errors import ShapeError
 from .tensor_io import write_atomic, write_tensor
+
+ATTR_SIDE = ("w1", "w2")  # Da x D, the attribute-to-visual sub-net
+REGION_SIDE = ("w3", "w4", "w_att")  # D x Da, the visual-to-attribute sub-net
 
 
 @dataclass
@@ -62,16 +65,16 @@ def _readout(attention, table, lift, prototypes) -> SubnetForward:
                          table, lift, prototypes)
 
 
-def query_products(Q, names, weights) -> list[ad.Tensor]:
-    """Q w for each weight w: the query side of the tables (Q w) K'. Q may lead
-    with a block axis; `names` label the weights in errors."""
+def query_products(Q, weights, names) -> list[ad.Tensor]:
+    """Q w for the weights `names` of the mapping `weights` (arrays or tape
+    leaves): the query side of the tables (Q w) K'. Q may lead with a block axis."""
     Q = np.asarray(Q, dtype=np.float64)
-    for w, name in zip(weights, names):
-        w_shape = np.shape(w.data if isinstance(w, ad.Tensor) else w)
-        if Q.ndim not in (2, 3) or len(w_shape) != 2 or w_shape[0] != Q.shape[-1]:
-            raise ShapeError(f"bilinear shapes inconsistent: {Q.shape} x {name} {w_shape}")
+    ws = [ad.as_tensor(weights[name]) for name in names]
+    for w, name in zip(ws, names):
+        if Q.ndim not in (2, 3) or w.data.ndim != 2 or w.data.shape[0] != Q.shape[-1]:
+            raise ShapeError(f"bilinear shapes inconsistent: {Q.shape} x {name} {w.data.shape}")
     queries = ad.constant(Q)
-    return [ad.matmul(queries, ad.as_tensor(w)) for w in weights]
+    return [ad.matmul(queries, w) for w in ws]
 
 
 def cross_attention(products, K, Z) -> SubnetForward:
@@ -89,16 +92,10 @@ def cross_attention(products, K, Z) -> SubnetForward:
                     ad.constant(np.asarray(Z, dtype=np.float64).T))
 
 
-def weight_products(A, params: AttrVisualParams) -> list[ad.Tensor]:
-    """(A w1, A w2), the attribute side's query products: a caller that scores
-    many blocks builds them once."""
-    return query_products(A, ("w1", "w2"), (params.w1, params.w2))
-
-
 def forward(V, A, Z, params: AttrVisualParams) -> SubnetForward:
     """Attributes attend over regions: beta (K x R) = softmax(A w1 V') by rows,
     and attribute k scores a_k' w2 (beta V)_k."""
-    return cross_attention(weight_products(A, params), V, Z)
+    return cross_attention(query_products(A, vars(params), ATTR_SIDE), V, Z)
 
 
 def check_normalized_rows(weights: np.ndarray, tol: float = 1e-4) -> None:

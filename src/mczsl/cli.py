@@ -15,7 +15,7 @@ from typing import get_args, get_type_hints
 
 import numpy as np
 
-from . import attr_visual
+from .attr_visual import ATTR_SIDE, export_attention, query_products
 from .data import SynthConfig, generate_synthetic, load_dataset, save_dataset
 from .errors import ConfigError, DataValidationError, FormatError, NumericError
 from .evaluate import (
@@ -167,8 +167,8 @@ def _fitting_checkpoint(checkpoint, dataset, data) -> ModelState:
     """The checkpoint's weights, refused unless they fit the dataset's (Da, D)."""
     state, _ = load_checkpoint(checkpoint)
     want = (dataset.attributes.shape[1], dataset.feature_dim)
-    if state.avca.w1.shape != want:
-        raise FormatError(f"{checkpoint}: weights are for (Da, D) = {state.avca.w1.shape}, "
+    if (have := state.weights["w1"].shape) != want:
+        raise FormatError(f"{checkpoint}: weights are for (Da, D) = {have}, "
                           f"but the dataset {data} has (Da, D) = {want}")
     return state
 
@@ -251,14 +251,14 @@ def cmd_export_attention(args: argparse.Namespace) -> int:
     out.mkdir(parents=True, exist_ok=True)
     names = dataset.attribute_names or [f"attr_{k}" for k in range(dataset.num_attributes)]
     block = block_samples(dataset, BLOCK_VALUES)
-    products = attr_visual.weight_products(dataset.attributes, state.avca)
+    products = query_products(dataset.attributes, state.weights, ATTR_SIDE)
     for start in range(0, len(indices), block):
         rows = indices[start:start + block]
-        f1, f2 = forward_both(dataset.features[rows], dataset, products, state.vaca)
+        f1, f2 = forward_both(dataset.features[rows], dataset, products, state.weights)
         for i, beta, gamma, scores in zip(rows, f1.attention.data, f2.attention.data,
                                           f1.attr_scores.data):
-            attr_visual.export_attention(beta, names, out / f"sample_{i}_region_attention")
-            attr_visual.export_attention(gamma, names, out / f"sample_{i}_attribute_attention")
+            export_attention(beta, names, out / f"sample_{i}_region_attention")
+            export_attention(gamma, names, out / f"sample_{i}_attribute_attention")
             ranked = np.argsort(-scores, kind="stable")[: min(top_n, len(scores))]
             lines = [f"{k}\t{names[k]}\t{scores[k]:.6f}" for k in ranked]
             write_atomic(out / f"sample_{i}_top_attributes.txt", "\n".join(lines) + "\n")

@@ -111,6 +111,8 @@ def generate_synthetic(config: SynthConfig, seed: int) -> Dataset:
     classifier on the noiseless attribute activations is exact, so planted
     labels remain recoverable.
     """
+    if seed < 0:
+        raise ConfigError(f"synthetic dataset seed must be >= 0, got {seed}")
     rng = make_rng(seed)
     c, k = config.classes, config.attributes
     r, d, da = config.regions, config.feature_dim, config.attr_dim
@@ -227,11 +229,13 @@ def validate_dataset(ds: Dataset, source: Path | None = None) -> None:
     all_idx = sp.train_idx + sp.test_seen_idx + sp.test_unseen_idx
     if all_idx and (min(all_idx) < 0 or max(all_idx) >= n):
         fail("split indices must lie in [0, N)")
-    if any(int(ds.labels[i]) not in seen for i in sp.train_idx):
+    if np.bincount(np.array(all_idx, dtype=np.intp), minlength=n).max() > 1:
+        fail("each sample index appears at most once in train_idx, test_seen_idx, test_unseen_idx")
+    if not np.isin(ds.labels[sp.train_idx], sp.seen_classes).all():
         fail("train sample labels must be seen classes")
-    if any(int(ds.labels[i]) not in seen for i in sp.test_seen_idx):
+    if not np.isin(ds.labels[sp.test_seen_idx], sp.seen_classes).all():
         fail("test_seen sample labels must be seen classes")
-    if any(int(ds.labels[i]) not in unseen for i in sp.test_unseen_idx):
+    if not np.isin(ds.labels[sp.test_unseen_idx], sp.unseen_classes).all():
         fail("test_unseen sample labels must be unseen classes")
     if ds.class_names and len(ds.class_names) != c:
         fail("class_names length must equal class count")

@@ -15,7 +15,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import attr_visual
+from .attr_visual import ATTR_SIDE, query_products
 from .data import Dataset, Split
 from .errors import ShapeError
 from .numeric import check_finite_settings
@@ -86,11 +86,11 @@ def predict(indices, state: ModelState, dataset: Dataset, cfg: FusionConfig) -> 
     idx = np.asarray(indices, dtype=np.intp)
     block = block_samples(dataset, BLOCK_VALUES)
     cands = np.asarray(candidate_classes(dataset.split, cfg.setting))
-    products = attr_visual.weight_products(dataset.attributes, state.avca)
+    products = query_products(dataset.attributes, state.weights, ATTR_SIDE)
     preds: list[int] = []
     for start in range(0, len(idx), block):
         f1, f2 = forward_both(dataset.features[idx[start:start + block]], dataset,
-                              products, state.vaca)
+                              products, state.weights)
         scores = fused_score(f1.attr_scores.data, f2.attr_scores.data,
                              dataset.class_semantics, dataset.split, cfg)
         preds += cands[np.argmax(scores, axis=1)].tolist()

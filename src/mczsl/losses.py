@@ -8,7 +8,7 @@ autodiff rows or on the plain floats of the batch report.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass
 
 import numpy as np
 
@@ -146,13 +146,12 @@ def weighted_total(acec, ar, causal, distill, weights: LossWeights):
 
 
 def total_loss(
-    avca: SubnetLossValues, vaca: SubnetLossValues, distill: float, weights: LossWeights
+    attr_side: SubnetLossValues, region_side: SubnetLossValues, distill: float,
+    weights: LossWeights,
 ) -> LossReport:
     """Combine the two sub-nets' terms (summed 1:1) with the shared distillation
     term through `weighted_total`."""
-    acec = avca.acec + vaca.acec
-    ar = avca.ar + vaca.ar
-    causal = avca.causal + vaca.causal
+    acec, ar, causal = (a + b for a, b in zip(astuple(attr_side), astuple(region_side)))
     total = weighted_total(acec, ar, causal, distill, weights)
     if not np.isfinite(total):
         raise NumericError("total loss is non-finite")

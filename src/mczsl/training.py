@@ -19,7 +19,7 @@ from typing import Callable, get_type_hints
 import numpy as np
 
 from . import attr_visual, autodiff as ad, visual_attr
-from .attr_visual import AttrVisualParams
+from .attr_visual import ATTR_SIDE, REGION_SIDE, SubnetForward
 from .data import Dataset
 from .errors import ConfigError, FormatError, NumericError
 from .losses import (
@@ -36,10 +36,9 @@ from .losses import (
 )
 from .numeric import check_finite_settings, make_rng, sample_uniform, softmax, spawn_rngs
 from .tensor_io import read_tensor, write_atomic, write_tensor
-from .visual_attr import VisualAttrParams
 
 INTERVENTION_KINDS = ("random", "uniform", "reversed", "random_plus_reversed")
-PARAM_NAMES = ("w1", "w2", "w3", "w4", "w_att")
+PARAM_NAMES = ATTR_SIDE + REGION_SIDE
 LOSS_FIELDS = ("acec", "ar", "causal", "distill", "total")  # the LossReport figures
 
 CHECKPOINT_META = "metadata.json"
@@ -82,6 +81,8 @@ class Hyperparams:
             (self.rms_epsilon > 0, "rms_epsilon > 0"),
             (self.intervention in INTERVENTION_KINDS,
              f"intervention in {INTERVENTION_KINDS}"),
+            (self.seed >= 0, "seed >= 0"),
+            ((self.intervention_seed or 0) >= 0, "intervention_seed >= 0 (or None)"),
         ]
         for ok, rule in checks:
             if not ok:
@@ -90,25 +91,18 @@ class Hyperparams:
 
 @dataclass
 class ModelState:
-    """The five weights and their RMSProp state, which starts at zero."""
+    """The five weights in one dict keyed by PARAM_NAMES; RMSProp state from zero."""
 
-    avca: AttrVisualParams
-    vaca: VisualAttrParams
+    weights: dict[str, np.ndarray]
     sq_avg: dict[str, np.ndarray] = field(init=False)
     momentum_buf: dict[str, np.ndarray] = field(init=False)
 
     def __post_init__(self):
-        self.sq_avg = {k: np.zeros_like(v) for k, v in self.params().items()}
-        self.momentum_buf = {k: np.zeros_like(v) for k, v in self.params().items()}
+        self.sq_avg = {k: np.zeros_like(v) for k, v in self.weights.items()}
+        self.momentum_buf = {k: np.zeros_like(v) for k, v in self.weights.items()}
 
     def params(self) -> dict[str, np.ndarray]:
-        return {
-            "w1": self.avca.w1,
-            "w2": self.avca.w2,
-            "w3": self.vaca.w3,
-            "w4": self.vaca.w4,
-            "w_att": self.vaca.w_att,
-        }
+        return self.weights
 
 
 @dataclass
@@ -122,33 +116,28 @@ class TrainLog:
 
 
 def init_state(attr_dim: int, feature_dim: int, rng: np.random.Generator) -> ModelState:
-    """Uniform(-1/sqrt(fan_in), 1/sqrt(fan_in)) init, fan_in = first dimension."""
-    def init(rows, cols):
-        bound = 1.0 / np.sqrt(rows)
-        return rng.uniform(-bound, bound, size=(rows, cols))
-
-    avca = AttrVisualParams(w1=init(attr_dim, feature_dim), w2=init(attr_dim, feature_dim))
-    vaca = VisualAttrParams(
-        w3=init(feature_dim, attr_dim),
-        w4=init(feature_dim, attr_dim),
-        w_att=init(feature_dim, attr_dim),
-    )
-    return ModelState(avca, vaca)
+    """Uniform(-1/sqrt(fan_in), 1/sqrt(fan_in)) init, fan_in = first dimension,
+    drawn in PARAM_NAMES order: Da x D for ATTR_SIDE, D x Da for REGION_SIDE."""
+    shapes = ([(attr_dim, feature_dim)] * len(ATTR_SIDE)
+              + [(feature_dim, attr_dim)] * len(REGION_SIDE))
+    return ModelState({name: rng.uniform(-1 / np.sqrt(rows), 1 / np.sqrt(rows), (rows, cols))
+                       for name, (rows, cols) in zip(PARAM_NAMES, shapes)})
 
 
 def state_for_dataset(dataset: Dataset, rng: np.random.Generator) -> ModelState:
     return init_state(dataset.attributes.shape[1], dataset.feature_dim, rng)
 
 
-def forward_both(
-    V, dataset: Dataset, products, vaca: VisualAttrParams
-) -> tuple[attr_visual.SubnetForward, attr_visual.SubnetForward]:
+def forward_both(V, dataset: Dataset, products, weights) -> tuple[SubnetForward, SubnetForward]:
     """Both sub-nets on one sample's regions V (R x D), or on a block of
     samples (B x R x D), against the dataset's attributes and prototypes.
-    `products` are (A w1, A w2) from `attr_visual.weight_products`, built once.
+    `products` are (A w1, A w2), built once by the caller; V w3, V w4 and
+    V w_att come from the mapping `weights` (arrays or tape leaves).
     Training, prediction and attention export all score samples here."""
     A, Z = dataset.attributes, dataset.class_semantics
-    return attr_visual.cross_attention(products, V, Z), visual_attr.forward(V, A, Z, vaca)
+    f1 = attr_visual.cross_attention(products, V, Z)
+    region_products = attr_visual.query_products(V, weights, REGION_SIDE)
+    return f1, attr_visual.cross_attention(region_products, A, Z)
 
 
 def make_intervention_attention(
@@ -217,10 +206,8 @@ def batch_loss_and_grads(
     if idx.size == 0:
         raise ValueError("batch must be nonempty")
     leaves = {name: ad.Tensor(params[name], requires_grad=True) for name in PARAM_NAMES}
-    products = attr_visual.weight_products(dataset.attributes,
-                                           AttrVisualParams(leaves["w1"], leaves["w2"]))
+    products = attr_visual.query_products(dataset.attributes, leaves, ATTR_SIDE)
     product_leaves = [ad.Tensor(p.data, requires_grad=True) for p in products]
-    vaca_p = VisualAttrParams(leaves["w3"], leaves["w4"], leaves["w_att"])
     Z, split = dataset.class_semantics, dataset.split
     seen_only, fusion = replace(split, unseen_classes=[]), FusionConfig()
     seen = np.asarray(candidate_classes(seen_only, fusion.setting))
@@ -230,7 +217,7 @@ def batch_loss_and_grads(
     def run_block(start: int) -> tuple[np.ndarray, int]:
         rows = idx[start:start + block]
         labels = dataset.labels[rows]
-        f1, f2 = forward_both(dataset.features[rows], dataset, product_leaves, vaca_p)
+        f1, f2 = forward_both(dataset.features[rows], dataset, product_leaves, leaves)
         beta_bars, gamma_bars = intervention_fn(slice(start, start + rows.size),
                                                 f1.attention.data, f2.attention.data)
         terms = (
@@ -295,8 +282,6 @@ def train_step(
 
     Draws one fresh intervention per sample per sub-net, in batch order
     (attribute-side first, then region-side)."""
-    if len(batch_indices) == 0:
-        raise ValueError("batch must be nonempty")
     K, R = dataset.num_attributes, dataset.num_regions
 
     def draw(positions, betas, gammas):
@@ -368,10 +353,6 @@ def save_checkpoint(
     write_atomic(directory / CHECKPOINT_META, json.dumps(meta, indent=2, sort_keys=True) + "\n")
 
 
-def _is_int(value) -> bool:
-    return isinstance(value, int) and not isinstance(value, bool)
-
-
 def load_checkpoint(directory: str | Path) -> tuple[ModelState, dict]:
     directory = Path(directory)
     meta_path = directory / CHECKPOINT_META
@@ -384,33 +365,31 @@ def load_checkpoint(directory: str | Path) -> tuple[ModelState, dict]:
     if not isinstance(meta, dict):
         raise FormatError(f"{meta_path}: metadata must be a JSON object")
     epoch = meta.get("epoch")
-    if not _is_int(epoch) or epoch < 0:
+    if type(epoch) is not int or epoch < 0:
         raise FormatError(f"{meta_path}: 'epoch' must be a non-negative integer, got {epoch!r}")
     hp = meta.get("hyperparams")
     try:
         built = Hyperparams(**{**hp, "loss_weights": LossWeights(**hp["loss_weights"])})
     except (TypeError, KeyError, ValueError) as e:
         raise FormatError(f"{meta_path}: 'hyperparams' do not build Hyperparams ({e!r})") from e
+    # exact JSON types: a bool is not an integer
+    json_types = {int: ((int,), "an integer"), int | None: ((int, type(None)), "an integer"),
+                  float: ((int, float), "a number")}
     for prefix, settings in (("", built), ("loss_weights.", built.loss_weights)):
         for name, typ in get_type_hints(type(settings)).items():
             value = getattr(settings, name)
-            if typ in (int, int | None) and not (_is_int(value) or value is None and typ != int):
-                raise FormatError(f"{meta_path}: 'hyperparams.{prefix}{name}' must be an "
-                                  f"integer, got {value!r}")
-            if typ is float and not (_is_int(value) or isinstance(value, float)):
-                raise FormatError(f"{meta_path}: 'hyperparams.{prefix}{name}' must be a "
-                                  f"number, got {value!r}")
+            if typ in json_types and type(value) not in json_types[typ][0]:
+                raise FormatError(f"{meta_path}: 'hyperparams.{prefix}{name}' must be "
+                                  f"{json_types[typ][1]}, got {value!r}")
     arrays = {name: read_tensor(directory / f"{name}.msdt") for name in PARAM_NAMES}
     da_d = arrays["w1"].shape
     for name, arr in arrays.items():
         path = directory / f"{name}.msdt"
-        want = da_d if name in ("w1", "w2") else da_d[::-1]
+        want = da_d if name in ATTR_SIDE else da_d[::-1]
         if arr.ndim != 2:
             raise FormatError(f"{path}: {name} must be a matrix, got shape {arr.shape}")
         if arr.shape != want:
             raise FormatError(f"{path}: {name} has shape {arr.shape}, expected {want} "
-                              "(w1 and w2 are Da x D; w3, w4 and w_att are D x Da)")
-    state = ModelState(
-        avca=AttrVisualParams(w1=arrays["w1"], w2=arrays["w2"]),
-        vaca=VisualAttrParams(w3=arrays["w3"], w4=arrays["w4"], w_att=arrays["w_att"]))
-    return state, meta
+                              f"({', '.join(ATTR_SIDE)} are Da x D; "
+                              f"{', '.join(REGION_SIDE)} are D x Da)")
+    return ModelState(arrays), meta

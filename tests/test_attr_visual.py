@@ -1,116 +1,202 @@
+"""The bilinear cross-attention of attr_visual in its two readings: attributes
+attending over regions (`attr_visual.forward`, weights w1 and w2) and regions
+attending over attributes (`visual_attr.forward`, weights w3 and w4, plus the
+lift table w_att). A case that holds for both readings runs once per reading,
+each with its own shapes, seeds and tolerances; the cases that only one
+reading has (one region, the shape check, export, the lift) stay apart."""
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from mczsl import attr_visual as av
 from mczsl import autodiff as ad
-from mczsl.attr_visual import AttrVisualParams
+from mczsl import visual_attr as va
+from mczsl.attr_visual import AttrVisualParams, causal_effect
 from mczsl.errors import ShapeError
 from mczsl.gradcheck import finite_difference_check
-from mczsl.numeric import make_rng
+from mczsl.numeric import make_rng, softmax
 from mczsl.tensor_io import read_tensor
+from mczsl.visual_attr import VisualAttrParams
 
 
-def rand_instance(k=2, r=3, d=4, da=3, seed=0):
-    rng = make_rng(seed)
-    V = rng.standard_normal((r, d))
-    A = rng.standard_normal((k, da))
-    params = AttrVisualParams(w1=rng.standard_normal((da, d)),
-                              w2=rng.standard_normal((da, d)))
-    return V, A, params
+class Reading:
+    """Which of V (R x D) and A (K x Da) queries the other, and the weights
+    that score (w_s) and read out (w_e) the attention, and lift (w_att)."""
+
+    def __init__(self, module, params_cls, names):
+        self.module, self.params_cls, self.names = module, params_cls, names
+        self.score, self.embed = names[:2]
+        self.by_regions = "w_att" in names
+
+    def instance(self, k, r, d=4, da=3, seed=0):
+        """V, A and then each weight, drawn from one seeded stream."""
+        rng = make_rng(seed)
+        V = rng.standard_normal((r, d))
+        A = rng.standard_normal((k, da))
+        shape = (d, da) if self.by_regions else (da, d)
+        return V, A, self.params_cls(**{n: rng.standard_normal(shape) for n in self.names})
+
+    def sides(self, V, A):
+        """(queries, keys); applied to (queries, keys) it gives back (V, A)."""
+        return (V, A) if self.by_regions else (A, V)
+
+    def run(self, V, A, params, Z=None):
+        """Observed pass; identity prototypes by default, so logits = scores."""
+        return self.module.forward(V, A, np.eye(A.shape[0]) if Z is None else Z, params)
+
+    def readout(self, fwd, V, A, params):
+        """Per query i, q_i' w_e (attention K)_i: the attribute scores, or the
+        region scores read back through the lift."""
+        scores = fwd.attr_scores.data
+        return region_scores(scores, V, A, params) if self.by_regions else scores
+
+    def readout_under(self, attention, V, A, params):
+        """The readout of the pass with its attention forced to `attention`."""
+        return self.readout(self.module.intervened(self.run(V, A, params), attention),
+                            V, A, params)
 
 
-def run(V, A, params, Z=None):
-    """Observed pass; identity prototypes by default, so logits = scores."""
-    return av.forward(V, A, np.eye(A.shape[0]) if Z is None else Z, params)
+AV = Reading(av, AttrVisualParams, ("w1", "w2"))
+VA = Reading(va, VisualAttrParams, ("w3", "w4", "w_att"))
+IDS = ["attr_visual", "visual_attr"]
+both_readings = pytest.mark.parametrize("reading", [AV, VA], ids=IDS)
 
 
-def readout_oracle(A, w2, feats):
-    """Entry k is a_k' w2 f_k for the attended features f (K x D), by scalar math."""
-    return np.array([float(A[k] @ w2 @ feats[k]) for k in range(A.shape[0])])
+def per_reading(attr_dims, region_dims, **extra):
+    """Run a case once per reading: `dims` are that reading's `instance`
+    arguments, and each keyword is one more argument, given as its
+    (attribute reading, region reading) values."""
+    return pytest.mark.parametrize(["reading", "dims", *extra], [
+        pytest.param(AV, attr_dims, *(v[0] for v in extra.values()), id=IDS[0]),
+        pytest.param(VA, region_dims, *(v[1] for v in extra.values()), id=IDS[1])])
+
+
+def zeroed(params, name):
+    return replace(params, **{name: np.zeros_like(getattr(params, name))})
+
+
+def region_scores(attr_scores, V, A, params):
+    """Read the R region scores back out of the K lifted attribute scores
+    (R == K <= D, Da, so the lift table V w_att A' is square and invertible)."""
+    return np.linalg.solve((V @ params.w_att @ A.T).T, attr_scores)
+
+
+def readout_oracle(Q, w_e, mixes):
+    """Entry i is q_i' w_e m_i for the attended mixes m (one row per query), by
+    scalar math."""
+    return np.array([float(Q[i] @ w_e @ mixes[i]) for i in range(Q.shape[0])])
 
 
 class TestAttention:
     def test_single_region_all_ones(self):
-        V, A, params = rand_instance(k=4, r=1)
-        beta = run(V, A, params).attention.data
+        V, A, params = AV.instance(k=4, r=1)
+        beta = AV.run(V, A, params).attention.data
         assert beta.shape == (4, 1)
         assert np.array_equal(beta, np.ones((4, 1)))
 
-    def test_zero_weight_uniform(self):
-        V, A, params = rand_instance(k=3, r=5)
-        params.w1 = np.zeros_like(params.w1)
-        beta = run(V, A, params).attention.data
-        assert np.allclose(beta, 1.0 / 5, atol=1e-12)
+    @per_reading(dict(k=3, r=5), dict(k=2, r=4))
+    def test_zero_score_weight_uniform(self, reading, dims):
+        V, A, params = reading.instance(**dims)
+        attention = reading.run(V, A, zeroed(params, reading.score)).attention.data
+        assert np.allclose(attention, 1.0 / len(reading.sides(V, A)[1]), atol=1e-12)
 
-    def test_matches_direct_evaluation(self):
+    @per_reading(dict(k=2, r=2, d=3, da=2, seed=7), dict(k=3, r=2, seed=7))
+    def test_matches_direct_evaluation(self, reading, dims):
         # oracle: evaluate the bilinear-score softmax with scalar math
-        V, A, params = rand_instance(k=2, r=2, d=3, da=2, seed=7)
-        beta = run(V, A, params).attention.data
-        for k in range(2):
-            scores = [float(A[k] @ params.w1 @ V[r]) for r in range(2)]
+        V, A, params = reading.instance(**dims)
+        Q, K = reading.sides(V, A)
+        w_s = getattr(params, reading.score)
+        attention = reading.run(V, A, params).attention.data
+        for i in range(len(Q)):
+            scores = [float(Q[i] @ w_s @ K[j]) for j in range(len(K))]
             z = sum(math.exp(s) for s in scores)
-            for r in range(2):
-                assert abs(beta[k, r] - math.exp(scores[r]) / z) < 1e-12
+            for j in range(len(K)):
+                assert abs(attention[i, j] - math.exp(scores[j]) / z) < 1e-12
 
-    def test_rows_sum_to_one_random(self):
+    @per_reading(dict(k=4, r=6), dict(k=6, r=5))
+    def test_rows_sum_to_one_random(self, reading, dims):
         for seed in range(50):
-            V, A, params = rand_instance(k=4, r=6, seed=seed)
-            beta = run(V, A, params).attention.data
-            assert np.max(np.abs(beta.sum(axis=1) - 1.0)) < 1e-6
+            V, A, params = reading.instance(**dims, seed=seed)
+            attention = reading.run(V, A, params).attention.data
+            assert np.max(np.abs(attention.sum(axis=1) - 1.0)) < 1e-6
 
     def test_shape_mismatch(self):
-        V, A, params = rand_instance()
+        V, A, params = AV.instance(k=2, r=3)
         with pytest.raises(ShapeError):
-            run(V[:, :2], A, params)
+            AV.run(V[:, :2], A, params)
+
+    def test_row_shift_invariance(self):
+        # adding a constant to one row's scores leaves that row's weights unchanged
+        V, A, params = VA.instance(k=4, r=3, seed=9)
+        scores = V @ params.w3 @ A.T
+        gamma = VA.run(V, A, params).attention.data
+        shifted = scores.copy()
+        shifted[1] += 123.0
+        assert np.max(np.abs(softmax(shifted, axis=1) - gamma)) < 1e-9
 
 
 class TestFeatures:
-    """The attended features, pinned through the scores of an intervened pass."""
+    """The attended mixes of keys, pinned through the readout of an intervened
+    pass (read back through the lift in the region reading)."""
 
     def test_uniform_two_regions_midpoint(self):
         V = np.array([[0.0, 2.0], [4.0, 6.0]])
-        _, A, params = rand_instance(k=3, d=2)
-        scores = av.intervened(run(V, A, params), np.full((3, 2), 0.5)).attr_scores.data
+        _, A, params = AV.instance(k=3, r=3, d=2)
+        scores = av.intervened(AV.run(V, A, params), np.full((3, 2), 0.5)).attr_scores.data
         assert np.allclose(scores, readout_oracle(A, params.w2, np.tile([2.0, 4.0], (3, 1))),
                            atol=1e-12)
 
-    def test_one_hot_selects_region(self):
-        V, A, params = rand_instance(k=3, r=4)
-        beta = np.zeros((3, 4))
-        beta[:, 2] = 1.0
-        scores = av.intervened(run(V, A, params), beta).attr_scores.data
-        assert np.array_equal(scores, ((A @ params.w2) @ V.T)[:, 2])
+    @per_reading(dict(k=3, r=4), dict(k=3, r=3), key=(2, 1))
+    def test_one_hot_selects_key(self, reading, dims, key):
+        V, A, params = reading.instance(**dims)
+        Q, K = reading.sides(V, A)
+        w_e = getattr(params, reading.embed)
+        attention = np.zeros((len(Q), len(K)))
+        attention[:, key] = 1.0
+        got = reading.readout_under(attention, V, A, params)
+        table_column = ((Q @ w_e) @ K.T)[:, key]
+        if reading.by_regions:
+            assert np.allclose(got, table_column, atol=1e-9)
+        else:
+            assert np.array_equal(got, table_column)
+        assert np.allclose(got, readout_oracle(Q, w_e, np.tile(K[key], (len(Q), 1))), atol=1e-9)
 
-    def test_matches_weighted_sum_oracle(self):
-        V, A, params = rand_instance(k=3, r=4, d=5, seed=3)
-        rng = make_rng(3)
-        beta = rng.random((3, 4))
-        beta /= beta.sum(axis=1, keepdims=True)
-        scores = av.intervened(run(V, A, params), beta).attr_scores.data
-        expected = np.zeros((3, 5))
-        for k in range(3):
-            for r in range(4):
-                expected[k] += beta[k, r] * V[r]
-        assert np.max(np.abs(scores - readout_oracle(A, params.w2, expected))) < 1e-12
+    @per_reading(dict(k=3, r=4, d=5, seed=3), dict(k=4, r=4, da=5, seed=4), tol=(1e-12, 1e-9))
+    def test_matches_weighted_sum_oracle(self, reading, dims, tol):
+        V, A, params = reading.instance(**dims)
+        Q, K = reading.sides(V, A)
+        rng = make_rng(dims["seed"])
+        attention = rng.random((len(Q), len(K)))
+        attention /= attention.sum(axis=1, keepdims=True)
+        got = reading.readout_under(attention, V, A, params)
+        expected = np.zeros((len(Q), K.shape[1]))
+        for i in range(len(Q)):
+            for j in range(len(K)):
+                expected[i] += attention[i, j] * K[j]
+        assert np.max(np.abs(got - readout_oracle(Q, getattr(params, reading.embed),
+                                                  expected))) < tol
 
-    def test_convex_hull_property(self):
-        # f_k is a convex mix of regions, so a_k' w2 f_k lies between the
-        # smallest and largest a_k' w2 v_r
+    @per_reading(dict(k=5, r=4), dict(k=4, r=4, da=4))
+    def test_convex_hull_property(self, reading, dims):
+        # m_i is a convex mix of keys, so q_i' w_e m_i lies between the
+        # smallest and largest q_i' w_e k_j
         for seed in range(20):
-            V, A, params = rand_instance(k=5, r=4, seed=seed)
-            scores = run(V, A, params).attr_scores.data
-            per_region = A @ params.w2 @ V.T
-            assert np.all(scores >= per_region.min(axis=1) - 1e-9)
-            assert np.all(scores <= per_region.max(axis=1) + 1e-9)
+            V, A, params = reading.instance(**dims, seed=seed)
+            Q, K = reading.sides(V, A)
+            got = reading.readout(reading.run(V, A, params), V, A, params)
+            per_key = Q @ getattr(params, reading.embed) @ K.T
+            assert np.all(got >= per_key.min(axis=1) - 1e-9)
+            assert np.all(got <= per_key.max(axis=1) + 1e-9)
 
 
 class TestEmbed:
-    def test_zero_weight(self):
-        V, A, params = rand_instance()
-        params.w2 = np.zeros_like(params.w2)
-        assert np.array_equal(run(V, A, params).attr_scores.data, np.zeros(2))
+    @per_reading(dict(k=2, r=3), dict(k=3, r=3))
+    def test_zero_weight(self, reading, dims):
+        V, A, params = reading.instance(**dims)
+        scores = reading.run(V, A, zeroed(params, reading.embed)).attr_scores.data
+        assert np.array_equal(scores, np.zeros(dims["k"]))
 
     def test_single_attribute_direct_evaluation(self):
         # one region: the attention is 1 and the attended feature is that region
@@ -118,166 +204,231 @@ class TestEmbed:
         A = rng.standard_normal((1, 3))
         V = rng.standard_normal((1, 4))
         params = AttrVisualParams(w1=np.zeros((3, 4)), w2=rng.standard_normal((3, 4)))
-        psi = run(V, A, params).attr_scores.data
+        psi = AV.run(V, A, params).attr_scores.data
         expected = float(A[0] @ params.w2 @ V[0])
         assert abs(psi[0] - expected) < 1e-12
 
-    def test_bilinear_in_attribute_vector(self):
-        V, A, params = rand_instance(seed=2)
-        beta = np.asarray(make_rng(9).random((2, 3)))
-        beta /= beta.sum(axis=1, keepdims=True)
-        base = av.intervened(run(V, A, params), beta).attr_scores.data
-        scaled_A = A.copy()
-        scaled_A[1] *= 2.0
-        scaled = av.intervened(run(V, scaled_A, params), beta).attr_scores.data
-        assert abs(scaled[1] - 2.0 * base[1]) < 1e-12
-        assert abs(scaled[0] - base[0]) < 1e-12
+    def test_single_region_direct_evaluation(self):
+        # one region and a one-hot attention: the mix is attribute 1, and the
+        # lift scales the region score by row 0 of the table
+        rng = make_rng(5)
+        V = rng.standard_normal((1, 4))
+        A = rng.standard_normal((3, 3))
+        params = VisualAttrParams(w3=np.zeros((4, 3)), w4=rng.standard_normal((4, 3)),
+                                  w_att=rng.standard_normal((4, 3)))
+        got = va.intervened(VA.run(V, A, params), np.array([[0.0, 1.0, 0.0]])).attr_scores.data
+        expected = float(V[0] @ params.w4 @ A[1]) * (V[0] @ params.w_att @ A.T)
+        assert np.max(np.abs(got - expected)) < 1e-12
+
+    @per_reading(dict(k=2, r=3, seed=2), dict(k=3, r=3, seed=2), tol=(1e-12, 1e-9))
+    def test_linear_in_query_row(self, reading, dims, tol):
+        V, A, params = reading.instance(**dims)
+        Q, K = reading.sides(V, A)
+        attention = np.asarray(make_rng(9).random((len(Q), len(K))))
+        attention /= attention.sum(axis=1, keepdims=True)
+        base = reading.readout_under(attention, V, A, params)
+        doubled_Q = Q.copy()
+        doubled_Q[1] *= 2.0
+        doubled = reading.readout_under(attention, *reading.sides(doubled_Q, K), params)
+        assert abs(doubled[1] - 2.0 * base[1]) < tol
+        assert abs(doubled[0] - base[0]) < tol
+
+
+class TestProject:
+    def test_zero_region_scores(self):
+        V, A, params = VA.instance(k=3, r=3)
+        params.w4 = np.zeros_like(params.w4)
+        assert np.array_equal(VA.run(V, A, params).attr_scores.data, np.zeros(3))
+
+    def test_zero_lifting_weight(self):
+        V, A, params = VA.instance(k=3, r=3)
+        params.w_att = np.zeros_like(params.w_att)
+        assert np.array_equal(VA.run(V, A, params).attr_scores.data, np.zeros(3))
+
+    def test_matches_two_step_matmul_oracle(self):
+        V, A, params = VA.instance(k=3, r=2, seed=13)
+        fwd = VA.run(V, A, params)
+        psi_hat = np.sum((V @ params.w4) * (fwd.attention.data @ A), axis=1)
+        table = V @ params.w_att @ A.T  # R x K
+        expected = psi_hat @ table
+        assert np.max(np.abs(fwd.attr_scores.data - expected)) < 1e-12
 
 
 class TestPredict:
-    def test_one_hot_prototypes_select_scores(self):
-        fwd = run(*rand_instance(k=3, seed=4), Z=np.eye(3))
+    @per_reading(dict(k=3, r=3, seed=4), dict(k=3, r=3, seed=3))
+    def test_one_hot_prototypes_select_scores(self, reading, dims):
+        fwd = reading.run(*reading.instance(**dims), Z=np.eye(3))
         assert np.array_equal(fwd.logits.data, fwd.attr_scores.data)
 
-    def test_zero_scores_zero_logits(self):
-        V, A, params = rand_instance(k=3)
-        params.w2 = np.zeros_like(params.w2)
+    @per_reading(dict(k=3, r=3), dict(k=3, r=3), weight=("w2", "w_att"))
+    def test_zero_scores_zero_logits(self, reading, dims, weight):
+        V, A, params = reading.instance(**dims)
         Z = make_rng(0).random((4, 3))
-        assert np.array_equal(run(V, A, params, Z).logits.data, np.zeros(4))
+        assert np.array_equal(reading.run(V, A, zeroed(params, weight), Z).logits.data,
+                              np.zeros(4))
 
-    def test_matches_dot_product_oracle(self):
-        V, A, params = rand_instance(k=4, seed=8)
-        Z = make_rng(8).standard_normal((3, 4))
-        fwd = run(V, A, params, Z)
-        psi = fwd.attr_scores.data
+    @per_reading(dict(k=4, r=3, seed=8), dict(k=5, r=3, seed=8))
+    def test_matches_dot_product_oracle(self, reading, dims):
+        V, A, params = reading.instance(**dims)
+        Z = make_rng(8).standard_normal((3, dims["k"]))
+        fwd = reading.run(V, A, params, Z)
+        scores = fwd.attr_scores.data
         for c in range(3):
-            assert abs(fwd.logits.data[c] - float(np.dot(psi, Z[c]))) < 1e-12
+            assert abs(fwd.logits.data[c] - float(np.dot(scores, Z[c]))) < 1e-12
 
 
 class TestIntervened:
-    def test_null_intervention_bit_exact(self):
-        V, A, params = rand_instance(k=4, r=5, seed=11)
-        Z = make_rng(12).random((3, 4))
-        fwd = av.forward(V, A, Z, params)
-        logits_bar = av.intervened(fwd, fwd.attention.data).logits
+    @per_reading(dict(k=4, r=5, seed=11), dict(k=5, r=4, seed=11))
+    def test_null_intervention_bit_exact(self, reading, dims):
+        V, A, params = reading.instance(**dims)
+        Z = make_rng(12).random((3, dims["k"]))
+        fwd = reading.module.forward(V, A, Z, params)
+        logits_bar = reading.module.intervened(fwd, fwd.attention.data).logits
         assert np.array_equal(logits_bar.data, fwd.logits.data)
-        assert np.array_equal(av.causal_effect(fwd.logits, logits_bar), np.zeros(3))
+        assert np.array_equal(causal_effect(fwd.logits, logits_bar), np.zeros(3))
 
-    def test_uniform_intervention_gives_region_mean(self):
-        V, A, params = rand_instance(k=3, r=4, seed=1)
-        scores = av.intervened(run(V, A, params), np.full((3, 4), 0.25)).attr_scores.data
-        expected = readout_oracle(A, params.w2, np.tile(V.mean(axis=0), (3, 1)))
-        assert np.allclose(scores, expected, atol=1e-12)
+    @pytest.mark.parametrize("reading,dims,tol", [
+        pytest.param(AV, dict(k=3, r=4, seed=1), 1e-12, id="attr_visual"),
+        pytest.param(VA, dict(k=4, r=4, da=4, seed=15), 1e-9, id="visual_attr"),
+        pytest.param(VA, dict(k=5, r=5, d=5, da=5), 1e-9, id="visual_attr-5x5")])
+    def test_uniform_intervention_gives_key_mean(self, reading, dims, tol):
+        V, A, params = reading.instance(**dims)
+        Q, K = reading.sides(V, A)
+        got = reading.readout_under(np.full((len(Q), len(K)), 1.0 / len(K)), V, A, params)
+        mean_key = np.tile(K.mean(axis=0), (len(Q), 1))
+        expected = readout_oracle(Q, getattr(params, reading.embed), mean_key)
+        assert np.allclose(got, expected, atol=tol)
 
-    def test_matches_compositional_oracle(self):
-        V, A, params = rand_instance(k=4, r=3, seed=21)
+    @both_readings
+    def test_matches_compositional_oracle(self, reading):
+        V, A, params = reading.instance(k=4, r=3, seed=21)
+        Q, K = reading.sides(V, A)
         Z = make_rng(22).random((5, 4))
-        rng = make_rng(23)
-        beta_bar = rng.random((4, 3))
-        beta_bar /= beta_bar.sum(axis=1, keepdims=True)
-        bar = av.intervened(av.forward(V, A, Z, params), beta_bar)
-        # oracle: the readout table, its attention-weighted row sums and the
+        attention_bar = make_rng(23).random((len(Q), len(K)))
+        attention_bar /= attention_bar.sum(axis=1, keepdims=True)
+        bar = reading.module.intervened(reading.module.forward(V, A, Z, params), attention_bar)
+        # oracle: the readout table, its attention-weighted row sums, in the
+        # region reading the region-weighted rows of the lift table, and the
         # prototype product in numpy
-        psi_expected = np.sum(beta_bar * ((A @ params.w2) @ V.T), axis=1)
-        assert np.array_equal(bar.attention.data, beta_bar)
-        assert np.array_equal(bar.attr_scores.data, psi_expected)
-        assert np.array_equal(bar.logits.data, Z @ psi_expected)
+        expected = np.sum(attention_bar * ((Q @ getattr(params, reading.embed)) @ K.T), axis=1)
+        if reading.by_regions:
+            expected = np.sum(expected[:, None] * (V @ params.w_att @ A.T), axis=0)
+        assert np.array_equal(bar.attention.data, attention_bar)
+        assert np.array_equal(bar.attr_scores.data, expected)
+        assert np.array_equal(bar.logits.data, Z @ expected)
 
-    def test_reuses_observed_products(self, monkeypatch):
-        # only Z.psi runs again; the readout table comes from the observed pass
-        V, A, params = rand_instance(k=4, r=3, seed=24)
-        fwd = run(V, A, params)
+    @both_readings
+    def test_reuses_observed_products(self, reading, monkeypatch):
+        # only Z.psi runs again; the readout (and lift) tables come from the
+        # observed pass
+        V, A, params = reading.instance(k=4, r=3, seed=24)
+        Q, K = reading.sides(V, A)
+        fwd = reading.run(V, A, params)
         calls = []
         matmul = ad.matmul
         monkeypatch.setattr(ad, "matmul", lambda a, b: calls.append(1) or matmul(a, b))
-        av.intervened(fwd, np.full((4, 3), 1.0 / 3))
+        reading.module.intervened(fwd, np.full((len(Q), len(K)), 1.0 / len(K)))
         assert len(calls) == 1
 
-    def test_unnormalized_rows_rejected(self):
-        V, A, params = rand_instance()
-        bad = np.full((2, 3), 0.5)  # rows sum to 1.5
+    @per_reading(dict(k=2, r=3), dict(k=3, r=3), value=(0.5, 0.9))
+    def test_unnormalized_rows_rejected(self, reading, dims, value):
+        V, A, params = reading.instance(**dims)
+        Q, K = reading.sides(V, A)
+        bad = np.full((len(Q), len(K)), value)  # rows sum to more than 1
         with pytest.raises(ValueError, match="sum to 1"):
-            av.intervened(run(V, A, params), bad)
+            reading.module.intervened(reading.run(V, A, params), bad)
 
     def test_wrong_shape_rejected(self):
-        V, A, params = rand_instance()
+        V, A, params = AV.instance(k=2, r=3)
         with pytest.raises(ShapeError, match="differs from the observed"):
-            av.intervened(run(V, A, params), np.full((3, 2), 0.5))
+            av.intervened(AV.run(V, A, params), np.full((3, 2), 0.5))
 
-    def test_no_gradient_into_intervention(self):
-        V, A, params = rand_instance(seed=31)
-        Z = make_rng(32).random((3, 2))
-        w1 = ad.Tensor(params.w1, requires_grad=True)
-        w2 = ad.Tensor(params.w2, requires_grad=True)
-        live = AttrVisualParams(w1=w1, w2=w2)
-        beta_bar = ad.Tensor(np.full((2, 3), 1.0 / 3))
-        logits_bar = av.intervened(av.forward(V, A, Z, live), beta_bar).logits
+    @per_reading(dict(k=2, r=3, seed=31), dict(k=3, r=3, seed=31))
+    def test_no_gradient_into_intervention(self, reading, dims):
+        V, A, params = reading.instance(**dims)
+        Q, K = reading.sides(V, A)
+        Z = make_rng(32).random((3, dims["k"]))
+        leaves = {n: ad.Tensor(getattr(params, n), requires_grad=True) for n in reading.names}
+        attention_bar = ad.Tensor(np.full((len(Q), len(K)), 1.0 / len(K)))
+        fwd = reading.module.forward(V, A, Z, reading.params_cls(**leaves))
+        logits_bar = reading.module.intervened(fwd, attention_bar).logits
         ad.tsum(ad.mul(logits_bar, logits_bar)).backward()
-        assert beta_bar.grad is None
-        assert w2.grad is not None
-        # the intervened pass never touches w1
-        assert w1.grad is None
+        assert attention_bar.grad is None
+        assert leaves[reading.embed].grad is not None
+        # the intervened pass never touches the score weight
+        assert leaves[reading.score].grad is None
 
-    def test_w1_gradient_independent_of_intervention_draw(self):
-        # perturbing the stream that produced beta_bar must not change dW1
-        V, A, params = rand_instance(seed=41)
-        Z = make_rng(42).random((3, 2))
+    @per_reading(dict(k=2, r=3, seed=41), dict(k=3, r=3, seed=41), classes=(3, 4))
+    def test_score_weight_gradient_independent_of_intervention_draw(self, reading, dims,
+                                                                    classes):
+        # perturbing the stream that produced the intervention must not change
+        # the score weight's gradient; the draw does flow through the readout weight
+        V, A, params = reading.instance(**dims)
+        Q, K = reading.sides(V, A)
+        Z = make_rng(42).random((classes, dims["k"]))
         grads = []
         for interv_seed in (1, 2):
-            w1 = ad.Tensor(params.w1.copy(), requires_grad=True)
-            w2 = ad.Tensor(params.w2.copy(), requires_grad=True)
-            live = AttrVisualParams(w1=w1, w2=w2)
-            fwd = av.forward(V, A, Z, live)
+            leaves = {n: ad.Tensor(getattr(params, n).copy(), requires_grad=True)
+                      for n in reading.names}
+            fwd = reading.module.forward(V, A, Z, reading.params_cls(**leaves))
             rng = make_rng(interv_seed)
-            beta_bar = rng.random((2, 3))
-            beta_bar /= beta_bar.sum(axis=1, keepdims=True)
-            logits_bar = av.intervened(fwd, beta_bar).logits
+            attention_bar = rng.random((len(Q), len(K)))
+            attention_bar /= attention_bar.sum(axis=1, keepdims=True)
+            bar = ad.Tensor(attention_bar)
+            logits_bar = reading.module.intervened(fwd, bar).logits
             loss = ad.add(ad.tsum(ad.mul(fwd.logits, fwd.logits)),
                           ad.tsum(ad.mul(logits_bar, logits_bar)))
             loss.backward()
-            grads.append(w1.grad.copy())
-        assert np.array_equal(grads[0], grads[1])
+            assert bar.grad is None
+            grads.append({n: leaves[n].grad.copy() for n in (reading.score, reading.embed)})
+        assert np.array_equal(grads[0][reading.score], grads[1][reading.score])
+        assert not np.array_equal(grads[0][reading.embed], grads[1][reading.embed])
 
 
 class TestCausalEffect:
-    def test_identical_inputs_zero(self):
-        x = np.array([1.0, 2.0])
-        assert np.array_equal(av.causal_effect(x, x), np.zeros(2))
+    @pytest.mark.parametrize("x", [np.array([1.0, 2.0]), make_rng(1).standard_normal(4)],
+                             ids=IDS)
+    def test_identical_inputs_zero(self, x):
+        assert np.array_equal(causal_effect(x, x), np.zeros(len(x)))
 
-    def test_hand_arithmetic(self):
-        assert np.array_equal(av.causal_effect([2.0, 0.0], [1.0, 1.0]), [1.0, -1.0])
+    @pytest.mark.parametrize("logits,logits_bar,effect", [
+        ([2.0, 0.0], [1.0, 1.0], [1.0, -1.0]), ([3.0, 1.0], [1.0, 3.0], [2.0, -2.0])], ids=IDS)
+    def test_hand_arithmetic(self, logits, logits_bar, effect):
+        assert np.array_equal(causal_effect(logits, logits_bar), effect)
 
-    def test_antisymmetry(self):
-        rng = make_rng(6)
-        a, b = rng.standard_normal(5), rng.standard_normal(5)
-        assert np.array_equal(av.causal_effect(a, b), -av.causal_effect(b, a))
+    @pytest.mark.parametrize("seed,size", [(6, 5), (2, 6)], ids=IDS)
+    def test_antisymmetry(self, seed, size):
+        rng = make_rng(seed)
+        a, b = rng.standard_normal(size), rng.standard_normal(size)
+        assert np.array_equal(causal_effect(a, b), -causal_effect(b, a))
 
-    def test_length_mismatch(self):
+    @pytest.mark.parametrize("size", [3, 4], ids=IDS)
+    def test_length_mismatch(self, size):
         with pytest.raises(ShapeError):
-            av.causal_effect(np.zeros(2), np.zeros(3))
+            causal_effect(np.zeros(2), np.zeros(size))
 
 
-def test_gradients_pass_finite_difference_check():
-    # scalar function of the logits, differentiated w.r.t. w1 and w2
-    V, A, params = rand_instance(k=2, r=3, d=4, da=3, seed=51)
-    Z = make_rng(52).random((3, 2))
-    base = {"w1": params.w1.copy(), "w2": params.w2.copy()}
+@per_reading(dict(k=2, r=3, seed=51), dict(k=3, r=3, seed=51))
+def test_gradients_pass_finite_difference_check(reading, dims):
+    # scalar function of the logits, differentiated w.r.t. the reading's weights
+    V, A, params = reading.instance(**dims)
+    Z = make_rng(52).random((3, dims["k"]))
+    base = {n: getattr(params, n).copy() for n in reading.names}
 
     def loss_fn(p):
-        w1 = ad.Tensor(p["w1"], requires_grad=True)
-        w2 = ad.Tensor(p["w2"], requires_grad=True)
-        fwd = av.forward(V, A, Z, AttrVisualParams(w1=w1, w2=w2))
+        leaves = {n: ad.Tensor(p[n], requires_grad=True) for n in p}
+        fwd = reading.module.forward(V, A, Z, reading.params_cls(**leaves))
         loss = ad.tsum(ad.mul(fwd.logits, fwd.logits))
         loss.backward()
-        return loss.item(), {"w1": w1.grad, "w2": w2.grad}
+        return loss.item(), {n: leaves[n].grad for n in p}
 
     report = finite_difference_check(loss_fn, base, epsilon=1e-5, tolerance=1e-4)
     assert report.passed, report
 
 
 def test_export_attention_round_trip(tmp_path):
-    V, A, params = rand_instance(k=4, r=5, seed=61)
-    beta = run(V, A, params).attention.data
+    V, A, params = AV.instance(k=4, r=5, seed=61)
+    beta = AV.run(V, A, params).attention.data
     av.export_attention(beta, [f"attr_{i}" for i in range(4)], tmp_path / "beta")
     back = read_tensor(tmp_path / "beta.msdt")
     assert back.shape == (4, 5)

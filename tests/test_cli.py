@@ -9,6 +9,7 @@ import pytest
 
 from conftest import fill_disk_after
 from mczsl import attr_visual, cli
+from mczsl.attr_visual import AttrVisualParams
 from mczsl.cli import PRESETS, build_parser, main, parse_config_file
 from mczsl.data import SynthConfig, load_dataset
 from mczsl.errors import ConfigError
@@ -54,6 +55,19 @@ class TestGenSynth:
     def test_output_passes_validation(self, data_dir):
         ds = load_dataset(data_dir)
         assert ds.num_classes == 10
+
+
+@pytest.mark.parametrize("argv,rule", [
+    (["train", "--seed", "-1"], "seed >= 0"),
+    (["train", "--intervention-seed", "-3"], "intervention_seed >= 0"),
+    (["gen-synth", "--seed", "-1"], "seed must be >= 0"),
+], ids=["train_seed", "train_intervention_seed", "gen_synth_seed"])
+def test_negative_seed_exits_2_before_reading_files(tmp_path, capsys, argv, rule):
+    # the dataset directory does not exist: reading it first would exit 3
+    data = ["--data", str(tmp_path / "absent")] if argv[0] == "train" else []
+    assert main(argv + data + ["--out", str(tmp_path / "out")]) == 2
+    assert rule in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
 
 
 class TestTrain:
@@ -160,7 +174,8 @@ class TestEval:
         *[pytest.param(json.dumps({"epoch": 2, "hyperparams": {
             **asdict(Hyperparams()), key: value}}).encode(), id=f"{key}_{value}")
           for key, value in [("batch_size", 0), ("batch_size", 1.5), ("seed", "x"),
-                             ("epochs", 2.0), ("intervention_seed", "y"),
+                             ("seed", -1), ("epochs", 2.0), ("intervention_seed", "y"),
+                             ("intervention_seed", -3),
                              ("learning_rate", True), ("weight_decay", float("inf"))]],
         pytest.param(json.dumps({"epoch": 2, "hyperparams": {
             **asdict(Hyperparams()),
@@ -277,7 +292,7 @@ class TestExportAttention:
         assert beta.shape == (ds.num_attributes, ds.num_regions)
         assert np.max(np.abs(beta.sum(axis=1) - 1.0)) < 1e-6
         fwd = attr_visual.forward(ds.features[0], ds.attributes, ds.class_semantics,
-                                  state.avca)
+                                  AttrVisualParams(state.weights["w1"], state.weights["w2"]))
         expected = fwd.attention.data.astype(np.float32).astype(np.float64)
         assert np.array_equal(beta, expected)
         gamma = read_tensor(out / "sample_0_attribute_attention.msdt")

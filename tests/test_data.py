@@ -13,6 +13,7 @@ from mczsl.data import (
     generate_synthetic,
     load_dataset,
     save_dataset,
+    validate_dataset,
 )
 from mczsl.errors import ConfigError, DataValidationError, FormatError
 from mczsl.tensor_io import write_tensor
@@ -84,6 +85,10 @@ class TestGenerator:
             SynthConfig(unseen_fraction=1.0)
         with pytest.raises(ConfigError, match="samples_per_class"):
             SynthConfig(samples_per_class=1)
+
+    def test_negative_seed_rejected(self):
+        with pytest.raises(ConfigError, match="seed must be >= 0"):
+            generate_synthetic(SynthConfig(), seed=-1)
 
     def test_too_many_classes_for_attribute_patterns(self):
         # 2^4 - 1 = 15 distinct non-empty patterns < 20 classes
@@ -227,6 +232,34 @@ class TestLoadErrors:
         write_tensor(saved / "labels.msdt", labels)
         with pytest.raises(FormatError, match="integral"):
             load_dataset(saved)
+
+    @pytest.mark.parametrize("move,invariant", [
+        (lambda s: {"train_idx": s["train_idx"] + s["test_unseen_idx"][:1],
+                    "test_unseen_idx": s["test_unseen_idx"][1:]},
+         "train sample labels must be seen classes"),
+        (lambda s: {"test_seen_idx": s["test_seen_idx"] + s["test_unseen_idx"][:1],
+                    "test_unseen_idx": s["test_unseen_idx"][1:]},
+         "test_seen sample labels must be seen classes"),
+        (lambda s: {"train_idx": s["train_idx"][1:],
+                    "test_unseen_idx": s["test_unseen_idx"] + s["train_idx"][:1]},
+         "test_unseen sample labels must be unseen classes"),
+        (lambda s: {"train_idx": s["train_idx"] + s["train_idx"][:1]},
+         "each sample index appears at most once"),
+        (lambda s: {"test_seen_idx": s["test_seen_idx"] + s["train_idx"][:1]},
+         "each sample index appears at most once"),
+    ], ids=["train_label", "test_seen_label", "test_unseen_label", "repeat_within",
+            "repeat_across"])
+    def test_split_index_invariants(self, saved, move, invariant):
+        ds = load_dataset(saved)
+        ds.split = Split(**{**vars(ds.split), **move(vars(ds.split))})
+        with pytest.raises(DataValidationError, match=invariant) as raised:
+            validate_dataset(ds)
+        assert "manifest.json" not in str(raised.value)
+        manifest = json.loads((saved / "manifest.json").read_text())
+        (saved / "manifest.json").write_text(json.dumps(manifest | move(manifest)))
+        with pytest.raises(DataValidationError, match=invariant) as raised:
+            load_dataset(saved)
+        assert str(saved / "manifest.json") in str(raised.value)
 
     def test_split_violation_is_validation_error(self, saved):
         manifest = json.loads((saved / "manifest.json").read_text())

@@ -29,7 +29,7 @@ def make_split(seen, unseen):
 
 
 class TestFusedScore:
-    def test_avca_only_matches_avca_argmax(self):
+    def test_attr_side_only_matches_its_argmax(self):
         rng = make_rng(0)
         psi, psi2 = rng.standard_normal(4), rng.standard_normal(4)
         Z = rng.random((5, 4))

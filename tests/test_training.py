@@ -9,14 +9,18 @@ import pytest
 from conftest import build_dataset
 from mczsl import attr_visual as av, visual_attr as va
 from mczsl.autodiff import Tensor, _topo_order
-from mczsl.errors import ConfigError, NumericError
+from mczsl.errors import ConfigError, FormatError, NumericError
 from mczsl.evaluate import FusionConfig
 from mczsl.gradcheck import directional_check, finite_difference_check
 from mczsl.losses import LossWeights
 from mczsl.numeric import make_rng
 from mczsl.training import (
+    ATTR_SIDE,
+    PARAM_NAMES,
+    REGION_SIDE,
     Hyperparams,
     batch_loss_and_grads,
+    init_state,
     load_checkpoint,
     make_intervention_attention,
     rmsprop_update,
@@ -39,9 +43,10 @@ def ranks_own_class_first(ds, state, i) -> bool:
     """Oracle: sample i's highest fused score over the seen classes (default
     fusion, no offset) is its own label, with each sub-net run on the sample alone."""
     cfg, seen = FusionConfig(), sorted(ds.split.seen_classes)
-    A, Z = ds.attributes, ds.class_semantics
-    psi1 = av.forward(ds.features[i], A, Z, state.avca).attr_scores.data
-    psi2 = va.forward(ds.features[i], A, Z, state.vaca).attr_scores.data
+    A, Z, w = ds.attributes, ds.class_semantics, state.weights
+    psi1 = av.forward(ds.features[i], A, Z, av.AttrVisualParams(w["w1"], w["w2"]))
+    psi2 = va.forward(ds.features[i], A, Z, va.VisualAttrParams(w["w3"], w["w4"], w["w_att"]))
+    psi1, psi2 = psi1.attr_scores.data, psi2.attr_scores.data
     scores = Z[seen] @ (cfg.alpha1 * psi1 + cfg.alpha2 * psi2)
     return seen[int(np.argmax(scores))] == int(ds.labels[i])
 
@@ -63,6 +68,11 @@ class TestHyperparams:
             Hyperparams(intervention="nope")
         with pytest.raises(ConfigError):
             Hyperparams(learning_rate=-1e-4)
+
+    @pytest.mark.parametrize("field,value", [("seed", -1), ("intervention_seed", -3)])
+    def test_negative_seed_rejected_naming_the_field(self, field, value):
+        with pytest.raises(ConfigError, match=f"violate {field} >= 0"):
+            Hyperparams(**{field: value})
 
 
 class TestInterventionAttention:
@@ -407,7 +417,7 @@ def test_tape_does_not_grow_with_the_block(monkeypatch):
     assert len(nodes) == 6 and nodes[:3] == nodes[3:] and nodes[1:3] == [2, 2], nodes
 
 
-def record_weight_products(monkeypatch, ds):
+def record_attribute_products(monkeypatch, ds):
     """Count the products of A (K x Da) with a Da x D weight: A w1 and A w2."""
     ad = importlib.import_module("mczsl.autodiff")
     matmul, shapes = ad.matmul, []
@@ -422,18 +432,18 @@ def record_weight_products(monkeypatch, ds):
     return lambda: shapes.count(weight_side)
 
 
-def test_weight_products_run_once_per_batch(monkeypatch):
+def test_attribute_products_run_once_per_batch(monkeypatch):
     ds = prime_dataset()
     force_training_block(monkeypatch, ds, 1)
     batch = ds.split.train_idx[:5]
     params = state_for_dataset(ds, make_rng(4)).params()
-    count = record_weight_products(monkeypatch, ds)
+    count = record_attribute_products(monkeypatch, ds)
     batch_loss_and_grads(batch, ds, params, LossWeights(),
                          replay(frozen_interventions(ds, len(batch))))
     assert count() == 2  # not 2 per block of 1
 
 
-def test_weight_products_run_once_per_predict_call(monkeypatch):
+def test_attribute_products_run_once_per_predict_call(monkeypatch):
     from mczsl.evaluate import FusionConfig, predict
 
     ds = prime_dataset()
@@ -441,7 +451,7 @@ def test_weight_products_run_once_per_predict_call(monkeypatch):
     monkeypatch.setattr(importlib.import_module("mczsl.evaluate"), "BLOCK_VALUES",
                         5 * ds.num_regions * ds.feature_dim)
     state = state_for_dataset(ds, make_rng(4))
-    count = record_weight_products(monkeypatch, ds)
+    count = record_attribute_products(monkeypatch, ds)
     predict(list(range(24)), state, ds, FusionConfig(setting="gzsl"))
     assert count() == 2  # not 2 per block of 5
 
@@ -477,6 +487,46 @@ def test_training_memory_does_not_grow_with_the_batch(monkeypatch):
         finally:
             tracemalloc.stop()
     assert peaks[1] <= 1.10 * peaks[0], peaks
+
+
+class TestWeightContainer:
+    def test_init_draws_the_five_weights_in_order(self):
+        # the draw order fixes the bytes of every checkpoint a seed produces
+        da, d = 3, 5
+        state = init_state(da, d, make_rng(7))
+        rng = make_rng(7)
+        shapes = {"w1": (da, d), "w2": (da, d), "w3": (d, da), "w4": (d, da), "w_att": (d, da)}
+        assert list(state.params()) == list(shapes)
+        for name, (rows, cols) in shapes.items():
+            expected = rng.uniform(-1 / np.sqrt(rows), 1 / np.sqrt(rows), (rows, cols))
+            assert np.array_equal(state.params()[name], expected), name
+
+    def test_params_is_the_dict_rmsprop_updates_in_place(self, small_dataset):
+        state = state_for_dataset(small_dataset, make_rng(0))
+        weights = state.params()
+        arrays, before = dict(weights), clone_state(state)
+        grads = {name: np.ones_like(p) for name, p in weights.items()}
+        rmsprop_update(state, grads, Hyperparams(learning_rate=0.1))
+        assert state.params() is weights
+        for name, p in weights.items():
+            assert p is arrays[name]
+            assert not np.array_equal(p, before.params()[name])
+
+    def test_checkpoint_loads_keys_in_order_with_side_shapes(self, tmp_path):
+        da, d = 3, 5
+        save_checkpoint(init_state(da, d, make_rng(0)), Hyperparams(), tmp_path / "ck", epoch=0)
+        loaded, _ = load_checkpoint(tmp_path / "ck")
+        assert tuple(loaded.params()) == PARAM_NAMES == ("w1", "w2", "w3", "w4", "w_att")
+        assert [loaded.params()[name].shape for name in ATTR_SIDE] == [(da, d)] * 2
+        assert [loaded.params()[name].shape for name in REGION_SIDE] == [(d, da)] * 3
+
+    def test_checkpoint_shape_error_names_both_sides(self, tmp_path):
+        state = init_state(3, 5, make_rng(0))
+        state.params()["w3"] = state.params()["w3"].T
+        save_checkpoint(state, Hyperparams(), tmp_path / "ck", epoch=0)
+        with pytest.raises(FormatError, match=r"w3 has shape \(3, 5\), expected \(5, 3\) "
+                                              r"\(w1, w2 are Da x D; w3, w4, w_att are D x Da\)"):
+            load_checkpoint(tmp_path / "ck")
 
 
 class TestCheckpoint:
