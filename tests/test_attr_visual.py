@@ -1,9 +1,11 @@
 """The bilinear cross-attention of attr_visual in its two readings: attributes
 attending over regions (`attr_visual.forward`, weights w1 and w2) and regions
 attending over attributes (`visual_attr.forward`, weights w3 and w4, plus the
-lift table w_att). A case that holds for both readings runs once per reading,
-each with its own shapes, seeds and tolerances; the cases that only one
-reading has (one region, the shape check, export, the lift) stay apart."""
+lift table w_att). A case that holds for both readings is written once, in a
+`...Cases` class, and runs once per reading: `TestX` runs it on the attribute
+reading and `TestXVisualAttr` on the region reading, each with its own shapes,
+seeds and tolerances (`Reading.pick`). The cases that only one reading has (one
+region, the shape check, export, the lift) sit in that reading's class."""
 import math
 from dataclasses import replace
 
@@ -38,6 +40,10 @@ class Reading:
         shape = (d, da) if self.by_regions else (da, d)
         return V, A, self.params_cls(**{n: rng.standard_normal(shape) for n in self.names})
 
+    def pick(self, attr_value, region_value):
+        """This reading's value of a case parameter."""
+        return region_value if self.by_regions else attr_value
+
     def sides(self, V, A):
         """(queries, keys); applied to (queries, keys) it gives back (V, A)."""
         return (V, A) if self.by_regions else (A, V)
@@ -60,17 +66,6 @@ class Reading:
 
 AV = Reading(av, AttrVisualParams, ("w1", "w2"))
 VA = Reading(va, VisualAttrParams, ("w3", "w4", "w_att"))
-IDS = ["attr_visual", "visual_attr"]
-both_readings = pytest.mark.parametrize("reading", [AV, VA], ids=IDS)
-
-
-def per_reading(attr_dims, region_dims, **extra):
-    """Run a case once per reading: `dims` are that reading's `instance`
-    arguments, and each keyword is one more argument, given as its
-    (attribute reading, region reading) values."""
-    return pytest.mark.parametrize(["reading", "dims", *extra], [
-        pytest.param(AV, attr_dims, *(v[0] for v in extra.values()), id=IDS[0]),
-        pytest.param(VA, region_dims, *(v[1] for v in extra.values()), id=IDS[1])])
 
 
 def zeroed(params, name):
@@ -89,23 +84,18 @@ def readout_oracle(Q, w_e, mixes):
     return np.array([float(Q[i] @ w_e @ mixes[i]) for i in range(Q.shape[0])])
 
 
-class TestAttention:
-    def test_single_region_all_ones(self):
-        V, A, params = AV.instance(k=4, r=1)
-        beta = AV.run(V, A, params).attention.data
-        assert beta.shape == (4, 1)
-        assert np.array_equal(beta, np.ones((4, 1)))
-
-    @per_reading(dict(k=3, r=5), dict(k=2, r=4))
-    def test_zero_score_weight_uniform(self, reading, dims):
-        V, A, params = reading.instance(**dims)
+class AttentionCases:
+    def test_zero_weight_uniform(self):
+        reading = self.reading
+        V, A, params = reading.instance(**reading.pick(dict(k=3, r=5), dict(k=2, r=4)))
         attention = reading.run(V, A, zeroed(params, reading.score)).attention.data
         assert np.allclose(attention, 1.0 / len(reading.sides(V, A)[1]), atol=1e-12)
 
-    @per_reading(dict(k=2, r=2, d=3, da=2, seed=7), dict(k=3, r=2, seed=7))
-    def test_matches_direct_evaluation(self, reading, dims):
+    def test_matches_direct_evaluation(self):
         # oracle: evaluate the bilinear-score softmax with scalar math
-        V, A, params = reading.instance(**dims)
+        reading = self.reading
+        V, A, params = reading.instance(**reading.pick(dict(k=2, r=2, d=3, da=2, seed=7),
+                                                       dict(k=3, r=2, seed=7)))
         Q, K = reading.sides(V, A)
         w_s = getattr(params, reading.score)
         attention = reading.run(V, A, params).attention.data
@@ -115,17 +105,32 @@ class TestAttention:
             for j in range(len(K)):
                 assert abs(attention[i, j] - math.exp(scores[j]) / z) < 1e-12
 
-    @per_reading(dict(k=4, r=6), dict(k=6, r=5))
-    def test_rows_sum_to_one_random(self, reading, dims):
+    def test_rows_sum_to_one_random(self):
+        reading = self.reading
+        dims = reading.pick(dict(k=4, r=6), dict(k=6, r=5))
         for seed in range(50):
             V, A, params = reading.instance(**dims, seed=seed)
             attention = reading.run(V, A, params).attention.data
             assert np.max(np.abs(attention.sum(axis=1) - 1.0)) < 1e-6
 
+
+class TestAttention(AttentionCases):
+    reading = AV
+
+    def test_single_region_all_ones(self):
+        V, A, params = AV.instance(k=4, r=1)
+        beta = AV.run(V, A, params).attention.data
+        assert beta.shape == (4, 1)
+        assert np.array_equal(beta, np.ones((4, 1)))
+
     def test_shape_mismatch(self):
         V, A, params = AV.instance(k=2, r=3)
         with pytest.raises(ShapeError):
             AV.run(V[:, :2], A, params)
+
+
+class TestAttentionVisualAttr(AttentionCases):
+    reading = VA
 
     def test_row_shift_invariance(self):
         # adding a constant to one row's scores leaves that row's weights unchanged
@@ -137,20 +142,14 @@ class TestAttention:
         assert np.max(np.abs(softmax(shifted, axis=1) - gamma)) < 1e-9
 
 
-class TestFeatures:
+class FeaturesCases:
     """The attended mixes of keys, pinned through the readout of an intervened
     pass (read back through the lift in the region reading)."""
 
-    def test_uniform_two_regions_midpoint(self):
-        V = np.array([[0.0, 2.0], [4.0, 6.0]])
-        _, A, params = AV.instance(k=3, r=3, d=2)
-        scores = av.intervened(AV.run(V, A, params), np.full((3, 2), 0.5)).attr_scores.data
-        assert np.allclose(scores, readout_oracle(A, params.w2, np.tile([2.0, 4.0], (3, 1))),
-                           atol=1e-12)
-
-    @per_reading(dict(k=3, r=4), dict(k=3, r=3), key=(2, 1))
-    def test_one_hot_selects_key(self, reading, dims, key):
-        V, A, params = reading.instance(**dims)
+    def test_one_hot_selects_key(self):
+        reading = self.reading
+        V, A, params = reading.instance(**reading.pick(dict(k=3, r=4), dict(k=3, r=3)))
+        key = reading.pick(2, 1)
         Q, K = reading.sides(V, A)
         w_e = getattr(params, reading.embed)
         attention = np.zeros((len(Q), len(K)))
@@ -163,8 +162,9 @@ class TestFeatures:
             assert np.array_equal(got, table_column)
         assert np.allclose(got, readout_oracle(Q, w_e, np.tile(K[key], (len(Q), 1))), atol=1e-9)
 
-    @per_reading(dict(k=3, r=4, d=5, seed=3), dict(k=4, r=4, da=5, seed=4), tol=(1e-12, 1e-9))
-    def test_matches_weighted_sum_oracle(self, reading, dims, tol):
+    def test_matches_weighted_sum_oracle(self):
+        reading = self.reading
+        dims = reading.pick(dict(k=3, r=4, d=5, seed=3), dict(k=4, r=4, da=5, seed=4))
         V, A, params = reading.instance(**dims)
         Q, K = reading.sides(V, A)
         rng = make_rng(dims["seed"])
@@ -176,12 +176,13 @@ class TestFeatures:
             for j in range(len(K)):
                 expected[i] += attention[i, j] * K[j]
         assert np.max(np.abs(got - readout_oracle(Q, getattr(params, reading.embed),
-                                                  expected))) < tol
+                                                  expected))) < reading.pick(1e-12, 1e-9)
 
-    @per_reading(dict(k=5, r=4), dict(k=4, r=4, da=4))
-    def test_convex_hull_property(self, reading, dims):
+    def test_convex_hull_property(self):
         # m_i is a convex mix of keys, so q_i' w_e m_i lies between the
         # smallest and largest q_i' w_e k_j
+        reading = self.reading
+        dims = reading.pick(dict(k=5, r=4), dict(k=4, r=4, da=4))
         for seed in range(20):
             V, A, params = reading.instance(**dims, seed=seed)
             Q, K = reading.sides(V, A)
@@ -191,12 +192,50 @@ class TestFeatures:
             assert np.all(got <= per_key.max(axis=1) + 1e-9)
 
 
-class TestEmbed:
-    @per_reading(dict(k=2, r=3), dict(k=3, r=3))
-    def test_zero_weight(self, reading, dims):
+class TestFeatures(FeaturesCases):
+    reading = AV
+
+    def test_uniform_two_regions_midpoint(self):
+        V = np.array([[0.0, 2.0], [4.0, 6.0]])
+        _, A, params = AV.instance(k=3, r=3, d=2)
+        scores = av.intervened(AV.run(V, A, params), np.full((3, 2), 0.5)).attr_scores.data
+        assert np.allclose(scores, readout_oracle(A, params.w2, np.tile([2.0, 4.0], (3, 1))),
+                           atol=1e-12)
+
+
+class TestFeaturesVisualAttr(FeaturesCases):
+    reading = VA
+
+    def test_uniform_gives_mean_attribute(self):
+        assert_uniform_gives_key_mean(VA, dict(k=5, r=5, d=5, da=5), 1e-9)
+
+
+class EmbedCases:
+    def test_zero_weight(self):
+        reading = self.reading
+        dims = reading.pick(dict(k=2, r=3), dict(k=3, r=3))
         V, A, params = reading.instance(**dims)
         scores = reading.run(V, A, zeroed(params, reading.embed)).attr_scores.data
         assert np.array_equal(scores, np.zeros(dims["k"]))
+
+    def test_linear_in_query_row(self):
+        reading = self.reading
+        V, A, params = reading.instance(**reading.pick(dict(k=2, r=3, seed=2),
+                                                       dict(k=3, r=3, seed=2)))
+        tol = reading.pick(1e-12, 1e-9)
+        Q, K = reading.sides(V, A)
+        attention = np.asarray(make_rng(9).random((len(Q), len(K))))
+        attention /= attention.sum(axis=1, keepdims=True)
+        base = reading.readout_under(attention, V, A, params)
+        doubled_Q = Q.copy()
+        doubled_Q[1] *= 2.0
+        doubled = reading.readout_under(attention, *reading.sides(doubled_Q, K), params)
+        assert abs(doubled[1] - 2.0 * base[1]) < tol
+        assert abs(doubled[0] - base[0]) < tol
+
+
+class TestEmbed(EmbedCases):
+    reading = AV
 
     def test_single_attribute_direct_evaluation(self):
         # one region: the attention is 1 and the attended feature is that region
@@ -207,6 +246,10 @@ class TestEmbed:
         psi = AV.run(V, A, params).attr_scores.data
         expected = float(A[0] @ params.w2 @ V[0])
         assert abs(psi[0] - expected) < 1e-12
+
+
+class TestEmbedVisualAttr(EmbedCases):
+    reading = VA
 
     def test_single_region_direct_evaluation(self):
         # one region and a one-hot attention: the mix is attribute 1, and the
@@ -219,19 +262,6 @@ class TestEmbed:
         got = va.intervened(VA.run(V, A, params), np.array([[0.0, 1.0, 0.0]])).attr_scores.data
         expected = float(V[0] @ params.w4 @ A[1]) * (V[0] @ params.w_att @ A.T)
         assert np.max(np.abs(got - expected)) < 1e-12
-
-    @per_reading(dict(k=2, r=3, seed=2), dict(k=3, r=3, seed=2), tol=(1e-12, 1e-9))
-    def test_linear_in_query_row(self, reading, dims, tol):
-        V, A, params = reading.instance(**dims)
-        Q, K = reading.sides(V, A)
-        attention = np.asarray(make_rng(9).random((len(Q), len(K))))
-        attention /= attention.sum(axis=1, keepdims=True)
-        base = reading.readout_under(attention, V, A, params)
-        doubled_Q = Q.copy()
-        doubled_Q[1] *= 2.0
-        doubled = reading.readout_under(attention, *reading.sides(doubled_Q, K), params)
-        assert abs(doubled[1] - 2.0 * base[1]) < tol
-        assert abs(doubled[0] - base[0]) < tol
 
 
 class TestProject:
@@ -254,21 +284,24 @@ class TestProject:
         assert np.max(np.abs(fwd.attr_scores.data - expected)) < 1e-12
 
 
-class TestPredict:
-    @per_reading(dict(k=3, r=3, seed=4), dict(k=3, r=3, seed=3))
-    def test_one_hot_prototypes_select_scores(self, reading, dims):
+class PredictCases:
+    def test_one_hot_prototypes_select_scores(self):
+        reading = self.reading
+        dims = reading.pick(dict(k=3, r=3, seed=4), dict(k=3, r=3, seed=3))
         fwd = reading.run(*reading.instance(**dims), Z=np.eye(3))
         assert np.array_equal(fwd.logits.data, fwd.attr_scores.data)
 
-    @per_reading(dict(k=3, r=3), dict(k=3, r=3), weight=("w2", "w_att"))
-    def test_zero_scores_zero_logits(self, reading, dims, weight):
-        V, A, params = reading.instance(**dims)
+    def test_zero_scores_zero_logits(self):
+        reading = self.reading
+        V, A, params = reading.instance(k=3, r=3)
         Z = make_rng(0).random((4, 3))
+        weight = reading.pick("w2", "w_att")
         assert np.array_equal(reading.run(V, A, zeroed(params, weight), Z).logits.data,
                               np.zeros(4))
 
-    @per_reading(dict(k=4, r=3, seed=8), dict(k=5, r=3, seed=8))
-    def test_matches_dot_product_oracle(self, reading, dims):
+    def test_matches_dot_product_oracle(self):
+        reading = self.reading
+        dims = reading.pick(dict(k=4, r=3, seed=8), dict(k=5, r=3, seed=8))
         V, A, params = reading.instance(**dims)
         Z = make_rng(8).standard_normal((3, dims["k"]))
         fwd = reading.run(V, A, params, Z)
@@ -277,9 +310,28 @@ class TestPredict:
             assert abs(fwd.logits.data[c] - float(np.dot(scores, Z[c]))) < 1e-12
 
 
-class TestIntervened:
-    @per_reading(dict(k=4, r=5, seed=11), dict(k=5, r=4, seed=11))
-    def test_null_intervention_bit_exact(self, reading, dims):
+class TestPredict(PredictCases):
+    reading = AV
+
+
+class TestPredictVisualAttr(PredictCases):
+    reading = VA
+
+
+def assert_uniform_gives_key_mean(reading, dims, tol):
+    """A uniform intervention reads out each query against the mean key."""
+    V, A, params = reading.instance(**dims)
+    Q, K = reading.sides(V, A)
+    got = reading.readout_under(np.full((len(Q), len(K)), 1.0 / len(K)), V, A, params)
+    mean_key = np.tile(K.mean(axis=0), (len(Q), 1))
+    expected = readout_oracle(Q, getattr(params, reading.embed), mean_key)
+    assert np.allclose(got, expected, atol=tol)
+
+
+class IntervenedCases:
+    def test_null_intervention_bit_exact(self):
+        reading = self.reading
+        dims = reading.pick(dict(k=4, r=5, seed=11), dict(k=5, r=4, seed=11))
         V, A, params = reading.instance(**dims)
         Z = make_rng(12).random((3, dims["k"]))
         fwd = reading.module.forward(V, A, Z, params)
@@ -287,20 +339,14 @@ class TestIntervened:
         assert np.array_equal(logits_bar.data, fwd.logits.data)
         assert np.array_equal(causal_effect(fwd.logits, logits_bar), np.zeros(3))
 
-    @pytest.mark.parametrize("reading,dims,tol", [
-        pytest.param(AV, dict(k=3, r=4, seed=1), 1e-12, id="attr_visual"),
-        pytest.param(VA, dict(k=4, r=4, da=4, seed=15), 1e-9, id="visual_attr"),
-        pytest.param(VA, dict(k=5, r=5, d=5, da=5), 1e-9, id="visual_attr-5x5")])
-    def test_uniform_intervention_gives_key_mean(self, reading, dims, tol):
-        V, A, params = reading.instance(**dims)
-        Q, K = reading.sides(V, A)
-        got = reading.readout_under(np.full((len(Q), len(K)), 1.0 / len(K)), V, A, params)
-        mean_key = np.tile(K.mean(axis=0), (len(Q), 1))
-        expected = readout_oracle(Q, getattr(params, reading.embed), mean_key)
-        assert np.allclose(got, expected, atol=tol)
+    def test_uniform_intervention_gives_key_mean(self):
+        reading = self.reading
+        assert_uniform_gives_key_mean(
+            reading, reading.pick(dict(k=3, r=4, seed=1), dict(k=4, r=4, da=4, seed=15)),
+            reading.pick(1e-12, 1e-9))
 
-    @both_readings
-    def test_matches_compositional_oracle(self, reading):
+    def test_matches_compositional_oracle(self):
+        reading = self.reading
         V, A, params = reading.instance(k=4, r=3, seed=21)
         Q, K = reading.sides(V, A)
         Z = make_rng(22).random((5, 4))
@@ -317,10 +363,10 @@ class TestIntervened:
         assert np.array_equal(bar.attr_scores.data, expected)
         assert np.array_equal(bar.logits.data, Z @ expected)
 
-    @both_readings
-    def test_reuses_observed_products(self, reading, monkeypatch):
+    def test_reuses_observed_products(self, monkeypatch):
         # only Z.psi runs again; the readout (and lift) tables come from the
         # observed pass
+        reading = self.reading
         V, A, params = reading.instance(k=4, r=3, seed=24)
         Q, K = reading.sides(V, A)
         fwd = reading.run(V, A, params)
@@ -330,21 +376,17 @@ class TestIntervened:
         reading.module.intervened(fwd, np.full((len(Q), len(K)), 1.0 / len(K)))
         assert len(calls) == 1
 
-    @per_reading(dict(k=2, r=3), dict(k=3, r=3), value=(0.5, 0.9))
-    def test_unnormalized_rows_rejected(self, reading, dims, value):
-        V, A, params = reading.instance(**dims)
+    def test_unnormalized_rows_rejected(self):
+        reading = self.reading
+        V, A, params = reading.instance(**reading.pick(dict(k=2, r=3), dict(k=3, r=3)))
         Q, K = reading.sides(V, A)
-        bad = np.full((len(Q), len(K)), value)  # rows sum to more than 1
+        bad = np.full((len(Q), len(K)), reading.pick(0.5, 0.9))  # rows sum to more than 1
         with pytest.raises(ValueError, match="sum to 1"):
             reading.module.intervened(reading.run(V, A, params), bad)
 
-    def test_wrong_shape_rejected(self):
-        V, A, params = AV.instance(k=2, r=3)
-        with pytest.raises(ShapeError, match="differs from the observed"):
-            av.intervened(AV.run(V, A, params), np.full((3, 2), 0.5))
-
-    @per_reading(dict(k=2, r=3, seed=31), dict(k=3, r=3, seed=31))
-    def test_no_gradient_into_intervention(self, reading, dims):
+    def test_no_gradient_into_intervention(self):
+        reading = self.reading
+        dims = reading.pick(dict(k=2, r=3, seed=31), dict(k=3, r=3, seed=31))
         V, A, params = reading.instance(**dims)
         Q, K = reading.sides(V, A)
         Z = make_rng(32).random((3, dims["k"]))
@@ -358,14 +400,14 @@ class TestIntervened:
         # the intervened pass never touches the score weight
         assert leaves[reading.score].grad is None
 
-    @per_reading(dict(k=2, r=3, seed=41), dict(k=3, r=3, seed=41), classes=(3, 4))
-    def test_score_weight_gradient_independent_of_intervention_draw(self, reading, dims,
-                                                                    classes):
+    def test_score_weight_gradient_independent_of_intervention_draw(self):
         # perturbing the stream that produced the intervention must not change
         # the score weight's gradient; the draw does flow through the readout weight
+        reading = self.reading
+        dims = reading.pick(dict(k=2, r=3, seed=41), dict(k=3, r=3, seed=41))
         V, A, params = reading.instance(**dims)
         Q, K = reading.sides(V, A)
-        Z = make_rng(42).random((classes, dims["k"]))
+        Z = make_rng(42).random((reading.pick(3, 4), dims["k"]))
         grads = []
         for interv_seed in (1, 2):
             leaves = {n: ad.Tensor(getattr(params, n).copy(), requires_grad=True)
@@ -385,31 +427,49 @@ class TestIntervened:
         assert not np.array_equal(grads[0][reading.embed], grads[1][reading.embed])
 
 
-class TestCausalEffect:
-    @pytest.mark.parametrize("x", [np.array([1.0, 2.0]), make_rng(1).standard_normal(4)],
-                             ids=IDS)
-    def test_identical_inputs_zero(self, x):
+class TestIntervened(IntervenedCases):
+    reading = AV
+
+    def test_wrong_shape_rejected(self):
+        V, A, params = AV.instance(k=2, r=3)
+        with pytest.raises(ShapeError, match="differs from the observed"):
+            av.intervened(AV.run(V, A, params), np.full((3, 2), 0.5))
+
+
+class TestIntervenedVisualAttr(IntervenedCases):
+    reading = VA
+
+
+class CausalEffectCases:
+    def test_identical_inputs_zero(self):
+        x = self.reading.pick(np.array([1.0, 2.0]), make_rng(1).standard_normal(4))
         assert np.array_equal(causal_effect(x, x), np.zeros(len(x)))
 
-    @pytest.mark.parametrize("logits,logits_bar,effect", [
-        ([2.0, 0.0], [1.0, 1.0], [1.0, -1.0]), ([3.0, 1.0], [1.0, 3.0], [2.0, -2.0])], ids=IDS)
-    def test_hand_arithmetic(self, logits, logits_bar, effect):
+    def test_hand_arithmetic(self):
+        logits, logits_bar, effect = self.reading.pick(
+            ([2.0, 0.0], [1.0, 1.0], [1.0, -1.0]), ([3.0, 1.0], [1.0, 3.0], [2.0, -2.0]))
         assert np.array_equal(causal_effect(logits, logits_bar), effect)
 
-    @pytest.mark.parametrize("seed,size", [(6, 5), (2, 6)], ids=IDS)
-    def test_antisymmetry(self, seed, size):
+    def test_antisymmetry(self):
+        seed, size = self.reading.pick((6, 5), (2, 6))
         rng = make_rng(seed)
         a, b = rng.standard_normal(size), rng.standard_normal(size)
         assert np.array_equal(causal_effect(a, b), -causal_effect(b, a))
 
-    @pytest.mark.parametrize("size", [3, 4], ids=IDS)
-    def test_length_mismatch(self, size):
+    def test_length_mismatch(self):
         with pytest.raises(ShapeError):
-            causal_effect(np.zeros(2), np.zeros(size))
+            causal_effect(np.zeros(2), np.zeros(self.reading.pick(3, 4)))
 
 
-@per_reading(dict(k=2, r=3, seed=51), dict(k=3, r=3, seed=51))
-def test_gradients_pass_finite_difference_check(reading, dims):
+class TestCausalEffect(CausalEffectCases):
+    reading = AV
+
+
+class TestCausalEffectVisualAttr(CausalEffectCases):
+    reading = VA
+
+
+def assert_gradients_pass_finite_difference_check(reading, dims):
     # scalar function of the logits, differentiated w.r.t. the reading's weights
     V, A, params = reading.instance(**dims)
     Z = make_rng(52).random((3, dims["k"]))
@@ -424,6 +484,14 @@ def test_gradients_pass_finite_difference_check(reading, dims):
 
     report = finite_difference_check(loss_fn, base, epsilon=1e-5, tolerance=1e-4)
     assert report.passed, report
+
+
+def test_gradients_pass_finite_difference_check():
+    assert_gradients_pass_finite_difference_check(AV, dict(k=2, r=3, seed=51))
+
+
+def test_gradients_pass_finite_difference_check_visual_attr():
+    assert_gradients_pass_finite_difference_check(VA, dict(k=3, r=3, seed=51))
 
 
 def test_export_attention_round_trip(tmp_path):
