@@ -15,7 +15,7 @@ from typing import get_args, get_type_hints
 
 import numpy as np
 
-from .attr_visual import ATTR_SIDE, export_attention, query_products
+from .attr_visual import export_attention
 from .data import SynthConfig, generate_synthetic, load_dataset, save_dataset
 from .errors import ConfigError, DataValidationError, FormatError, NumericError
 from .evaluate import (
@@ -28,15 +28,13 @@ from .evaluate import (
 from .losses import LossWeights
 from .tensor_io import write_atomic
 from .training import (
-    BLOCK_VALUES,
     INTERVENTION_KINDS,
     Hyperparams,
     ModelState,
-    block_samples,
-    forward_both,
     load_checkpoint,
     report_dict,
     save_checkpoint,
+    score_blocks,
     train,
 )
 
@@ -250,11 +248,7 @@ def cmd_export_attention(args: argparse.Namespace) -> int:
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     names = dataset.attribute_names or [f"attr_{k}" for k in range(dataset.num_attributes)]
-    block = block_samples(dataset, BLOCK_VALUES)
-    products = query_products(dataset.attributes, state.weights, ATTR_SIDE)
-    for start in range(0, len(indices), block):
-        rows = indices[start:start + block]
-        f1, f2 = forward_both(dataset.features[rows], dataset, products, state.weights)
+    for rows, f1, f2 in score_blocks(indices, dataset, state.weights):
         for i, beta, gamma, scores in zip(rows, f1.attention.data, f2.attention.data,
                                           f1.attr_scores.data):
             export_attention(beta, names, out / f"sample_{i}_region_attention")

@@ -39,7 +39,7 @@ class Split:
 @dataclass
 class Dataset:
     name: str
-    features: np.ndarray  # N x R x D
+    features: np.ndarray  # N x R x D, float32 as MSDT stores it; widened per block
     labels: np.ndarray  # N, integer-valued
     attributes: np.ndarray  # K x Da semantic vectors, fixed inputs
     class_semantics: np.ndarray  # C x K prototypes
@@ -147,7 +147,7 @@ def generate_synthetic(config: SynthConfig, seed: int) -> Dataset:
     seen = [ci for ci in range(c) if ci not in set(unseen)]
 
     n = c * config.samples_per_class
-    features = np.zeros((n, r, d))
+    features = np.zeros((n, r, d), dtype=np.float32)  # rounded as a file round trip would
     labels = np.zeros(n, dtype=np.int64)
     i = 0
     for ci in range(c):
@@ -177,7 +177,7 @@ def generate_synthetic(config: SynthConfig, seed: int) -> Dataset:
 
     ds = Dataset(
         name="synthetic",
-        features=_f32_exact(features),
+        features=features,
         labels=labels,
         attributes=_f32_exact(attr_vectors),
         class_semantics=_f32_exact(protos),
@@ -311,6 +311,7 @@ def load_dataset(directory: str | Path) -> Dataset:
     attributes, class_semantics, features, labels_f = (
         read_tensor(directory / manifest[key])
         for key in ("attributes", "class_semantics", "features", "labels"))
+    attributes, class_semantics = (a.astype(np.float64) for a in (attributes, class_semantics))
     if labels_f.ndim != 1:
         raise FormatError(f"{directory / manifest['labels']}: labels must be rank-1")
     if not np.all(labels_f == np.round(labels_f)):

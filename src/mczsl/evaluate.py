@@ -2,8 +2,8 @@
 
 Predictions fuse the two sub-nets' attribute scores with fixed coefficients
 and add a +1/-1 unseen/seen calibration offset to every candidate logit.
-`predict` scores samples in blocks through one batched forward of both
-sub-nets; every pass that needs no gradient goes through it.
+`predict` scores samples in blocks through `training.score_blocks`, one
+batched forward of both sub-nets per block.
 Accuracies are per-class means (each class weighs equally regardless of its
 sample count); the GZSL summary is the harmonic mean H = 2SU/(S+U).
 """
@@ -15,12 +15,11 @@ from pathlib import Path
 
 import numpy as np
 
-from .attr_visual import ATTR_SIDE, query_products
 from .data import Dataset, Split
 from .errors import ShapeError
 from .numeric import check_finite_settings
 from .tensor_io import write_atomic
-from .training import BLOCK_VALUES, ModelState, block_samples, forward_both
+from .training import ModelState, score_blocks
 
 SETTINGS = ("czsl", "gzsl")
 
@@ -81,16 +80,10 @@ def fused_score(psi, psi_attr, Z, split: Split, cfg: FusionConfig) -> np.ndarray
 
 def predict(indices, state: ModelState, dataset: Dataset, cfg: FusionConfig) -> list[int]:
     """Classes of the samples `indices`: highest fused score wins; exact ties go
-    to the lowest class index. A w1 and A w2 run once per call. Copying the
-    features one block at a time bounds the memory a call takes."""
-    idx = np.asarray(indices, dtype=np.intp)
-    block = block_samples(dataset, BLOCK_VALUES)
+    to the lowest class index. Scores come block by block from `score_blocks`."""
     cands = np.asarray(candidate_classes(dataset.split, cfg.setting))
-    products = query_products(dataset.attributes, state.weights, ATTR_SIDE)
     preds: list[int] = []
-    for start in range(0, len(idx), block):
-        f1, f2 = forward_both(dataset.features[idx[start:start + block]], dataset,
-                              products, state.weights)
+    for _, f1, f2 in score_blocks(indices, dataset, state.weights):
         scores = fused_score(f1.attr_scores.data, f2.attr_scores.data,
                              dataset.class_semantics, dataset.split, cfg)
         preds += cands[np.argmax(scores, axis=1)].tolist()

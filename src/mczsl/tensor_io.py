@@ -4,7 +4,8 @@ Layout: bytes 0-3 magic b"MSDT"; byte 4 format version (1); byte 5 rank
 (1 to 3); then rank unsigned 32-bit little-endian dims; then the row-major
 payload as IEEE-754 little-endian 32-bit floats. Files must be exactly
 header + payload long; anything else is a FormatError carrying the byte
-offset where parsing failed.
+offset where parsing failed. `read_tensor` checks the header against the
+file size before it allocates, and returns float32, as the file stores it.
 """
 from __future__ import annotations
 
@@ -50,26 +51,29 @@ def write_tensor(path: str | Path, array: np.ndarray) -> None:
 
 
 def read_tensor(path: str | Path) -> np.ndarray:
-    """Read an MSDT file into a float64 array (payload stored as float32)."""
+    """Read an MSDT file into a float32 array, the dtype the file stores.
+
+    The header is checked against the file size before the payload is
+    allocated; the payload is then read straight into the returned array."""
     path = Path(path)
     if not path.exists():
         raise FileNotFoundError(f"tensor file not found: {path}")
-    # a numpy buffer rather than bytes: numpy asks the kernel for huge pages on
-    # large buffers, so a big payload is not faulted in 4 KiB at a time
-    blob = memoryview(np.fromfile(path, dtype=np.uint8))
-    if len(blob) < 6:
-        raise FormatError(f"{path}: truncated header at offset {len(blob)} (need 6 bytes)")
-    if blob[:4] != MAGIC:
-        raise FormatError(f"{path}: bad magic {bytes(blob[:4])!r} at offset 0")
-    version, rank = blob[4], blob[5]
+    size = path.stat().st_size
+    with path.open("rb") as f:
+        head = f.read(6 + 4 * MAX_RANK)
+    if size < 6:
+        raise FormatError(f"{path}: truncated header at offset {size} (need 6 bytes)")
+    if head[:4] != MAGIC:
+        raise FormatError(f"{path}: bad magic {head[:4]!r} at offset 0")
+    version, rank = head[4], head[5]
     if version != VERSION:
         raise FormatError(f"{path}: unsupported version {version} at offset 4")
     if not 1 <= rank <= MAX_RANK:
         raise FormatError(f"{path}: rank {rank} outside 1..{MAX_RANK} at offset 5")
     dims_end = 6 + 4 * rank
-    if len(blob) < dims_end:
-        raise FormatError(f"{path}: truncated dims at offset {len(blob)} (need {dims_end} bytes)")
-    dims = struct.unpack(f"<{rank}I", blob[6:dims_end])
+    if size < dims_end:
+        raise FormatError(f"{path}: truncated dims at offset {size} (need {dims_end} bytes)")
+    dims = struct.unpack(f"<{rank}I", head[6:dims_end])
     n = 1
     for d in dims:
         if d == 0:
@@ -78,12 +82,15 @@ def read_tensor(path: str | Path) -> np.ndarray:
     if n > _MAX_ELEMENTS:
         raise FormatError(f"{path}: element count {n} exceeds limit at offset 6")
     expected = dims_end + 4 * n
-    if len(blob) != expected:
+    if size != expected:
         raise FormatError(
             f"{path}: payload length mismatch at offset {dims_end}: "
-            f"file has {len(blob)} bytes, shape {dims} needs {expected}"
+            f"file has {size} bytes, shape {dims} needs {expected}"
         )
-    data = np.frombuffer(blob, dtype="<f4", offset=dims_end).reshape(dims)
+    data = np.fromfile(path, dtype="<f4", count=n, offset=dims_end)
+    if data.size != n:  # the file shrank after the size check
+        raise FormatError(f"{path}: payload length mismatch at offset {dims_end}: "
+                          f"read {data.size} of {n} values")
     if not np.all(np.isfinite(data)):
         raise FormatError(f"{path}: non-finite payload values at offset {dims_end}")
-    return data.astype(np.float64)
+    return data.reshape(dims)

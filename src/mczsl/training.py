@@ -91,7 +91,7 @@ class Hyperparams:
 
 @dataclass
 class ModelState:
-    """The five weights in one dict keyed by PARAM_NAMES; RMSProp state from zero."""
+    """The five float64 weights in one dict keyed by PARAM_NAMES; RMSProp state from zero."""
 
     weights: dict[str, np.ndarray]
     sq_avg: dict[str, np.ndarray] = field(init=False)
@@ -133,11 +133,24 @@ def forward_both(V, dataset: Dataset, products, weights) -> tuple[SubnetForward,
     samples (B x R x D), against the dataset's attributes and prototypes.
     `products` are (A w1, A w2), built once by the caller; V w3, V w4 and
     V w_att come from the mapping `weights` (arrays or tape leaves).
-    Training, prediction and attention export all score samples here."""
-    A, Z = dataset.attributes, dataset.class_semantics
+    Training, prediction and attention export all score samples here, and
+    the (float32) features are widened to float64 here, one block at a time."""
+    A, Z, V = dataset.attributes, dataset.class_semantics, np.asarray(V, dtype=np.float64)
     f1 = attr_visual.cross_attention(products, V, Z)
     region_products = attr_visual.query_products(V, weights, REGION_SIDE)
     return f1, attr_visual.cross_attention(region_products, A, Z)
+
+
+def score_blocks(indices, dataset: Dataset, weights):
+    """(rows, f1, f2) per block of `block_samples(dataset, BLOCK_VALUES)` of the
+    samples `indices`, in order, from `forward_both`; A w1 and A w2 run once
+    per call, and one block's copy of the features is alive at a time."""
+    idx = np.asarray(indices, dtype=np.intp)
+    block = block_samples(dataset, BLOCK_VALUES)
+    products = attr_visual.query_products(dataset.attributes, weights, ATTR_SIDE)
+    for start in range(0, idx.size, block):
+        rows = idx[start:start + block]
+        yield (rows, *forward_both(dataset.features[rows], dataset, products, weights))
 
 
 def make_intervention_attention(
@@ -381,7 +394,8 @@ def load_checkpoint(directory: str | Path) -> tuple[ModelState, dict]:
             if typ in json_types and type(value) not in json_types[typ][0]:
                 raise FormatError(f"{meta_path}: 'hyperparams.{prefix}{name}' must be "
                                   f"{json_types[typ][1]}, got {value!r}")
-    arrays = {name: read_tensor(directory / f"{name}.msdt") for name in PARAM_NAMES}
+    arrays = {name: read_tensor(directory / f"{name}.msdt").astype(np.float64)
+              for name in PARAM_NAMES}
     da_d = arrays["w1"].shape
     for name, arr in arrays.items():
         path = directory / f"{name}.msdt"

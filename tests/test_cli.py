@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from conftest import fill_disk_after
-from mczsl import attr_visual, cli
+from mczsl import attr_visual, cli, training
 from mczsl.attr_visual import AttrVisualParams
 from mczsl.cli import PRESETS, build_parser, main, parse_config_file
 from mczsl.data import SynthConfig, load_dataset
@@ -311,8 +311,8 @@ class TestExportAttention:
     def test_blocks_do_not_change_exports(self, monkeypatch, data_dir, trained_run, tmp_path):
         # samples are scored in blocks; one sample per block writes the same bytes
         outputs = []
-        for block_values in (cli.BLOCK_VALUES, 1):
-            monkeypatch.setattr(cli, "BLOCK_VALUES", block_values)
+        for block_values in (training.BLOCK_VALUES, 1):
+            monkeypatch.setattr(training, "BLOCK_VALUES", block_values)
             out = tmp_path / f"attn_{block_values}"
             assert main(["export-attention", "--data", str(data_dir), "--checkpoint",
                          str(trained_run / "checkpoint"), "--out", str(out),

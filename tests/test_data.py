@@ -1,4 +1,5 @@
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -141,6 +142,30 @@ class TestRoundTrip:
         ds.split = Split(ds.split.seen_classes, ds.split.unseen_classes, [], [], [])
         with pytest.raises(DataValidationError, match="at least one sample"):
             save_dataset(ds, tmp_path / "d")
+
+
+class TestDtypes:
+    def test_features_stay_float32_and_the_small_matrices_widen(self, tmp_path):
+        ds = generate_synthetic(SynthConfig(), seed=0)
+        save_dataset(ds, tmp_path / "d")
+        for d in (ds, load_dataset(tmp_path / "d")):
+            assert d.features.dtype == np.float32
+            assert d.attributes.dtype == np.float64
+            assert d.class_semantics.dtype == np.float64
+
+    def test_load_peak_memory_stays_near_the_features_file(self, tmp_path):
+        # 400 samples x 49 regions x 512 channels: a 40 MB float32 payload
+        cfg = SynthConfig(feature_dim=512, regions=49, samples_per_class=40)
+        save_dataset(generate_synthetic(cfg, seed=0), tmp_path / "d")
+        size = (tmp_path / "d" / "features.msdt").stat().st_size
+        tracemalloc.start()
+        try:
+            ds = load_dataset(tmp_path / "d")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.5 * size, f"load peaked at {peak / size:.2f}x the features file"
+        assert ds.features.nbytes == 400 * 49 * 512 * 4 == size - 18
 
 
 def _stub_dataset(num_classes, num_seen, num_attributes, attr_dim=3, regions=2,

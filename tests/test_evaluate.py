@@ -232,8 +232,8 @@ def test_block_predict_independent_of_blocking(monkeypatch, setting):
         p *= 4.0  # spread the scores beyond the +-1 offsets
     idx = [int(i) for i in make_rng(19).permutation(ds.num_samples)]
     cfg = FusionConfig(setting=setting)
-    # blocks of 5 samples; the package's `evaluate` attribute is the function
-    monkeypatch.setattr(importlib.import_module("mczsl.evaluate"), "BLOCK_VALUES", 5 * r * d)
+    # blocks of 5 samples, cut by training.score_blocks
+    monkeypatch.setattr(importlib.import_module("mczsl.training"), "BLOCK_VALUES", 5 * r * d)
     blocked = predict(idx, state, ds, cfg)
     assert blocked == [predict([i], state, ds, cfg)[0] for i in idx]
     ref, margins = load_reference().predictions(ds, state.params(), idx, setting)

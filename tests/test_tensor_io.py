@@ -18,7 +18,7 @@ def test_round_trip_bit_exact(tmp_path, shape):
     back = read_tensor(path)
     assert back.shape == shape
     assert np.array_equal(back, a)
-    assert back.dtype == np.float64
+    assert back.dtype == np.float32
 
 
 def test_write_then_write_is_byte_identical(tmp_path):
@@ -105,6 +105,28 @@ def test_truncated_header(tmp_path):
 def test_truncated_dims(tmp_path):
     with pytest.raises(FormatError, match="truncated dims"):
         read_tensor(_write(tmp_path, _valid_blob()[:9]))
+
+
+@pytest.mark.parametrize("case", ["header_promises_more", "one_byte_short"])
+def test_size_checked_before_the_payload_is_read(tmp_path, monkeypatch, case):
+    # 2**30 elements are under the element cap, so only the size check stops them
+    promises_more = MAGIC + struct.pack("<BB", 1, 2) + struct.pack("<2I", 2**20, 2**10)
+    blob = {"header_promises_more": promises_more + b"\x00" * 16,
+            "one_byte_short": _valid_blob()[:-1]}[case]
+    reads = []
+    monkeypatch.setattr(np, "fromfile", lambda *args, **kwargs: reads.append(args))
+    with pytest.raises(FormatError, match="mismatch at offset 14"):
+        read_tensor(_write(tmp_path, blob))
+    assert reads == []
+
+
+def test_short_payload_read_is_format_error(tmp_path, monkeypatch):
+    # the file loses its last value between the size check and the read
+    fromfile = np.fromfile
+    monkeypatch.setattr(np, "fromfile",
+                        lambda *args, count, **kwargs: fromfile(*args, count=count - 1, **kwargs))
+    with pytest.raises(FormatError, match="mismatch at offset 14: read 11 of 12 values"):
+        read_tensor(_write(tmp_path, _valid_blob()))
 
 
 def test_trailing_garbage_rejected(tmp_path):

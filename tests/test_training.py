@@ -20,6 +20,7 @@ from mczsl.training import (
     REGION_SIDE,
     Hyperparams,
     batch_loss_and_grads,
+    forward_both,
     init_state,
     load_checkpoint,
     make_intervention_attention,
@@ -448,7 +449,7 @@ def test_attribute_products_run_once_per_predict_call(monkeypatch):
 
     ds = prime_dataset()
     assert ds.num_samples == 24
-    monkeypatch.setattr(importlib.import_module("mczsl.evaluate"), "BLOCK_VALUES",
+    monkeypatch.setattr(importlib.import_module("mczsl.training"), "BLOCK_VALUES",
                         5 * ds.num_regions * ds.feature_dim)
     state = state_for_dataset(ds, make_rng(4))
     count = record_attribute_products(monkeypatch, ds)
@@ -527,6 +528,29 @@ class TestWeightContainer:
         with pytest.raises(FormatError, match=r"w3 has shape \(3, 5\), expected \(5, 3\) "
                                               r"\(w1, w2 are Da x D; w3, w4, w_att are D x Da\)"):
             load_checkpoint(tmp_path / "ck")
+
+
+class TestDtypeContract:
+    def test_checkpoint_weights_and_optimizer_state_stay_float64(self, tmp_path, small_dataset):
+        hp = Hyperparams(learning_rate=0.01)
+        save_checkpoint(state_for_dataset(small_dataset, make_rng(0)), hp, tmp_path / "ck",
+                        epoch=0)
+        state, _ = load_checkpoint(tmp_path / "ck")
+        assert {p.dtype for p in state.params().values()} == {np.dtype(np.float64)}
+        train_step(small_dataset.split.train_idx[:4], small_dataset, state, hp, make_rng(1))
+        for group in (state.params(), state.sq_avg, state.momentum_buf):
+            assert {p.dtype for p in group.values()} == {np.dtype(np.float64)}
+
+    def test_float32_block_scores_equal_the_widened_block(self, small_dataset):
+        ds = small_dataset
+        weights = state_for_dataset(ds, make_rng(2)).params()
+        products = av.query_products(ds.attributes, weights, ATTR_SIDE)
+        block = ds.features[:5]
+        assert block.dtype == np.float32
+        narrow = forward_both(block, ds, products, weights)
+        wide = forward_both(block.astype(np.float64), ds, products, weights)
+        for a, b in zip(narrow, wide):
+            assert a.attr_scores.data.tobytes() == b.attr_scores.data.tobytes()
 
 
 class TestCheckpoint:
