@@ -18,13 +18,7 @@ import numpy as np
 from .attr_visual import export_attention
 from .data import SynthConfig, generate_synthetic, load_dataset, save_dataset
 from .errors import ConfigError, DataValidationError, FormatError, NumericError
-from .evaluate import (
-    EvalReport,
-    FusionConfig,
-    evaluate,
-    per_class_csv,
-    write_report_json,
-)
+from .evaluate import FusionConfig, evaluate_settings, per_class_csv, write_report_json
 from .losses import LossWeights
 from .tensor_io import write_atomic
 from .training import (
@@ -121,9 +115,9 @@ def _from_cfg(cls, cfg: dict, **fixed):
     return cls(**{k: v for k, v in cfg.items() if k in names}, **fixed)
 
 
-def _hyperparams(cfg: dict) -> Hyperparams:
+def _hyperparams(cfg: dict, trains: bool = True) -> Hyperparams:
     hp = _from_cfg(Hyperparams, cfg, loss_weights=_from_cfg(LossWeights, cfg))
-    if hp.learning_rate <= 0:
+    if trains and hp.learning_rate <= 0:
         raise ConfigError("learning_rate must be positive for training runs")
     return hp
 
@@ -182,12 +176,10 @@ def cmd_eval(args: argparse.Namespace) -> int:
     if setting not in ("czsl", "gzsl", "both"):
         raise ConfigError(f"setting must be czsl, gzsl, or both, got {setting!r}")
     wanted = ["czsl", "gzsl"] if setting == "both" else [setting]
-    fusion = {s: _from_cfg(FusionConfig, cfg, setting=s) for s in wanted}
+    fusion = _from_cfg(FusionConfig, cfg, setting=wanted[0])
     dataset, state = _load_for_eval(args)
-    reports: dict[str, EvalReport] = {}
-    for s in wanted:
-        rep = evaluate(dataset, state, fusion[s])
-        reports[s] = rep
+    reports = evaluate_settings(dataset, state, fusion, wanted)
+    for s, rep in reports.items():
         if s == "czsl":
             print(f"CZSL: acc={rep.czsl_acc:.4f}")
         else:
@@ -203,8 +195,8 @@ def cmd_eval(args: argparse.Namespace) -> int:
 
 def cmd_intervene_compare(args: argparse.Namespace) -> int:
     cfg = _resolve(args)
-    hp = _hyperparams(cfg)
-    fusion = {s: _from_cfg(FusionConfig, cfg, setting=s) for s in ("czsl", "gzsl")}
+    hp = _hyperparams(cfg, trains=not args.eval_only)
+    fusion = _from_cfg(FusionConfig, cfg, setting="gzsl")
     dataset = load_dataset(args.data)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -220,8 +212,7 @@ def cmd_intervene_compare(args: argparse.Namespace) -> int:
             run_dir.mkdir(parents=True, exist_ok=True)
             save_checkpoint(state, kind_hp, ckpt, epoch=kind_hp.epochs,
                             loss_history=log.epoch_reports)
-        czsl = evaluate(dataset, state, fusion["czsl"])
-        gzsl = evaluate(dataset, state, fusion["gzsl"])
+        czsl, gzsl = evaluate_settings(dataset, state, fusion, ["czsl", "gzsl"]).values()
         rows.append((kind, czsl.czsl_acc, gzsl.gzsl_u, gzsl.gzsl_s, gzsl.gzsl_h))
     lines = ["kind,czsl_acc,gzsl_u,gzsl_s,gzsl_h"]
     lines += [f"{k},{a:.6f},{u:.6f},{s:.6f},{h:.6f}" for k, a, u, s, h in rows]
@@ -241,6 +232,8 @@ def cmd_export_attention(args: argparse.Namespace) -> int:
     if not indices:
         raise ConfigError("--samples selected no sample indices")
     top_n = cfg.get("top_n", 10)
+    if top_n < 1:
+        raise ConfigError(f"top_n must be at least 1, got {top_n}")
     dataset, state = _load_for_eval(args)
     bad = [i for i in indices if not 0 <= i < dataset.num_samples]
     if bad:

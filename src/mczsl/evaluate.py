@@ -1,16 +1,17 @@
 """Fused zero-shot prediction and the CZSL/GZSL evaluation protocol.
 
 Predictions fuse the two sub-nets' attribute scores with fixed coefficients
-and add a +1/-1 unseen/seen calibration offset to every candidate logit.
-`predict` scores samples in blocks through `training.score_blocks`, one
-batched forward of both sub-nets per block.
+into one score per class plus a +1/-1 unseen/seen calibration offset.
+`class_scores` stacks them over `training.score_blocks`' blocks into an N x C
+matrix, and each setting is an argmax over its columns (`candidate_classes`).
 Accuracies are per-class means (each class weighs equally regardless of its
 sample count); the GZSL summary is the harmonic mean H = 2SU/(S+U).
 """
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from collections import Counter
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -54,16 +55,25 @@ def harmonic_mean(s: float, u: float) -> float:
 
 
 def candidate_classes(split: Split, setting: str) -> list[int]:
-    """Ascending candidate list: unseen classes under CZSL, all classes under GZSL."""
+    """Ascending columns of the class-score matrix that compete: unseen classes
+    under CZSL, all under GZSL, seen ones for the train accuracy ("train")."""
     if setting == "czsl":
         return sorted(split.unseen_classes)
+    if setting == "train":
+        return sorted(split.seen_classes)
     return sorted(split.seen_classes + split.unseen_classes)
 
 
-def fused_score(psi, psi_attr, Z, split: Split, cfg: FusionConfig) -> np.ndarray:
-    """Scores over candidate_classes(split, cfg.setting), one row per row of the
-    attribute scores: (alpha1*psi + alpha2*psi_attr) . z_c + 1 for unseen c,
-    - 1 for seen c."""
+def top_classes(scores: np.ndarray, split: Split, setting: str) -> np.ndarray:
+    """Per row of an N x C score matrix, the best of candidate_classes(split,
+    setting); exact ties go to the lowest class index."""
+    cands = np.asarray(candidate_classes(split, setting))
+    return cands[np.argmax(scores[:, cands], axis=1)]
+
+
+def fused_score(psi, psi_attr, Z, split: Split, cfg: FusionConfig = FusionConfig()) -> np.ndarray:
+    """Scores over every class, one row per row of the attribute scores:
+    (alpha1*psi + alpha2*psi_attr) . z_c + 1 for unseen c, - 1 for seen c."""
     psi = np.asarray(psi, dtype=np.float64)
     psi_attr = np.asarray(psi_attr, dtype=np.float64)
     Z = np.asarray(Z, dtype=np.float64)
@@ -72,22 +82,25 @@ def fused_score(psi, psi_attr, Z, split: Split, cfg: FusionConfig) -> np.ndarray
             f"fusion shapes inconsistent: psi {psi.shape}, psi_attr {psi_attr.shape}, Z {Z.shape}"
         )
     fused = cfg.alpha1 * psi + cfg.alpha2 * psi_attr
-    unseen = set(split.unseen_classes)
-    cands = candidate_classes(split, cfg.setting)
-    offsets = np.array([1.0 if c in unseen else -1.0 for c in cands])
-    return fused @ Z[cands].T + offsets
+    offsets = np.full(Z.shape[0], -1.0)
+    offsets[split.unseen_classes] = 1.0
+    return fused @ Z.T + offsets
+
+
+def class_scores(indices, state: ModelState, dataset: Dataset, cfg: FusionConfig) -> np.ndarray:
+    """len(indices) x C fused scores of the samples `indices`, stacked from the
+    blocks of `score_blocks`."""
+    blocks = [fused_score(f1.attr_scores.data, f2.attr_scores.data,
+                          dataset.class_semantics, dataset.split, cfg)
+              for _, f1, f2 in score_blocks(indices, dataset, state.weights)]
+    return np.concatenate([np.empty((0, dataset.num_classes)), *blocks])
 
 
 def predict(indices, state: ModelState, dataset: Dataset, cfg: FusionConfig) -> list[int]:
-    """Classes of the samples `indices`: highest fused score wins; exact ties go
-    to the lowest class index. Scores come block by block from `score_blocks`."""
-    cands = np.asarray(candidate_classes(dataset.split, cfg.setting))
-    preds: list[int] = []
-    for _, f1, f2 in score_blocks(indices, dataset, state.weights):
-        scores = fused_score(f1.attr_scores.data, f2.attr_scores.data,
-                             dataset.class_semantics, dataset.split, cfg)
-        preds += cands[np.argmax(scores, axis=1)].tolist()
-    return preds
+    """Classes of the samples `indices` under cfg.setting: highest fused score
+    wins; exact ties go to the lowest class index."""
+    return top_classes(class_scores(indices, state, dataset, cfg), dataset.split,
+                       cfg.setting).tolist()
 
 
 def per_class_accuracy(pairs: list[tuple[int, int]]) -> dict[int, float]:
@@ -100,53 +113,48 @@ def per_class_accuracy(pairs: list[tuple[int, int]]) -> dict[int, float]:
     return {c: correct[c] / totals[c] for c in totals}
 
 
-def _mean(values) -> float:
-    values = list(values)
-    return sum(values) / len(values)
+def evaluate_settings(dataset: Dataset, state: ModelState, cfg: FusionConfig,
+                      settings: list[str]) -> dict[str, EvalReport]:
+    """One report per setting in `settings`, all read from one class-score
+    matrix: the unseen test samples, plus the seen ones under GZSL, are scored
+    once, with cfg's fusion coefficients (cfg.setting is not read). CZSL:
+    per-class mean top-1 over unseen test samples, unseen candidates only.
+    GZSL: U and S are per-class means over unseen/seen test samples with all
+    classes as candidates, summarized by H."""
+    split = dataset.split
+    unseen, seen = list(split.test_unseen_idx), list(split.test_seen_idx)
+    for setting in settings:
+        if not unseen or (setting == "gzsl" and not seen):
+            groups = "unseen and seen" if setting == "gzsl" else "unseen"
+            raise ValueError(f"{setting.upper()} evaluation requires nonempty {groups} test splits")
+    indices = unseen + (seen if "gzsl" in settings else [])
+    scores = class_scores(indices, state, dataset, cfg)
+    labels, u = dataset.labels[indices].astype(int).tolist(), len(unseen)
+    reports: dict[str, EvalReport] = {}
+    for setting in settings:
+        n = len(indices) if setting == "gzsl" else u  # CZSL reads the unseen rows only
+        pairs = list(zip(labels[:n], top_classes(scores[:n], split, setting).tolist()))
+        acc_u, acc_s = per_class_accuracy(pairs[:u]), per_class_accuracy(pairs[u:])
+        report = reports[setting] = EvalReport(setting, per_class_acc=acc_u | acc_s,
+                                               confusion_counts=dict(Counter(pairs)))
+        mean_u = sum(acc_u.values()) / len(acc_u)
+        if setting == "czsl":
+            report.czsl_acc = mean_u
+        else:
+            report.gzsl_u, report.gzsl_s = mean_u, sum(acc_s.values()) / len(acc_s)
+            report.gzsl_h = harmonic_mean(report.gzsl_s, report.gzsl_u)
+    return reports
 
 
 def evaluate(dataset: Dataset, state: ModelState, cfg: FusionConfig) -> EvalReport:
-    """CZSL: per-class mean top-1 over unseen test samples, unseen candidates
-    only. GZSL: U and S are per-class means over unseen/seen test samples with
-    all classes as candidates, summarized by H."""
-    split = dataset.split
-    groups = {"unseen": split.test_unseen_idx}
-    if cfg.setting == "gzsl":
-        groups["seen"] = split.test_seen_idx
-    if not all(groups.values()):
-        raise ValueError(f"{cfg.setting.upper()} evaluation requires nonempty "
-                         f"{' and '.join(groups)} test splits")
-    report = EvalReport(setting=cfg.setting)
-    acc: dict[str, dict[int, float]] = {}
-    # one predict call over every group; zip stops at a group's last label, so
-    # each group takes its own predictions from the shared iterator
-    preds = iter(predict([i for ids in groups.values() for i in ids], state, dataset, cfg))
-    for name, indices in groups.items():
-        pairs = list(zip(dataset.labels[indices].astype(int).tolist(), preds))
-        acc[name] = per_class_accuracy(pairs)
-        report.per_class_acc.update(acc[name])
-        for key in pairs:
-            report.confusion_counts[key] = report.confusion_counts.get(key, 0) + 1
-    if cfg.setting == "czsl":
-        report.czsl_acc = _mean(acc["unseen"].values())
-    else:
-        report.gzsl_u = _mean(acc["unseen"].values())
-        report.gzsl_s = _mean(acc["seen"].values())
-        report.gzsl_h = harmonic_mean(report.gzsl_s, report.gzsl_u)
-    return report
+    """The report of the one setting cfg.setting (see evaluate_settings)."""
+    return evaluate_settings(dataset, state, cfg, [cfg.setting])[cfg.setting]
 
 
 def report_to_dict(report: EvalReport) -> dict:
-    return {
-        "setting": report.setting,
-        "czsl_acc": report.czsl_acc,
-        "gzsl_u": report.gzsl_u,
-        "gzsl_s": report.gzsl_s,
-        "gzsl_h": report.gzsl_h,
+    return asdict(report) | {
         "per_class_acc": {str(c): a for c, a in sorted(report.per_class_acc.items())},
-        "confusion_counts": {
-            f"{t},{p}": n for (t, p), n in sorted(report.confusion_counts.items())
-        },
+        "confusion_counts": {f"{t},{p}": n for (t, p), n in sorted(report.confusion_counts.items())},
     }
 
 

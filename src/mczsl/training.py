@@ -210,11 +210,11 @@ def batch_loss_and_grads(
     intervention_fn(positions, betas, gammas) gets the slice of the batch that
     a block covers and its observed attentions (b x K x R, b x R x K), and
     returns the gradient-free (beta_bars, gamma_bars) of the same shapes.
-    The report's `correct` counts the rows whose fused score (default fusion,
-    seen classes as the only candidates) ranks their label first.
+    The report's `correct` counts the rows whose fused class scores (default
+    fusion) rank their label first among the seen classes.
     """
     # imported here because evaluate imports this module
-    from .evaluate import FusionConfig, candidate_classes, fused_score
+    from .evaluate import fused_score, top_classes
     idx = np.asarray(batch_indices, dtype=np.intp)
     if idx.size == 0:
         raise ValueError("batch must be nonempty")
@@ -222,8 +222,6 @@ def batch_loss_and_grads(
     products = attr_visual.query_products(dataset.attributes, leaves, ATTR_SIDE)
     product_leaves = [ad.Tensor(p.data, requires_grad=True) for p in products]
     Z, split = dataset.class_semantics, dataset.split
-    seen_only, fusion = replace(split, unseen_classes=[]), FusionConfig()
-    seen = np.asarray(candidate_classes(seen_only, fusion.setting))
     n = idx.size
     block = block_samples(dataset, TRAIN_BLOCK_VALUES)
 
@@ -250,8 +248,8 @@ def batch_loss_and_grads(
         if bad.size:
             raise NumericError(f"non-finite loss at sample index {rows[bad[0]]}")
         ad.tsum(row_totals).backward(seed=1.0 / n)
-        scores = fused_score(f1.attr_scores.data, f2.attr_scores.data, Z, seen_only, fusion)
-        correct = int(np.sum(seen[np.argmax(scores, axis=1)] == labels))
+        scores = fused_score(f1.attr_scores.data, f2.attr_scores.data, Z, split)
+        correct = int(np.sum(top_classes(scores, split, "train") == labels))
         return np.array([t.data.sum() for t in terms]), correct
 
     sums, correct = map(sum, zip(*(run_block(start) for start in range(0, n, block))))

@@ -61,10 +61,11 @@ class TestGenSynth:
     (["train", "--seed", "-1"], "seed >= 0"),
     (["train", "--intervention-seed", "-3"], "intervention_seed >= 0"),
     (["gen-synth", "--seed", "-1"], "seed must be >= 0"),
-], ids=["train_seed", "train_intervention_seed", "gen_synth_seed"])
+    (["intervene-compare", "--eval-only", "--seed", "-1"], "seed >= 0"),
+], ids=["train_seed", "train_intervention_seed", "gen_synth_seed", "eval_only_seed"])
 def test_negative_seed_exits_2_before_reading_files(tmp_path, capsys, argv, rule):
     # the dataset directory does not exist: reading it first would exit 3
-    data = ["--data", str(tmp_path / "absent")] if argv[0] == "train" else []
+    data = ["--data", str(tmp_path / "absent")] if argv[0] != "gen-synth" else []
     assert main(argv + data + ["--out", str(tmp_path / "out")]) == 2
     assert rule in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
@@ -121,6 +122,24 @@ class TestTrain:
         assert meta["hyperparams"] == asdict(Hyperparams(epochs=0))
 
 
+def count_scored_rows(monkeypatch):
+    """Rows of region features that reach training.forward_both, per call."""
+    rows = []
+    forward_both = training.forward_both
+
+    def counting(V, *args):
+        rows.append(len(V))
+        return forward_both(V, *args)
+
+    monkeypatch.setattr(training, "forward_both", counting)
+    return rows
+
+
+def scored_test_samples(data_dir) -> int:
+    split = load_dataset(data_dir).split
+    return len(split.test_unseen_idx) + len(split.test_seen_idx)
+
+
 class TestEval:
     def test_untrained_checkpoint_finite_metrics(self, data_dir, tmp_path):
         run = tmp_path / "run"
@@ -156,6 +175,14 @@ class TestEval:
         fill_disk_after(monkeypatch, 100)  # partway through eval_report.json
         assert main(args + ["--setting", "czsl"]) == 3
         assert tree_bytes(out) == before  # the earlier files, and no temporary file
+
+    def test_both_settings_score_each_test_sample_once(self, data_dir, trained_run, tmp_path,
+                                                       monkeypatch):
+        rows = count_scored_rows(monkeypatch)
+        assert main(["eval", "--data", str(data_dir), "--checkpoint",
+                     str(trained_run / "checkpoint"), "--out", str(tmp_path / "eval"),
+                     "--setting", "both"]) == 0
+        assert sum(rows) == scored_test_samples(data_dir)
 
     def test_matches_library_evaluation(self, data_dir, trained_run, tmp_path):
         out = tmp_path / "eval"
@@ -278,6 +305,29 @@ class TestInterveneCompare:
         assert main(["intervene-compare", "--data", str(data_dir), "--out", str(out),
                      "--eval-only"]) == 0
         assert (out / "intervene_table.csv").read_text() == first
+
+    def test_eval_only_scores_each_test_sample_once_per_kind(self, data_dir, compare_run,
+                                                            tmp_path, monkeypatch):
+        out = tmp_path / "cmp"
+        shutil.copytree(compare_run, out)
+        rows = count_scored_rows(monkeypatch)
+        assert main(["intervene-compare", "--data", str(data_dir), "--out", str(out),
+                     "--eval-only"]) == 0
+        assert sum(rows) == len(training.INTERVENTION_KINDS) * scored_test_samples(data_dir)
+
+    def test_zero_learning_rate_only_refused_when_training(self, data_dir, compare_run,
+                                                         tmp_path, capsys):
+        out = tmp_path / "cmp"
+        shutil.copytree(compare_run, out)
+        assert main(["intervene-compare", "--data", str(data_dir), "--out", str(out),
+                     "--eval-only", "--learning-rate", "0"]) == 0
+        table = "intervene_table.csv"
+        assert (out / table).read_bytes() == (compare_run / table).read_bytes()
+        # training with it is refused before the dataset is read
+        assert main(["intervene-compare", "--data", str(tmp_path / "absent"),
+                     "--out", str(tmp_path / "train"), "--learning-rate", "0"]) == 2
+        assert "learning_rate" in capsys.readouterr().err
+        assert not (tmp_path / "train").exists()
 
 
 class TestExportAttention:
@@ -511,6 +561,23 @@ def test_export_attention_checks_samples_before_loading(tmp_path, capsys, sample
             "--out", str(out), "--samples", samples]
     assert main(argv) == 2
     assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("via", ["flag", "config"])
+@pytest.mark.parametrize("top_n", [0, -3])
+def test_export_attention_refuses_top_n_below_one(tmp_path, capsys, top_n, via):
+    # refused before the (missing) inputs are read, and no output directory is made
+    missing, out = tmp_path / "missing", tmp_path / "out"
+    argv = ["export-attention", "--data", str(missing), "--checkpoint", str(missing),
+            "--out", str(out), "--samples", "0"]
+    if via == "flag":
+        argv += ["--top-n", str(top_n)]
+    else:
+        (tmp_path / "run.cfg").write_text(f"top_n={top_n}\n")
+        argv += ["--config", str(tmp_path / "run.cfg")]
+    assert main(argv) == 2
+    assert "top_n" in capsys.readouterr().err
     assert not out.exists()
 
 

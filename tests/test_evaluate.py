@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from conftest import build_dataset
+from mczsl import training
 from mczsl.data import Split
 from mczsl.errors import ShapeError
 from mczsl.evaluate import (
@@ -19,7 +20,9 @@ from mczsl.evaluate import (
     per_class_csv,
     predict,
     report_to_dict,
+    top_classes,
 )
+from mczsl.losses import LossWeights
 from mczsl.numeric import make_rng
 from mczsl.training import state_for_dataset
 
@@ -29,6 +32,7 @@ def make_split(seen, unseen):
 
 
 class TestFusedScore:
+    # fused_score scores every class; a setting picks its candidate columns
     def test_attr_side_only_matches_its_argmax(self):
         rng = make_rng(0)
         psi, psi2 = rng.standard_normal(4), rng.standard_normal(4)
@@ -36,20 +40,25 @@ class TestFusedScore:
         split = make_split([0, 1, 2], [3, 4])
         cfg = FusionConfig(alpha1=1.0, alpha2=0.0, setting="czsl")
         scores = fused_score(psi, psi2, Z, split, cfg)
+        assert scores.shape == (5,)
         unseen = candidate_classes(split, "czsl")
         direct = np.array([float(np.dot(psi, Z[c])) for c in unseen]) + 1.0
-        assert np.allclose(scores, direct, atol=1e-12)
-        assert np.argmax(scores) == np.argmax(direct)
+        assert np.allclose(scores[unseen], direct, atol=1e-12)
+        assert np.argmax(scores[unseen]) == np.argmax(direct)
+        seen = candidate_classes(split, "train")
+        assert np.allclose(scores[seen], Z[seen] @ psi - 1.0, atol=1e-12)
 
     def test_zero_embeddings_prefer_unseen(self):
         Z = make_rng(1).random((4, 3))
         split = make_split([0, 1], [2, 3])
         cfg = FusionConfig(setting="gzsl")
         scores = fused_score(np.zeros(3), np.zeros(3), Z, split, cfg)
-        cands = candidate_classes(split, "gzsl")
-        for c, s in zip(cands, scores):
+        assert scores.shape == (4,)
+        for c, s in enumerate(scores):
             assert s == (1.0 if c in (2, 3) else -1.0)
-        assert cands[int(np.argmax(scores))] in (2, 3)
+        cands = candidate_classes(split, "gzsl")
+        assert cands[int(np.argmax(scores[cands]))] in (2, 3)
+        assert top_classes(scores[None], split, "gzsl").tolist() == [2]
 
     def test_three_class_dot_product_oracle(self):
         rng = make_rng(2)
@@ -58,10 +67,11 @@ class TestFusedScore:
         split = make_split([0, 1], [2])
         cfg = FusionConfig(alpha1=0.6, alpha2=0.4, setting="gzsl")
         scores = fused_score(psi, psi2, Z, split, cfg)
-        for i, c in enumerate(candidate_classes(split, "gzsl")):
+        assert scores.shape == (3,)
+        for c in range(3):
             fused = 0.6 * psi + 0.4 * psi2
             expected = float(np.dot(fused, Z[c])) + (1.0 if c == 2 else -1.0)
-            assert abs(scores[i] - expected) < 1e-12
+            assert abs(scores[c] - expected) < 1e-12
 
     def test_joint_scaling_preserves_argmax(self):
         # scaling (alpha1, alpha2) and the +-1 offsets by the same positive factor
@@ -88,6 +98,31 @@ class TestFusedScore:
             FusionConfig(alpha1=0.0, alpha2=0.0)
         with pytest.raises(ValueError):
             FusionConfig(setting="zsl")
+
+    def test_train_accuracy_is_the_seen_column_argmax(self, monkeypatch):
+        ds = build_dataset(num_classes=6, samples_per_class=4, n_unseen=3, seed=21)
+        state = state_for_dataset(ds, make_rng(22))
+        forwards = []
+        forward_both = training.forward_both
+
+        def recording(*args):
+            forwards.append(forward_both(*args))
+            return forwards[-1]
+
+        monkeypatch.setattr(training, "forward_both", recording)
+        batch = ds.split.train_idx
+        report, _ = training.batch_loss_and_grads(
+            batch, ds, state.params(), LossWeights(), lambda _, betas, gammas: (betas, gammas))
+        [(f1, f2)] = forwards
+        scores = fused_score(f1.attr_scores.data, f2.attr_scores.data, ds.class_semantics,
+                             ds.split, FusionConfig())
+        assert scores.shape == (len(batch), ds.num_classes)
+        seen = sorted(ds.split.seen_classes)
+        picks = np.asarray(seen)[np.argmax(scores[:, seen], axis=1)]
+        assert report.correct == int(np.sum(picks == ds.labels[batch]))
+        assert 0 < report.correct < len(batch)  # informative: neither all nor none
+        # the unseen columns' +1 offset would win somewhere if they competed
+        assert np.any(np.argmax(scores, axis=1) != picks)
 
 
 class TestHarmonicMean:
