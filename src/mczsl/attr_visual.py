@@ -11,7 +11,7 @@ are dot products of the attribute scores with the class prototypes Z (C x K).
 The five trained matrices live in one dict, ATTR_SIDE for this sub-net and
 REGION_SIDE for the other; `query_products` builds the query side Q w of each
 table (Q w) K' from it. A w1 and A w2 do not depend on the image, so training
-builds them once per batch and `predict` once per call; V w3, V w4, V w_att per block.
+builds them once per batch and `score_blocks` once per call; V w3, V w4, V w_att per block.
 
 V holds one sample's regions (R x D) or a block of samples (B x R x D). V, A
 and Z are constants; only the weight matrices are trainable. Every pass builds

@@ -16,9 +16,10 @@ from typing import get_args, get_type_hints
 import numpy as np
 
 from .attr_visual import export_attention
-from .data import SynthConfig, generate_synthetic, load_dataset, save_dataset
+from .data import MANIFEST_NAME, SynthConfig, generate_synthetic, load_dataset, save_dataset
 from .errors import ConfigError, DataValidationError, FormatError, NumericError
-from .evaluate import FusionConfig, evaluate_settings, per_class_csv, write_report_json
+from .evaluate import (SETTINGS, FusionConfig, check_test_splits, evaluate_settings,
+                       per_class_csv, write_report_json)
 from .losses import LossWeights
 from .tensor_io import write_atomic
 from .training import (
@@ -165,8 +166,9 @@ def _fitting_checkpoint(checkpoint, dataset, data) -> ModelState:
     return state
 
 
-def _load_for_eval(args: argparse.Namespace):
+def _load_for_eval(args: argparse.Namespace, settings=()):
     dataset = load_dataset(args.data)
+    check_test_splits(dataset.split, settings, Path(args.data) / MANIFEST_NAME)
     return dataset, _fitting_checkpoint(args.checkpoint, dataset, args.data)
 
 
@@ -177,7 +179,7 @@ def cmd_eval(args: argparse.Namespace) -> int:
         raise ConfigError(f"setting must be czsl, gzsl, or both, got {setting!r}")
     wanted = ["czsl", "gzsl"] if setting == "both" else [setting]
     fusion = _from_cfg(FusionConfig, cfg, setting=wanted[0])
-    dataset, state = _load_for_eval(args)
+    dataset, state = _load_for_eval(args, wanted)
     reports = evaluate_settings(dataset, state, fusion, wanted)
     for s, rep in reports.items():
         if s == "czsl":
@@ -198,6 +200,7 @@ def cmd_intervene_compare(args: argparse.Namespace) -> int:
     hp = _hyperparams(cfg, trains=not args.eval_only)
     fusion = _from_cfg(FusionConfig, cfg, setting="gzsl")
     dataset = load_dataset(args.data)
+    check_test_splits(dataset.split, SETTINGS, Path(args.data) / MANIFEST_NAME)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     rows = []
@@ -212,7 +215,7 @@ def cmd_intervene_compare(args: argparse.Namespace) -> int:
             run_dir.mkdir(parents=True, exist_ok=True)
             save_checkpoint(state, kind_hp, ckpt, epoch=kind_hp.epochs,
                             loss_history=log.epoch_reports)
-        czsl, gzsl = evaluate_settings(dataset, state, fusion, ["czsl", "gzsl"]).values()
+        czsl, gzsl = evaluate_settings(dataset, state, fusion, SETTINGS).values()
         rows.append((kind, czsl.czsl_acc, gzsl.gzsl_u, gzsl.gzsl_s, gzsl.gzsl_h))
     lines = ["kind,czsl_acc,gzsl_u,gzsl_s,gzsl_h"]
     lines += [f"{k},{a:.6f},{u:.6f},{s:.6f},{h:.6f}" for k, a, u, s, h in rows]

@@ -17,7 +17,7 @@ from pathlib import Path
 import numpy as np
 
 from .data import Dataset, Split
-from .errors import ShapeError
+from .errors import DataValidationError, ShapeError
 from .numeric import check_finite_settings
 from .tensor_io import write_atomic
 from .training import ModelState, score_blocks
@@ -96,11 +96,14 @@ def class_scores(indices, state: ModelState, dataset: Dataset, cfg: FusionConfig
     return np.concatenate([np.empty((0, dataset.num_classes)), *blocks])
 
 
-def predict(indices, state: ModelState, dataset: Dataset, cfg: FusionConfig) -> list[int]:
-    """Classes of the samples `indices` under cfg.setting: highest fused score
-    wins; exact ties go to the lowest class index."""
-    return top_classes(class_scores(indices, state, dataset, cfg), dataset.split,
-                       cfg.setting).tolist()
+def check_test_splits(split: Split, settings, source: Path | None = None) -> None:
+    """Refuse a setting with no test samples to score: every setting scores
+    test_unseen_idx, GZSL also test_seen_idx. `source` names a loaded dataset's manifest."""
+    for setting in settings:
+        for key in ("test_unseen_idx", "test_seen_idx")[:2 if setting == "gzsl" else 1]:
+            if not getattr(split, key):
+                raise DataValidationError(f"{source or 'dataset'}: {setting.upper()} evaluation "
+                                          f"requires a nonempty {key}")
 
 
 def per_class_accuracy(pairs: list[tuple[int, int]]) -> dict[int, float]:
@@ -122,11 +125,8 @@ def evaluate_settings(dataset: Dataset, state: ModelState, cfg: FusionConfig,
     GZSL: U and S are per-class means over unseen/seen test samples with all
     classes as candidates, summarized by H."""
     split = dataset.split
+    check_test_splits(split, settings)
     unseen, seen = list(split.test_unseen_idx), list(split.test_seen_idx)
-    for setting in settings:
-        if not unseen or (setting == "gzsl" and not seen):
-            groups = "unseen and seen" if setting == "gzsl" else "unseen"
-            raise ValueError(f"{setting.upper()} evaluation requires nonempty {groups} test splits")
     indices = unseen + (seen if "gzsl" in settings else [])
     scores = class_scores(indices, state, dataset, cfg)
     labels, u = dataset.labels[indices].astype(int).tolist(), len(unseen)

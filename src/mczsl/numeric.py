@@ -1,4 +1,4 @@
-"""Seeded random streams, uniform draws and a stable softmax.
+"""Seeded random streams, a finiteness check for settings and a stable softmax.
 
 All in-memory computation is float64; matrices are plain 2-D numpy arrays in
 C (row-major) order. Randomness comes from numpy's PCG64, a named portable
@@ -41,11 +41,3 @@ def softmax(v, axis: int = -1) -> np.ndarray:
     e = np.exp(shifted)
     return e / np.sum(e, axis=axis, keepdims=True)
 
-
-def sample_uniform(
-    rng: np.random.Generator, rows: int, cols: int, lo: float = 0.0, hi: float = 1.0
-) -> np.ndarray:
-    """rows x cols matrix of Uniform[lo, hi) draws; deterministic given the stream."""
-    if not lo < hi:
-        raise ConfigError(f"uniform range requires lo < hi, got [{lo}, {hi})")
-    return rng.uniform(lo, hi, size=(rows, cols))

@@ -3,10 +3,11 @@
 The loop is single-driver: seeded shuffling; per block of samples, one
 batched forward pass of both sub-nets (which also counts the train accuracy),
 the loss terms on the block's rows and one reverse-mode pass of the combined
-loss; fresh exogenous intervention attentions per sample; and an RMSProp
-update with momentum and decoupled weight decay. (seed, dataset, hyperparams)
-fully determine the final weights; intervention draws come from their own
-child stream so they can be varied independently of initialization and shuffling.
+loss; fresh exogenous intervention attentions, drawn once per block in the
+stream's per-sample order; and an RMSProp update with momentum and decoupled
+weight decay. (seed, dataset, hyperparams) fully determine the final weights;
+intervention draws come from their own child stream so they can be varied
+independently of initialization and shuffling.
 """
 from __future__ import annotations
 
@@ -34,7 +35,7 @@ from .losses import (
     total_loss,
     weighted_total,
 )
-from .numeric import check_finite_settings, make_rng, sample_uniform, softmax, spawn_rngs
+from .numeric import check_finite_settings, make_rng, softmax, spawn_rngs
 from .tensor_io import read_tensor, write_atomic, write_tensor
 
 INTERVENTION_KINDS = ("random", "uniform", "reversed", "random_plus_reversed")
@@ -155,36 +156,38 @@ def score_blocks(indices, dataset: Dataset, weights):
 
 def make_intervention_attention(
     kind: str,
-    rows: int,
-    cols: int,
-    observed: np.ndarray | None,
+    betas: np.ndarray,
+    gammas: np.ndarray,
     rng: np.random.Generator | None,
     alternation_index: int = 0,
-) -> np.ndarray:
-    """Exogenous attention used under intervention; always gradient-free.
+) -> tuple[np.ndarray, np.ndarray]:
+    """Exogenous attentions for a block; always gradient-free. Takes the block's
+    observed betas (b x K x R) and gammas (b x R x K), returns (beta_bars,
+    gamma_bars) in the same shapes.
 
-    random: Uniform(0,1) entries, softmax-normalized along the attention axis.
-    uniform: every weight 1/cols.
+    random: Uniform(0,1) entries, softmax-normalized along the attention axis;
+    one (b, 2KR) draw per block, row i holding sample i's beta then gamma, so
+    the stream is that of per-sample (K, R) then (R, K) draws.
+    uniform: every weight 1/(length of the attention axis).
     reversed: softmax(-log(observed + eps)) per row, inverting the observed ranking.
     random_plus_reversed: alternates random/reversed on even/odd alternation_index
     (the training loop passes its batch counter).
     """
     if kind == "random_plus_reversed":
         kind = "random" if alternation_index % 2 == 0 else "reversed"
+    observed = [np.asarray(obs, dtype=np.float64) for obs in (betas, gammas)]
     if kind == "random":
         if rng is None:
             raise ValueError("random intervention requires an RNG stream")
-        return softmax(sample_uniform(rng, rows, cols, 0.0, 1.0), axis=-1)
+        draws = rng.uniform(0.0, 1.0, (len(betas), sum(obs[0].size for obs in observed)))
+        halves = np.split(draws, [observed[0][0].size], axis=1)
+        return tuple(softmax(h.reshape(obs.shape), axis=-1) for h, obs in zip(halves, observed))
     if kind == "uniform":
-        return np.full((rows, cols), 1.0 / cols)
+        return tuple(np.full(obs.shape, 1.0 / obs.shape[-1]) for obs in observed)
     if kind == "reversed":
-        if observed is None:
-            raise ValueError("reversed intervention requires the observed attention")
-        observed = np.asarray(observed, dtype=np.float64)
-        if observed.shape != (rows, cols):
-            raise ValueError(f"observed attention shape {observed.shape} != ({rows}, {cols})")
-        attr_visual.check_normalized_rows(observed)
-        return softmax(-np.log(observed + 1e-12), axis=-1)
+        for obs in observed:
+            attr_visual.check_normalized_rows(obs)
+        return tuple(softmax(-np.log(obs + 1e-12), axis=-1) for obs in observed)
     raise ValueError(f"unknown intervention kind {kind!r}; expected one of {INTERVENTION_KINDS}")
 
 
@@ -291,15 +294,11 @@ def train_step(
 ) -> LossReport:
     """One optimizer step on a batch; returns the batch's pre-update report.
 
-    Draws one fresh intervention per sample per sub-net, in batch order
-    (attribute-side first, then region-side)."""
-    K, R = dataset.num_attributes, dataset.num_regions
-
+    Draws the fresh interventions once per training block, for both sub-nets
+    of every sample in it, in batch order (see make_intervention_attention)."""
     def draw(positions, betas, gammas):
-        pick = lambda rows, cols, observed: make_intervention_attention(
-            hp.intervention, rows, cols, observed, intervention_rng, batch_counter)
-        bars = [(pick(K, R, beta), pick(R, K, gamma)) for beta, gamma in zip(betas, gammas)]
-        return tuple(np.stack(side) for side in zip(*bars))
+        return make_intervention_attention(hp.intervention, betas, gammas, intervention_rng,
+                                           batch_counter)
 
     report, grads = batch_loss_and_grads(
         batch_indices, dataset, state.params(), hp.loss_weights, draw)

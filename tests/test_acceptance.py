@@ -44,9 +44,8 @@ def test_gradient_fidelity_full_model():
     K, R = ds.num_attributes, ds.num_regions
     irng = make_rng(22)
     batch = ds.split.train_idx
-    frozen = [(make_intervention_attention("random", K, R, None, irng),
-               make_intervention_attention("random", R, K, None, irng))
-              for _ in batch]
+    frozen = list(zip(*make_intervention_attention(
+        "random", np.zeros((len(batch), K, R)), np.zeros((len(batch), R, K)), irng)))
 
     def loss_fn(params):
         rep, grads = batch_loss_and_grads(batch, ds, params, SYNTH_WEIGHTS,

@@ -330,6 +330,25 @@ class TestInterveneCompare:
         assert not (tmp_path / "train").exists()
 
 
+@pytest.mark.parametrize("key", ["test_unseen_idx", "test_seen_idx"])
+@pytest.mark.parametrize("command", ["eval", "intervene-compare"])
+def test_empty_test_split_exits_3_before_training_or_checkpoint(data_dir, tmp_path, capsys,
+                                                                 command, key):
+    data = tmp_path / "data"
+    shutil.copytree(data_dir, data)
+    manifest = json.loads((data / "manifest.json").read_text())
+    (data / "manifest.json").write_text(json.dumps(manifest | {key: []}))
+    out = tmp_path / "out"
+    # eval names a checkpoint that does not exist: the split check comes first
+    args = {"eval": ["--checkpoint", str(tmp_path / "absent"), "--setting", "both"],
+            "intervene-compare": ["--preset", "synthetic", "--epochs", "1"]}[command]
+    assert main([command, "--data", str(data), "--out", str(out), *args]) == 3
+    err = capsys.readouterr().err
+    assert f"{data / 'manifest.json'}: " in err and f"nonempty {key}" in err
+    assert not out.exists()
+    assert not list(tmp_path.rglob("intervene_*"))
+
+
 class TestExportAttention:
     def test_exports_match_forward_pass(self, data_dir, trained_run, tmp_path):
         out = tmp_path / "attn"

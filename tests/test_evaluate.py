@@ -13,12 +13,12 @@ from mczsl.evaluate import (
     EvalReport,
     FusionConfig,
     candidate_classes,
+    class_scores,
     evaluate,
     fused_score,
     harmonic_mean,
     per_class_accuracy,
     per_class_csv,
-    predict,
     report_to_dict,
     top_classes,
 )
@@ -175,10 +175,11 @@ class TestPredictAndEvaluate:
 
     def test_predict_returns_valid_candidate(self, toy):
         ds, state = toy
-        [czsl_pred] = predict([ds.split.test_unseen_idx[0]], state, ds,
-                              FusionConfig(setting="czsl"))
+        [czsl_pred] = top_classes(class_scores([ds.split.test_unseen_idx[0]], state, ds,
+                                               FusionConfig(setting="czsl")), ds.split, "czsl")
         assert czsl_pred in ds.split.unseen_classes
-        [gzsl_pred] = predict([0], state, ds, FusionConfig(setting="gzsl"))
+        [gzsl_pred] = top_classes(class_scores([0], state, ds, FusionConfig(setting="gzsl")),
+                                  ds.split, "gzsl")
         assert 0 <= gzsl_pred < ds.num_classes
 
     def test_tie_breaks_to_lowest_class_index(self, toy):
@@ -186,7 +187,8 @@ class TestPredictAndEvaluate:
         # zero weights give zero embeddings: all unseen candidates tie at +1
         for p in state.params().values():
             p[:] = 0.0
-        [pred] = predict([0], state, ds, FusionConfig(setting="gzsl"))
+        [pred] = top_classes(class_scores([0], state, ds, FusionConfig(setting="gzsl")),
+                             ds.split, "gzsl")
         assert pred == min(ds.split.unseen_classes)
 
     def test_evaluate_matches_counting_oracle(self, toy):
@@ -198,7 +200,7 @@ class TestPredictAndEvaluate:
             per_total, per_correct = {}, {}
             for i in indices:
                 t = int(ds.labels[i])
-                [p] = predict([i], state, ds, cfg)
+                [p] = top_classes(class_scores([i], state, ds, cfg), ds.split, cfg.setting)
                 per_total[t] = per_total.get(t, 0) + 1
                 per_correct[t] = per_correct.get(t, 0) + (p == t)
             return {c: per_correct[c] / per_total[c] for c in per_total}
@@ -269,8 +271,9 @@ def test_block_predict_independent_of_blocking(monkeypatch, setting):
     cfg = FusionConfig(setting=setting)
     # blocks of 5 samples, cut by training.score_blocks
     monkeypatch.setattr(importlib.import_module("mczsl.training"), "BLOCK_VALUES", 5 * r * d)
-    blocked = predict(idx, state, ds, cfg)
-    assert blocked == [predict([i], state, ds, cfg)[0] for i in idx]
+    blocked = top_classes(class_scores(idx, state, ds, cfg), ds.split, setting).tolist()
+    assert blocked == [top_classes(class_scores([i], state, ds, cfg), ds.split, setting)[0]
+                       for i in idx]
     ref, margins = load_reference().predictions(ds, state.params(), idx, setting)
     clear = [(b, c) for b, c, m in zip(blocked, ref, margins) if m >= 1e-9]
     assert len(clear) > len(idx) // 2
@@ -291,7 +294,8 @@ def test_noise_free_training_recovers_planted_labels():
     state, _ = train(ds, hp)
     cfg = FusionConfig(setting="czsl")
     idx = ds.split.test_unseen_idx
-    pairs = list(zip((int(ds.labels[i]) for i in idx), predict(idx, state, ds, cfg)))
+    predicted = top_classes(class_scores(idx, state, ds, cfg), ds.split, "czsl").tolist()
+    pairs = list(zip((int(ds.labels[i]) for i in idx), predicted))
     match = sum(t == p for t, p in pairs) / len(pairs)
     assert match >= 0.90
 

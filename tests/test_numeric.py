@@ -5,8 +5,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from mczsl.errors import ConfigError
-from mczsl.numeric import make_rng, sample_uniform, softmax
+from mczsl.numeric import make_rng, softmax
 
 
 class TestSoftmax:
@@ -43,33 +42,6 @@ class TestSoftmax:
         out = softmax(m, axis=1)
         assert np.allclose(out.sum(axis=1), 1.0, atol=1e-12)
         assert np.allclose(out[1], [1 / 3] * 3)
-
-
-class TestSampleUniform:
-    def test_same_seed_bit_identical(self):
-        a = sample_uniform(make_rng(5), 4, 6, 0.0, 1.0)
-        b = sample_uniform(make_rng(5), 4, 6, 0.0, 1.0)
-        assert np.array_equal(a, b)
-
-    def test_law_of_large_numbers(self):
-        m = sample_uniform(make_rng(0), 100, 100, 0.0, 1.0)
-        assert 0.48 <= m.mean() <= 0.52
-
-    def test_degenerate_range(self):
-        eps = 1e-9
-        m = sample_uniform(make_rng(2), 3, 3, 0.5, 0.5 + eps)
-        assert np.all(np.abs(m - 0.5) <= eps)
-
-    def test_bounds(self):
-        m = sample_uniform(make_rng(9), 50, 50, -2.0, 3.0)
-        assert m.min() >= -2.0
-        assert m.max() < 3.0
-
-    def test_invalid_range(self):
-        with pytest.raises(ConfigError):
-            sample_uniform(make_rng(0), 2, 2, 1.0, 1.0)
-        with pytest.raises(ConfigError):
-            sample_uniform(make_rng(0), 2, 2, 2.0, 1.0)
 
 
 def test_rng_reproducible_sequences():

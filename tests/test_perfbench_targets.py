@@ -19,15 +19,17 @@ from mczsl.numeric import make_rng
 
 TRACER = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
 
-# Per-stage functions that the one-cross-attention refactor deleted, and the
+# Per-stage functions that the one-cross-attention refactor deleted, the
 # post-epoch train-accuracy pass (train accuracy now comes from the training
-# blocks' own forward). Their per-layer metrics read 0 until the benchmark's
-# span list is updated (a benchmark change); drop each entry when its target goes.
+# blocks' own forward) and evaluate.predict (scoring goes through
+# class_scores). Their per-layer metrics read 0 until the benchmark's span
+# list is updated (a benchmark change); drop each entry when its target goes.
 KNOWN_STALE = {
     ("mczsl.attr_visual", "attention"), ("mczsl.attr_visual", "features"),
     ("mczsl.attr_visual", "embed"), ("mczsl.visual_attr", "attention"),
     ("mczsl.visual_attr", "features"), ("mczsl.visual_attr", "embed"),
     ("mczsl.visual_attr", "project"), ("mczsl.training", "_train_accuracy"),
+    ("mczsl.evaluate", "predict"),
 }
 
 

@@ -13,9 +13,10 @@ from mczsl.errors import ConfigError, FormatError, NumericError
 from mczsl.evaluate import FusionConfig
 from mczsl.gradcheck import directional_check, finite_difference_check
 from mczsl.losses import LossWeights
-from mczsl.numeric import make_rng
+from mczsl.numeric import make_rng, softmax
 from mczsl.training import (
     ATTR_SIDE,
+    INTERVENTION_KINDS,
     PARAM_NAMES,
     REGION_SIDE,
     Hyperparams,
@@ -76,51 +77,114 @@ class TestHyperparams:
             Hyperparams(**{field: value})
 
 
+def observed_block(b, K, R, seed=5):
+    """Row-normalized observed attentions of a block: betas b x K x R, gammas b x R x K."""
+    rng = make_rng(seed)
+    return (softmax(rng.standard_normal((b, K, R)), axis=-1),
+            softmax(rng.standard_normal((b, R, K)), axis=-1))
+
+
 class TestInterventionAttention:
     def test_uniform(self):
-        m = make_intervention_attention("uniform", 3, 4, None, None)
-        assert np.array_equal(m, np.full((3, 4), 0.25))
+        beta_bars, gamma_bars = make_intervention_attention(
+            "uniform", np.zeros((2, 3, 4)), np.zeros((2, 4, 3)), None)
+        assert np.array_equal(beta_bars, np.full((2, 3, 4), 0.25))
+        assert np.array_equal(gamma_bars, np.full((2, 4, 3), 1 / 3))
 
     def test_random_rows_normalized_and_deterministic(self):
-        a = make_intervention_attention("random", 5, 7, None, make_rng(3))
-        b = make_intervention_attention("random", 5, 7, None, make_rng(3))
-        assert np.array_equal(a, b)
-        assert np.max(np.abs(a.sum(axis=1) - 1.0)) < 1e-6
-        assert np.all(a > 0)
+        observed = observed_block(2, 5, 7)
+        a = make_intervention_attention("random", *observed, make_rng(3))
+        b = make_intervention_attention("random", *observed, make_rng(3))
+        for side_a, side_b, shape in zip(a, b, ((2, 5, 7), (2, 7, 5))):
+            assert side_a.shape == shape
+            assert np.array_equal(side_a, side_b)
+            assert np.max(np.abs(side_a.sum(axis=-1) - 1.0)) < 1e-6
+            assert np.all(side_a > 0)
 
     def test_reversed_inverts_ranking(self):
-        observed = np.array([[0.94, 0.02, 0.02, 0.02]])
-        rev = make_intervention_attention("reversed", 1, 4, observed, None)
-        assert np.max(np.abs(rev.sum(axis=1) - 1.0)) < 1e-9
+        observed = np.array([[[0.94, 0.02, 0.02, 0.02]]])
+        rev, _ = make_intervention_attention("reversed", observed, np.ones((1, 4, 1)), None)
+        assert np.max(np.abs(rev.sum(axis=-1) - 1.0)) < 1e-9
         # the former-max entry is now strictly the smallest
-        assert np.argmin(rev[0]) == 0
+        assert np.argmin(rev[0, 0]) == 0
         # remaining entries are near-uniform among themselves
-        rest = rev[0, 1:]
+        rest = rev[0, 0, 1:]
         assert np.max(rest) - np.min(rest) < 1e-9
 
     def test_reversed_orders_fully(self):
-        observed = np.array([[0.5, 0.3, 0.2]])
-        rev = make_intervention_attention("reversed", 1, 3, observed, None)
-        assert rev[0, 0] < rev[0, 1] < rev[0, 2]
+        observed = np.array([[[0.5, 0.3, 0.2]]])
+        _, rev = make_intervention_attention("reversed", np.ones((1, 3, 1)), observed, None)
+        assert rev[0, 0, 0] < rev[0, 0, 1] < rev[0, 0, 2]
 
     def test_reversed_requires_normalized_observed(self):
         with pytest.raises(ValueError, match="sum to 1"):
-            make_intervention_attention("reversed", 1, 3, np.array([[0.5, 0.3, 0.5]]), None)
+            make_intervention_attention("reversed", np.array([[[0.5, 0.3, 0.5]]]),
+                                        np.ones((1, 3, 1)), None)
 
     def test_alternation(self):
-        obs = np.array([[0.7, 0.2, 0.1]])
-        even = make_intervention_attention("random_plus_reversed", 1, 3, obs,
+        obs = (np.array([[[0.7, 0.2, 0.1]]]), np.ones((1, 3, 1)))
+        even = make_intervention_attention("random_plus_reversed", *obs,
                                            make_rng(0), alternation_index=0)
-        rand = make_intervention_attention("random", 1, 3, obs, make_rng(0))
-        assert np.array_equal(even, rand)
-        odd = make_intervention_attention("random_plus_reversed", 1, 3, obs,
+        rand = make_intervention_attention("random", *obs, make_rng(0))
+        assert all(map(np.array_equal, even, rand))
+        odd = make_intervention_attention("random_plus_reversed", *obs,
                                           make_rng(0), alternation_index=1)
-        rev = make_intervention_attention("reversed", 1, 3, obs, None)
-        assert np.array_equal(odd, rev)
+        rev = make_intervention_attention("reversed", *obs, None)
+        assert all(map(np.array_equal, odd, rev))
 
     def test_unknown_kind(self):
         with pytest.raises(ValueError, match="unknown intervention"):
-            make_intervention_attention("shuffled", 2, 2, None, make_rng(0))
+            make_intervention_attention("shuffled", np.zeros((1, 2, 2)), np.zeros((1, 2, 2)),
+                                        make_rng(0))
+
+
+def per_sample_interventions(kind, betas, gammas, rng, alternation_index):
+    """Reference: each sample's (beta_bar, gamma_bar) on its own, in sample
+    order, the random ones as a (K, R) then an (R, K) draw from the stream."""
+    if kind == "random_plus_reversed":
+        kind = "random" if alternation_index % 2 == 0 else "reversed"
+    pairs = []
+    for beta, gamma in zip(betas, gammas):
+        (K, R) = beta.shape
+        if kind == "random":
+            pairs.append((softmax(rng.uniform(0, 1, (K, R)), axis=-1),
+                          softmax(rng.uniform(0, 1, (R, K)), axis=-1)))
+        elif kind == "uniform":
+            pairs.append((np.full((K, R), 1.0 / R), np.full((R, K), 1.0 / K)))
+        else:
+            pairs.append((softmax(-np.log(beta + 1e-12), axis=-1),
+                          softmax(-np.log(gamma + 1e-12), axis=-1)))
+    return tuple(np.stack(side) for side in zip(*pairs))
+
+
+@pytest.mark.parametrize("alternation_index", [0, 1])
+@pytest.mark.parametrize("kind", INTERVENTION_KINDS)
+def test_block_draw_is_the_per_sample_stream(kind, alternation_index):
+    # distinct primes K=7, R=5, b=3: a transposed or misrouted half cannot fit
+    betas, gammas = observed_block(3, 7, 5)
+    block_rng, reference_rng = make_rng(11), make_rng(11)
+    block = make_intervention_attention(kind, betas, gammas, block_rng, alternation_index)
+    reference = per_sample_interventions(kind, betas, gammas, reference_rng, alternation_index)
+    for got, want in zip(block, reference):
+        assert got.shape == want.shape
+        assert np.array_equal(got, want)
+    assert block_rng.bit_generator.state == reference_rng.bit_generator.state
+
+
+def test_one_intervention_call_per_training_block(monkeypatch):
+    ds = prime_dataset()
+    force_training_block(monkeypatch, ds, 2)
+    module = importlib.import_module("mczsl.training")
+    real, calls = module.make_intervention_attention, []
+
+    def counting(kind, betas, gammas, *rest):
+        calls.append(len(betas))
+        return real(kind, betas, gammas, *rest)
+
+    monkeypatch.setattr(module, "make_intervention_attention", counting)
+    state = state_for_dataset(ds, make_rng(4))
+    train_step(ds.split.train_idx[:5], ds, state, Hyperparams(), make_rng(2))
+    assert calls == [2, 2, 1]  # one call per block of 2, not two per sample
 
 
 class TestTrainStep:
@@ -273,11 +337,7 @@ def test_gradient_fidelity_at_checkpoint(small_dataset):
     for _ in range(3):
         train_step(small_dataset.split.train_idx[:3], small_dataset, state, hp, rng)
 
-    K, R = small_dataset.num_attributes, small_dataset.num_regions
-    irng = make_rng(3)
-    frozen = [(make_intervention_attention("random", K, R, None, irng),
-               make_intervention_attention("random", R, K, None, irng))
-              for _ in range(3)]
+    frozen = frozen_interventions(small_dataset, 3)
     batch = small_dataset.split.train_idx[:3]
 
     def loss_fn(params):
@@ -301,10 +361,10 @@ def force_training_block(monkeypatch, ds, samples):
 
 
 def frozen_interventions(ds, n, seed=3):
-    rng = make_rng(seed)
+    """n per-sample (beta, gamma) random interventions from one block draw."""
     K, R = ds.num_attributes, ds.num_regions
-    return [(make_intervention_attention("random", K, R, None, rng),
-             make_intervention_attention("random", R, K, None, rng)) for _ in range(n)]
+    return list(zip(*make_intervention_attention(
+        "random", np.zeros((n, K, R)), np.zeros((n, R, K)), make_rng(seed))))
 
 
 def replay(frozen):
@@ -445,7 +505,7 @@ def test_attribute_products_run_once_per_batch(monkeypatch):
 
 
 def test_attribute_products_run_once_per_predict_call(monkeypatch):
-    from mczsl.evaluate import FusionConfig, predict
+    from mczsl.evaluate import FusionConfig, class_scores, top_classes
 
     ds = prime_dataset()
     assert ds.num_samples == 24
@@ -453,7 +513,8 @@ def test_attribute_products_run_once_per_predict_call(monkeypatch):
                         5 * ds.num_regions * ds.feature_dim)
     state = state_for_dataset(ds, make_rng(4))
     count = record_attribute_products(monkeypatch, ds)
-    predict(list(range(24)), state, ds, FusionConfig(setting="gzsl"))
+    top_classes(class_scores(list(range(24)), state, ds, FusionConfig(setting="gzsl")),
+                ds.split, "gzsl")
     assert count() == 2  # not 2 per block of 5
 
 
