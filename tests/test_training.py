@@ -145,7 +145,7 @@ def per_sample_interventions(kind, betas, gammas, rng, alternation_index):
         kind = "random" if alternation_index % 2 == 0 else "reversed"
     pairs = []
     for beta, gamma in zip(betas, gammas):
-        (K, R) = beta.shape
+        K, R = beta.shape
         if kind == "random":
             pairs.append((softmax(rng.uniform(0, 1, (K, R)), axis=-1),
                           softmax(rng.uniform(0, 1, (R, K)), axis=-1)))
