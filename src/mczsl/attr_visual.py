@@ -1,17 +1,22 @@
-"""Row-wise bilinear cross-attention and the attribute-to-visual sub-net.
+"""Row-wise bilinear cross-attention, the one reading of both sub-nets.
 
 Both sub-nets are one cross-attention read in opposite directions, built from
 bilinear tables Q w K'. Every row q_i of the queries Q attends over the rows
 of the keys K with weights softmax(Q w_s K') by rows. Its readout
 q_i' w_e (attention K)_i is the row sum of attention times the table Q w_e K'.
 The attribute-to-visual sub-net takes Q = A (K x Da), K = V (R x D), w_s = w1
-and w_e = w2, so its readout is one confidence per attribute. Class logits
-are dot products of the attribute scores with the class prototypes Z (C x K).
+and w_e = w2, so its readout is one confidence per attribute. The
+visual-to-attribute sub-net takes Q = V, K = A, w_s = w3 and w_e = w4, and the
+raw table V w_att A' lifts its R region scores to K attribute scores. Class
+logits are dot products of the attribute scores with the class prototypes Z
+(C x K).
 
-The five trained matrices live in one dict, ATTR_SIDE for this sub-net and
-REGION_SIDE for the other; `query_products` builds the query side Q w of each
-table (Q w) K' from it. A w1 and A w2 do not depend on the image, so training
-builds them once per batch and `score_blocks` once per call; V w3, V w4, V w_att per block.
+The five trained matrices live in one dict, ATTR_SIDE for the first sub-net
+and REGION_SIDE for the second; `query_products` builds the query side Q w of
+each table (Q w) K' from it, and `cross_attention` reads the tables against
+the keys. `training.forward_both` runs both sub-nets this way. A w1 and A w2
+do not depend on the image, so training builds them once per batch and
+`score_blocks` once per call; V w3, V w4, V w_att per block.
 
 V holds one sample's regions (R x D) or a block of samples (B x R x D). V, A
 and Z are constants; only the weight matrices are trainable. Every pass builds
@@ -30,17 +35,6 @@ from .tensor_io import write_atomic, write_tensor
 
 ATTR_SIDE = ("w1", "w2")  # Da x D, the attribute-to-visual sub-net
 REGION_SIDE = ("w3", "w4", "w_att")  # D x Da, the visual-to-attribute sub-net
-
-
-@dataclass
-class AttrVisualParams:
-    """w1 scores attribute/region pairs; w2 scores attribute/attended-feature pairs.
-
-    Both are Da x D, as numpy arrays or autodiff Tensors.
-    """
-
-    w1: object
-    w2: object
 
 
 @dataclass
@@ -90,12 +84,6 @@ def cross_attention(products, K, Z) -> SubnetForward:
     scores, readout, *lift = [ad.matmul(p, keys_t) for p in products]
     return _readout(ad.softmax(scores, axis=-1), readout, lift[0] if lift else None,
                     ad.constant(np.asarray(Z, dtype=np.float64).T))
-
-
-def forward(V, A, Z, params: AttrVisualParams) -> SubnetForward:
-    """Attributes attend over regions: beta (K x R) = softmax(A w1 V') by rows,
-    and attribute k scores a_k' w2 (beta V)_k."""
-    return cross_attention(query_products(A, vars(params), ATTR_SIDE), V, Z)
 
 
 def check_normalized_rows(weights: np.ndarray, tol: float = 1e-4) -> None:

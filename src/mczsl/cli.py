@@ -137,7 +137,7 @@ def cmd_gen_synth(args: argparse.Namespace) -> int:
 
 def cmd_train(args: argparse.Namespace) -> int:
     hp = _hyperparams(_resolve(args))
-    dataset = load_dataset(args.data)
+    dataset = _load(args, epochs=hp.epochs)
     state, log = train(dataset, hp)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -166,10 +166,15 @@ def _fitting_checkpoint(checkpoint, dataset, data) -> ModelState:
     return state
 
 
-def _load_for_eval(args: argparse.Namespace, settings=()):
+def _load(args: argparse.Namespace, settings=(), epochs: int = 0):
+    """The dataset at args.data, refused (naming its manifest) if `settings` would
+    score an empty test split or `epochs` > 0 would train on an empty train_idx."""
     dataset = load_dataset(args.data)
-    check_test_splits(dataset.split, settings, Path(args.data) / MANIFEST_NAME)
-    return dataset, _fitting_checkpoint(args.checkpoint, dataset, args.data)
+    manifest = Path(args.data) / MANIFEST_NAME
+    check_test_splits(dataset.split, settings, manifest)
+    if epochs > 0 and not dataset.split.train_idx:
+        raise DataValidationError(f"{manifest}: training requires a nonempty train_idx")
+    return dataset
 
 
 def cmd_eval(args: argparse.Namespace) -> int:
@@ -179,7 +184,8 @@ def cmd_eval(args: argparse.Namespace) -> int:
         raise ConfigError(f"setting must be czsl, gzsl, or both, got {setting!r}")
     wanted = ["czsl", "gzsl"] if setting == "both" else [setting]
     fusion = _from_cfg(FusionConfig, cfg, setting=wanted[0])
-    dataset, state = _load_for_eval(args, wanted)
+    dataset = _load(args, wanted)
+    state = _fitting_checkpoint(args.checkpoint, dataset, args.data)
     reports = evaluate_settings(dataset, state, fusion, wanted)
     for s, rep in reports.items():
         if s == "czsl":
@@ -199,8 +205,7 @@ def cmd_intervene_compare(args: argparse.Namespace) -> int:
     cfg = _resolve(args)
     hp = _hyperparams(cfg, trains=not args.eval_only)
     fusion = _from_cfg(FusionConfig, cfg, setting="gzsl")
-    dataset = load_dataset(args.data)
-    check_test_splits(dataset.split, SETTINGS, Path(args.data) / MANIFEST_NAME)
+    dataset = _load(args, SETTINGS, 0 if args.eval_only else hp.epochs)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     rows = []
@@ -237,7 +242,8 @@ def cmd_export_attention(args: argparse.Namespace) -> int:
     top_n = cfg.get("top_n", 10)
     if top_n < 1:
         raise ConfigError(f"top_n must be at least 1, got {top_n}")
-    dataset, state = _load_for_eval(args)
+    dataset = _load(args)
+    state = _fitting_checkpoint(args.checkpoint, dataset, args.data)
     bad = [i for i in indices if not 0 <= i < dataset.num_samples]
     if bad:
         raise ConfigError(f"sample index {bad[0]} outside [0, {dataset.num_samples})")

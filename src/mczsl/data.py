@@ -224,8 +224,8 @@ def validate_dataset(ds: Dataset, source: Path | None = None) -> None:
     seen, unseen = set(sp.seen_classes), set(sp.unseen_classes)
     if seen & unseen:
         fail("seen and unseen classes must be disjoint")
-    if seen | unseen != set(range(c)):
-        fail("seen and unseen classes must cover all classes")
+    if sorted([*sp.seen_classes, *sp.unseen_classes]) != list(range(c)):
+        fail("each class appears exactly once in seen_classes and unseen_classes")
     all_idx = sp.train_idx + sp.test_seen_idx + sp.test_unseen_idx
     if all_idx and (min(all_idx) < 0 or max(all_idx) >= n):
         fail("split indices must lie in [0, N)")

@@ -147,7 +147,8 @@ def evaluate_settings(dataset: Dataset, state: ModelState, cfg: FusionConfig,
 
 
 def evaluate(dataset: Dataset, state: ModelState, cfg: FusionConfig) -> EvalReport:
-    """The report of the one setting cfg.setting (see evaluate_settings)."""
+    """The report of the one setting cfg.setting (see evaluate_settings); what
+    perfbench/workloads.py scores its shards with."""
     return evaluate_settings(dataset, state, cfg, [cfg.setting])[cfg.setting]
 
 

@@ -103,6 +103,7 @@ class ModelState:
         self.momentum_buf = {k: np.zeros_like(v) for k, v in self.weights.items()}
 
     def params(self) -> dict[str, np.ndarray]:
+        """`weights`, under the name perfbench/run.py reads them by."""
         return self.weights
 
 
@@ -271,7 +272,7 @@ def rmsprop_update(state: ModelState, grads: dict[str, np.ndarray], hp: Hyperpar
     """RMSProp with momentum; weight decay is decoupled (parameters shrink
     toward zero before the gradient step, so the gradient check stays clean)."""
     lr = hp.learning_rate
-    for name, p in state.params().items():
+    for name, p in state.weights.items():
         g = grads[name]
         sq = state.sq_avg[name]
         buf = state.momentum_buf[name]
@@ -301,7 +302,7 @@ def train_step(
                                            batch_counter)
 
     report, grads = batch_loss_and_grads(
-        batch_indices, dataset, state.params(), hp.loss_weights, draw)
+        batch_indices, dataset, state.weights, hp.loss_weights, draw)
     rmsprop_update(state, grads, hp)
     return report
 
@@ -352,7 +353,7 @@ def save_checkpoint(
     so identical runs produce byte-identical checkpoints)."""
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
-    for name, p in state.params().items():
+    for name, p in state.weights.items():
         write_tensor(directory / f"{name}.msdt", p)
     meta = {
         "epoch": epoch,

@@ -5,6 +5,7 @@ import importlib
 import numpy as np
 import pytest
 
+from mczsl.attr_visual import REGION_SIDE, cross_attention, query_products
 from mczsl.data import Dataset, Split, SynthConfig, generate_synthetic
 from mczsl.numeric import make_rng
 
@@ -34,6 +35,15 @@ def fill_disk_after(monkeypatch, budget):
     monkeypatch.setattr(tensor_io, "open",
                         lambda path, mode: _FullDisk(builtins.open(path, mode), budget),
                         raising=False)
+
+
+def subnet_pass(V, A, Z, weights, side):
+    """One sub-net's observed pass, read from the weights `side` of the mapping
+    `weights` (arrays or tape leaves) as training.forward_both reads them:
+    for ATTR_SIDE (w1, w2) the attributes A attend over the regions V; for
+    REGION_SIDE (w3, w4, w_att) the regions attend over the attributes."""
+    queries, keys = (V, A) if side == REGION_SIDE else (A, V)
+    return cross_attention(query_products(queries, weights, side), keys, Z)
 
 
 @pytest.fixture(scope="session")

@@ -6,9 +6,9 @@ import time
 import numpy as np
 import pytest
 
-from conftest import build_dataset
+from conftest import build_dataset, subnet_pass
 from mczsl import attr_visual, visual_attr
-from mczsl.attr_visual import AttrVisualParams
+from mczsl.attr_visual import ATTR_SIDE, REGION_SIDE
 from mczsl.cli import main
 from mczsl.data import SynthConfig, generate_synthetic, load_dataset, save_dataset
 from mczsl.errors import DataValidationError, FormatError
@@ -23,7 +23,6 @@ from mczsl.training import (
     make_intervention_attention,
     train,
 )
-from mczsl.visual_attr import VisualAttrParams
 from test_losses import make_split, seen_ce_oracle
 
 SYNTH_WEIGHTS = LossWeights(0.05, 0.03, 0.3, 0.001)
@@ -68,11 +67,11 @@ def test_normalization_suite():
         k, r, d, da = rng.integers(2, 7), rng.integers(1, 7), rng.integers(2, 6), rng.integers(2, 6)
         V = rng.standard_normal((r, d))
         A = rng.standard_normal((k, da))
-        ap = AttrVisualParams(w1=rng.standard_normal((da, d)), w2=np.zeros((da, d)))
-        vp = VisualAttrParams(w3=rng.standard_normal((d, da)), w4=np.zeros((d, da)),
-                              w_att=np.zeros((d, da)))
-        beta = attr_visual.forward(V, A, np.eye(k), ap).attention.data
-        gamma = visual_attr.forward(V, A, np.eye(k), vp).attention.data
+        ap = {"w1": rng.standard_normal((da, d)), "w2": np.zeros((da, d))}
+        vp = {"w3": rng.standard_normal((d, da)), "w4": np.zeros((d, da)),
+              "w_att": np.zeros((d, da))}
+        beta = subnet_pass(V, A, np.eye(k), ap, ATTR_SIDE).attention.data
+        gamma = subnet_pass(V, A, np.eye(k), vp, REGION_SIDE).attention.data
         worst_row = max(worst_row,
                         float(np.max(np.abs(beta.sum(axis=1) - 1.0))),
                         float(np.max(np.abs(gamma.sum(axis=1) - 1.0))))
@@ -96,17 +95,17 @@ def test_null_intervention_identities():
         V = rng.standard_normal((r, d))
         A = rng.standard_normal((k, da))
         Z = rng.random((c, k))
-        ap = AttrVisualParams(w1=rng.standard_normal((da, d)),
-                              w2=rng.standard_normal((da, d)))
-        vp = VisualAttrParams(w3=rng.standard_normal((d, da)),
-                              w4=rng.standard_normal((d, da)),
-                              w_att=rng.standard_normal((d, da)))
-        f1 = attr_visual.forward(V, A, Z, ap)
+        ap = {"w1": rng.standard_normal((da, d)),
+              "w2": rng.standard_normal((da, d))}
+        vp = {"w3": rng.standard_normal((d, da)),
+              "w4": rng.standard_normal((d, da)),
+              "w_att": rng.standard_normal((d, da))}
+        f1 = subnet_pass(V, A, Z, ap, ATTR_SIDE)
         logits1_bar = attr_visual.intervened(f1, f1.attention.data).logits
         assert np.array_equal(logits1_bar.data, f1.logits.data)
         effect1 = attr_visual.causal_effect(f1.logits, logits1_bar)
         assert np.all(effect1 == 0.0)
-        f2 = visual_attr.forward(V, A, Z, vp)
+        f2 = subnet_pass(V, A, Z, vp, REGION_SIDE)
         logits2_bar = visual_attr.intervened(f2, f2.attention.data).logits
         assert np.array_equal(logits2_bar.data, f2.logits.data)
         assert np.all(attr_visual.causal_effect(f2.logits, logits2_bar) == 0.0)

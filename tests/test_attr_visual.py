@@ -1,44 +1,46 @@
-"""The bilinear cross-attention of attr_visual in its two readings: attributes
-attending over regions (`attr_visual.forward`, weights w1 and w2) and regions
-attending over attributes (`visual_attr.forward`, weights w3 and w4, plus the
-lift table w_att). A case that holds for both readings is written once, in a
-`...Cases` class, and runs once per reading: `TestX` runs it on the attribute
-reading and `TestXVisualAttr` on the region reading, each with its own shapes,
-seeds and tolerances (`Reading.pick`). The cases that only one reading has (one
-region, the shape check, export, the lift) sit in that reading's class."""
+"""The bilinear cross-attention of attr_visual in its two readings, each built
+from a weight dict by `conftest.subnet_pass` as training reads it: attributes
+attending over regions (ATTR_SIDE, weights w1 and w2) and regions attending
+over attributes (REGION_SIDE, weights w3 and w4, plus the lift table w_att).
+The intervened pass runs through `attr_visual.intervened`, or its region-side
+name `visual_attr.intervened`. A case that holds for both readings is written
+once, in a `...Cases` class, and runs once per reading: `TestX` runs it on the
+attribute reading and `TestXVisualAttr` on the region reading, each with its
+own shapes, seeds and tolerances (`Reading.pick`). The cases that only one
+reading has (one region, the shape check, export, the lift) sit in that
+reading's class."""
 import math
-from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from conftest import subnet_pass
 from mczsl import attr_visual as av
 from mczsl import autodiff as ad
 from mczsl import visual_attr as va
-from mczsl.attr_visual import AttrVisualParams, causal_effect
+from mczsl.attr_visual import ATTR_SIDE, REGION_SIDE, causal_effect
 from mczsl.errors import ShapeError
 from mczsl.gradcheck import finite_difference_check
 from mczsl.numeric import make_rng, softmax
 from mczsl.tensor_io import read_tensor
-from mczsl.visual_attr import VisualAttrParams
 
 
 class Reading:
     """Which of V (R x D) and A (K x Da) queries the other, and the weights
     that score (w_s) and read out (w_e) the attention, and lift (w_att)."""
 
-    def __init__(self, module, params_cls, names):
-        self.module, self.params_cls, self.names = module, params_cls, names
+    def __init__(self, module, names):
+        self.module, self.names = module, names
         self.score, self.embed = names[:2]
-        self.by_regions = "w_att" in names
+        self.by_regions = names == REGION_SIDE
 
     def instance(self, k, r, d=4, da=3, seed=0):
-        """V, A and then each weight, drawn from one seeded stream."""
+        """V, A and then a dict of each weight, drawn from one seeded stream."""
         rng = make_rng(seed)
         V = rng.standard_normal((r, d))
         A = rng.standard_normal((k, da))
         shape = (d, da) if self.by_regions else (da, d)
-        return V, A, self.params_cls(**{n: rng.standard_normal(shape) for n in self.names})
+        return V, A, {n: rng.standard_normal(shape) for n in self.names}
 
     def pick(self, attr_value, region_value):
         """This reading's value of a case parameter."""
@@ -50,7 +52,7 @@ class Reading:
 
     def run(self, V, A, params, Z=None):
         """Observed pass; identity prototypes by default, so logits = scores."""
-        return self.module.forward(V, A, np.eye(A.shape[0]) if Z is None else Z, params)
+        return subnet_pass(V, A, np.eye(A.shape[0]) if Z is None else Z, params, self.names)
 
     def readout(self, fwd, V, A, params):
         """Per query i, q_i' w_e (attention K)_i: the attribute scores, or the
@@ -64,18 +66,18 @@ class Reading:
                             V, A, params)
 
 
-AV = Reading(av, AttrVisualParams, ("w1", "w2"))
-VA = Reading(va, VisualAttrParams, ("w3", "w4", "w_att"))
+AV = Reading(av, ATTR_SIDE)
+VA = Reading(va, REGION_SIDE)
 
 
 def zeroed(params, name):
-    return replace(params, **{name: np.zeros_like(getattr(params, name))})
+    return {**params, name: np.zeros_like(params[name])}
 
 
 def region_scores(attr_scores, V, A, params):
     """Read the R region scores back out of the K lifted attribute scores
     (R == K <= D, Da, so the lift table V w_att A' is square and invertible)."""
-    return np.linalg.solve((V @ params.w_att @ A.T).T, attr_scores)
+    return np.linalg.solve((V @ params["w_att"] @ A.T).T, attr_scores)
 
 
 def readout_oracle(Q, w_e, mixes):
@@ -97,7 +99,7 @@ class AttentionCases:
         V, A, params = reading.instance(**reading.pick(dict(k=2, r=2, d=3, da=2, seed=7),
                                                        dict(k=3, r=2, seed=7)))
         Q, K = reading.sides(V, A)
-        w_s = getattr(params, reading.score)
+        w_s = params[reading.score]
         attention = reading.run(V, A, params).attention.data
         for i in range(len(Q)):
             scores = [float(Q[i] @ w_s @ K[j]) for j in range(len(K))]
@@ -135,7 +137,7 @@ class TestAttentionVisualAttr(AttentionCases):
     def test_row_shift_invariance(self):
         # adding a constant to one row's scores leaves that row's weights unchanged
         V, A, params = VA.instance(k=4, r=3, seed=9)
-        scores = V @ params.w3 @ A.T
+        scores = V @ params["w3"] @ A.T
         gamma = VA.run(V, A, params).attention.data
         shifted = scores.copy()
         shifted[1] += 123.0
@@ -151,7 +153,7 @@ class FeaturesCases:
         V, A, params = reading.instance(**reading.pick(dict(k=3, r=4), dict(k=3, r=3)))
         key = reading.pick(2, 1)
         Q, K = reading.sides(V, A)
-        w_e = getattr(params, reading.embed)
+        w_e = params[reading.embed]
         attention = np.zeros((len(Q), len(K)))
         attention[:, key] = 1.0
         got = reading.readout_under(attention, V, A, params)
@@ -175,7 +177,7 @@ class FeaturesCases:
         for i in range(len(Q)):
             for j in range(len(K)):
                 expected[i] += attention[i, j] * K[j]
-        assert np.max(np.abs(got - readout_oracle(Q, getattr(params, reading.embed),
+        assert np.max(np.abs(got - readout_oracle(Q, params[reading.embed],
                                                   expected))) < reading.pick(1e-12, 1e-9)
 
     def test_convex_hull_property(self):
@@ -187,7 +189,7 @@ class FeaturesCases:
             V, A, params = reading.instance(**dims, seed=seed)
             Q, K = reading.sides(V, A)
             got = reading.readout(reading.run(V, A, params), V, A, params)
-            per_key = Q @ getattr(params, reading.embed) @ K.T
+            per_key = Q @ params[reading.embed] @ K.T
             assert np.all(got >= per_key.min(axis=1) - 1e-9)
             assert np.all(got <= per_key.max(axis=1) + 1e-9)
 
@@ -199,7 +201,7 @@ class TestFeatures(FeaturesCases):
         V = np.array([[0.0, 2.0], [4.0, 6.0]])
         _, A, params = AV.instance(k=3, r=3, d=2)
         scores = av.intervened(AV.run(V, A, params), np.full((3, 2), 0.5)).attr_scores.data
-        assert np.allclose(scores, readout_oracle(A, params.w2, np.tile([2.0, 4.0], (3, 1))),
+        assert np.allclose(scores, readout_oracle(A, params["w2"], np.tile([2.0, 4.0], (3, 1))),
                            atol=1e-12)
 
 
@@ -242,9 +244,9 @@ class TestEmbed(EmbedCases):
         rng = make_rng(5)
         A = rng.standard_normal((1, 3))
         V = rng.standard_normal((1, 4))
-        params = AttrVisualParams(w1=np.zeros((3, 4)), w2=rng.standard_normal((3, 4)))
+        params = {"w1": np.zeros((3, 4)), "w2": rng.standard_normal((3, 4))}
         psi = AV.run(V, A, params).attr_scores.data
-        expected = float(A[0] @ params.w2 @ V[0])
+        expected = float(A[0] @ params["w2"] @ V[0])
         assert abs(psi[0] - expected) < 1e-12
 
 
@@ -257,29 +259,29 @@ class TestEmbedVisualAttr(EmbedCases):
         rng = make_rng(5)
         V = rng.standard_normal((1, 4))
         A = rng.standard_normal((3, 3))
-        params = VisualAttrParams(w3=np.zeros((4, 3)), w4=rng.standard_normal((4, 3)),
-                                  w_att=rng.standard_normal((4, 3)))
+        params = {"w3": np.zeros((4, 3)), "w4": rng.standard_normal((4, 3)),
+                  "w_att": rng.standard_normal((4, 3))}
         got = va.intervened(VA.run(V, A, params), np.array([[0.0, 1.0, 0.0]])).attr_scores.data
-        expected = float(V[0] @ params.w4 @ A[1]) * (V[0] @ params.w_att @ A.T)
+        expected = float(V[0] @ params["w4"] @ A[1]) * (V[0] @ params["w_att"] @ A.T)
         assert np.max(np.abs(got - expected)) < 1e-12
 
 
 class TestProject:
     def test_zero_region_scores(self):
         V, A, params = VA.instance(k=3, r=3)
-        params.w4 = np.zeros_like(params.w4)
+        params["w4"] = np.zeros_like(params["w4"])
         assert np.array_equal(VA.run(V, A, params).attr_scores.data, np.zeros(3))
 
     def test_zero_lifting_weight(self):
         V, A, params = VA.instance(k=3, r=3)
-        params.w_att = np.zeros_like(params.w_att)
+        params["w_att"] = np.zeros_like(params["w_att"])
         assert np.array_equal(VA.run(V, A, params).attr_scores.data, np.zeros(3))
 
     def test_matches_two_step_matmul_oracle(self):
         V, A, params = VA.instance(k=3, r=2, seed=13)
         fwd = VA.run(V, A, params)
-        psi_hat = np.sum((V @ params.w4) * (fwd.attention.data @ A), axis=1)
-        table = V @ params.w_att @ A.T  # R x K
+        psi_hat = np.sum((V @ params["w4"]) * (fwd.attention.data @ A), axis=1)
+        table = V @ params["w_att"] @ A.T  # R x K
         expected = psi_hat @ table
         assert np.max(np.abs(fwd.attr_scores.data - expected)) < 1e-12
 
@@ -324,7 +326,7 @@ def assert_uniform_gives_key_mean(reading, dims, tol):
     Q, K = reading.sides(V, A)
     got = reading.readout_under(np.full((len(Q), len(K)), 1.0 / len(K)), V, A, params)
     mean_key = np.tile(K.mean(axis=0), (len(Q), 1))
-    expected = readout_oracle(Q, getattr(params, reading.embed), mean_key)
+    expected = readout_oracle(Q, params[reading.embed], mean_key)
     assert np.allclose(got, expected, atol=tol)
 
 
@@ -334,7 +336,7 @@ class IntervenedCases:
         dims = reading.pick(dict(k=4, r=5, seed=11), dict(k=5, r=4, seed=11))
         V, A, params = reading.instance(**dims)
         Z = make_rng(12).random((3, dims["k"]))
-        fwd = reading.module.forward(V, A, Z, params)
+        fwd = reading.run(V, A, params, Z)
         logits_bar = reading.module.intervened(fwd, fwd.attention.data).logits
         assert np.array_equal(logits_bar.data, fwd.logits.data)
         assert np.array_equal(causal_effect(fwd.logits, logits_bar), np.zeros(3))
@@ -352,13 +354,13 @@ class IntervenedCases:
         Z = make_rng(22).random((5, 4))
         attention_bar = make_rng(23).random((len(Q), len(K)))
         attention_bar /= attention_bar.sum(axis=1, keepdims=True)
-        bar = reading.module.intervened(reading.module.forward(V, A, Z, params), attention_bar)
+        bar = reading.module.intervened(reading.run(V, A, params, Z), attention_bar)
         # oracle: the readout table, its attention-weighted row sums, in the
         # region reading the region-weighted rows of the lift table, and the
         # prototype product in numpy
-        expected = np.sum(attention_bar * ((Q @ getattr(params, reading.embed)) @ K.T), axis=1)
+        expected = np.sum(attention_bar * ((Q @ params[reading.embed]) @ K.T), axis=1)
         if reading.by_regions:
-            expected = np.sum(expected[:, None] * (V @ params.w_att @ A.T), axis=0)
+            expected = np.sum(expected[:, None] * (V @ params["w_att"] @ A.T), axis=0)
         assert np.array_equal(bar.attention.data, attention_bar)
         assert np.array_equal(bar.attr_scores.data, expected)
         assert np.array_equal(bar.logits.data, Z @ expected)
@@ -390,9 +392,9 @@ class IntervenedCases:
         V, A, params = reading.instance(**dims)
         Q, K = reading.sides(V, A)
         Z = make_rng(32).random((3, dims["k"]))
-        leaves = {n: ad.Tensor(getattr(params, n), requires_grad=True) for n in reading.names}
+        leaves = {n: ad.Tensor(params[n], requires_grad=True) for n in reading.names}
         attention_bar = ad.Tensor(np.full((len(Q), len(K)), 1.0 / len(K)))
-        fwd = reading.module.forward(V, A, Z, reading.params_cls(**leaves))
+        fwd = reading.run(V, A, leaves, Z)
         logits_bar = reading.module.intervened(fwd, attention_bar).logits
         ad.tsum(ad.mul(logits_bar, logits_bar)).backward()
         assert attention_bar.grad is None
@@ -410,9 +412,9 @@ class IntervenedCases:
         Z = make_rng(42).random((reading.pick(3, 4), dims["k"]))
         grads = []
         for interv_seed in (1, 2):
-            leaves = {n: ad.Tensor(getattr(params, n).copy(), requires_grad=True)
+            leaves = {n: ad.Tensor(params[n].copy(), requires_grad=True)
                       for n in reading.names}
-            fwd = reading.module.forward(V, A, Z, reading.params_cls(**leaves))
+            fwd = reading.run(V, A, leaves, Z)
             rng = make_rng(interv_seed)
             attention_bar = rng.random((len(Q), len(K)))
             attention_bar /= attention_bar.sum(axis=1, keepdims=True)
@@ -473,11 +475,11 @@ def assert_gradients_pass_finite_difference_check(reading, dims):
     # scalar function of the logits, differentiated w.r.t. the reading's weights
     V, A, params = reading.instance(**dims)
     Z = make_rng(52).random((3, dims["k"]))
-    base = {n: getattr(params, n).copy() for n in reading.names}
+    base = {n: params[n].copy() for n in reading.names}
 
     def loss_fn(p):
         leaves = {n: ad.Tensor(p[n], requires_grad=True) for n in p}
-        fwd = reading.module.forward(V, A, Z, reading.params_cls(**leaves))
+        fwd = reading.run(V, A, leaves, Z)
         loss = ad.tsum(ad.mul(fwd.logits, fwd.logits))
         loss.backward()
         return loss.item(), {n: leaves[n].grad for n in p}

@@ -7,9 +7,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from conftest import fill_disk_after
-from mczsl import attr_visual, cli, training
-from mczsl.attr_visual import AttrVisualParams
+from conftest import fill_disk_after, subnet_pass
+from mczsl import cli, training
+from mczsl.attr_visual import ATTR_SIDE
 from mczsl.cli import PRESETS, build_parser, main, parse_config_file
 from mczsl.data import SynthConfig, load_dataset
 from mczsl.errors import ConfigError
@@ -349,6 +349,24 @@ def test_empty_test_split_exits_3_before_training_or_checkpoint(data_dir, tmp_pa
     assert not list(tmp_path.rglob("intervene_*"))
 
 
+@pytest.mark.parametrize("command", ["train", "intervene-compare"])
+def test_empty_train_split_exits_3_before_any_output(data_dir, tmp_path, capsys, command):
+    data = tmp_path / "data"
+    shutil.copytree(data_dir, data)
+    manifest = json.loads((data / "manifest.json").read_text())
+    (data / "manifest.json").write_text(json.dumps(manifest | {"train_idx": []}))
+    out = tmp_path / "out"
+    assert main([command, "--data", str(data), "--out", str(out), "--epochs", "1"]) == 3
+    err = capsys.readouterr().err
+    assert f"{data / 'manifest.json'}: " in err and "nonempty train_idx" in err
+    assert not out.exists()
+    # a run that trains nothing still accepts the dataset
+    assert main([command, "--data", str(data), "--out", str(out), "--epochs", "0"]) == 0
+    if command == "intervene-compare":
+        assert main([command, "--data", str(data), "--out", str(out), "--epochs", "1",
+                     "--eval-only"]) == 0
+
+
 class TestExportAttention:
     def test_exports_match_forward_pass(self, data_dir, trained_run, tmp_path):
         out = tmp_path / "attn"
@@ -360,8 +378,8 @@ class TestExportAttention:
         beta = read_tensor(out / "sample_0_region_attention.msdt")
         assert beta.shape == (ds.num_attributes, ds.num_regions)
         assert np.max(np.abs(beta.sum(axis=1) - 1.0)) < 1e-6
-        fwd = attr_visual.forward(ds.features[0], ds.attributes, ds.class_semantics,
-                                  AttrVisualParams(state.weights["w1"], state.weights["w2"]))
+        fwd = subnet_pass(ds.features[0], ds.attributes, ds.class_semantics, state.weights,
+                          ATTR_SIDE)
         expected = fwd.attention.data.astype(np.float32).astype(np.float64)
         assert np.array_equal(beta, expected)
         gamma = read_tensor(out / "sample_0_attribute_attention.msdt")

@@ -272,8 +272,12 @@ class TestLoadErrors:
          "each sample index appears at most once"),
         (lambda s: {"test_seen_idx": s["test_seen_idx"] + s["train_idx"][:1]},
          "each sample index appears at most once"),
+        (lambda s: {"seen_classes": s["seen_classes"] + s["seen_classes"][:1]},
+         "each class appears exactly once in seen_classes and unseen_classes"),
+        (lambda s: {"unseen_classes": s["unseen_classes"] + s["unseen_classes"][:1]},
+         "each class appears exactly once in seen_classes and unseen_classes"),
     ], ids=["train_label", "test_seen_label", "test_unseen_label", "repeat_within",
-            "repeat_across"])
+            "repeat_across", "repeat_seen_class", "repeat_unseen_class"])
     def test_split_index_invariants(self, saved, move, invariant):
         ds = load_dataset(saved)
         ds.split = Split(**{**vars(ds.split), **move(vars(ds.split))})

@@ -5,8 +5,9 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from conftest import subnet_pass
 from mczsl import attr_visual, autodiff as ad, visual_attr
-from mczsl.attr_visual import AttrVisualParams
+from mczsl.attr_visual import ATTR_SIDE, REGION_SIDE
 from mczsl.data import Split
 from mczsl.errors import ShapeError
 from mczsl.gradcheck import finite_difference_check
@@ -22,7 +23,6 @@ from mczsl.losses import (
     total_loss,
 )
 from mczsl.numeric import make_rng
-from mczsl.visual_attr import VisualAttrParams
 
 
 def seen_ce_oracle(f, label, Z, seen):
@@ -334,10 +334,8 @@ class FullModelLoss:
     def loss_fn(self, term):
         def fn(p):
             leaves = {n: ad.Tensor(p[n], requires_grad=True) for n in p}
-            ap = AttrVisualParams(leaves["w1"], leaves["w2"])
-            vp = VisualAttrParams(leaves["w3"], leaves["w4"], leaves["w_att"])
-            f1 = attr_visual.forward(self.V, self.A, self.Z, ap)
-            f2 = visual_attr.forward(self.V, self.A, self.Z, vp)
+            f1 = subnet_pass(self.V, self.A, self.Z, leaves, ATTR_SIDE)
+            f2 = subnet_pass(self.V, self.A, self.Z, leaves, REGION_SIDE)
             if term == "acec":
                 loss = ad.add(acec_loss(f1.logits, self.label, self.split, 0.1),
                               acec_loss(f2.logits, self.label, self.split, 0.1))

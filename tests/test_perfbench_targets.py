@@ -4,11 +4,15 @@ every attribute must stay defined; otherwise each traced benchmark run fails
 or silently reads 0 for that layer. The target lists are read from the source.
 The tracer also hooks the autodiff tape (Tensor construction, backward,
 matmul and gradient delivery); one small training step runs under it, loaded
-by path, to check that those hooks still count and come off again. Nothing is
-written under perfbench/."""
+by path, to check that those hooks still count and come off again. The
+benchmark also calls library names outside its tracer (evaluate.evaluate,
+ModelState.params, report_to_dict); one tiny benchmark job runs in-process
+through them. Nothing is written under perfbench/ or .perfbench/."""
 import ast
 import importlib
 import importlib.util
+import os
+import sys
 from pathlib import Path
 
 import pytest
@@ -17,7 +21,11 @@ from mczsl import autodiff as ad
 from mczsl import training
 from mczsl.numeric import make_rng
 
-TRACER = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+TRACER = PERFBENCH / "tracer.py"
+# run.py imports its siblings by these names; bootstrap sets the BLAS variables
+PERFBENCH_MODULES = ("bootstrap", "reference", "tracer", "workloads", "run")
+BLAS_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 
 # Per-stage functions that the one-cross-attention refactor deleted, the
 # post-epoch train-accuracy pass (train accuracy now comes from the training
@@ -92,3 +100,43 @@ def test_tracer_counts_one_training_step(monkeypatch, small_dataset):
     forward = traced_step()
     assert forward.counts["autodiff.matmul_calls"] == full.counts["autodiff.matmul_calls"]
     assert full.counts["autodiff.matmul_flop"] > forward.counts["autodiff.matmul_flop"] > 0
+
+
+def load_perfbench(monkeypatch) -> dict:
+    """perfbench's modules, loaded by path and registered in sys.modules under
+    the names run.py imports them by; monkeypatch takes the names, the BLAS
+    variables and the bytecode setting back off."""
+    monkeypatch.setattr(sys, "dont_write_bytecode", True)
+    for var in BLAS_VARS:
+        monkeypatch.setenv(var, os.environ.get(var, "1"))
+    modules = {}
+    for name in PERFBENCH_MODULES:
+        spec = importlib.util.spec_from_file_location(name, PERFBENCH / f"{name}.py")
+        modules[name] = importlib.util.module_from_spec(spec)
+        monkeypatch.setitem(sys.modules, name, modules[name])
+        spec.loader.exec_module(modules[name])
+    return modules
+
+
+def test_benchmark_job_runs_through_the_library(tmp_path):
+    def left_behind():
+        files = [*PERFBENCH.rglob("*"), *(PERFBENCH.parent / ".perfbench").rglob("*")]
+        return ({f: f.stat().st_mtime_ns for f in files}, list(sys.path),
+                {v: os.environ.get(v) for v in BLAS_VARS},
+                {name: sys.modules.get(name) for name in PERFBENCH_MODULES})
+
+    before = left_behind()
+    with pytest.MonkeyPatch.context() as mp:
+        bench = load_perfbench(mp)
+        workloads, run = bench["workloads"], bench["run"]
+        w = workloads.get("synth-train", tiny=True)
+        workloads.prepare_into(w, 3, tmp_path / "inputs")
+        mods = workloads.modules()
+        job = workloads.run_job(mods, w, workloads._inputs(tmp_path / "inputs", w), 3,
+                                tmp_path / "job")
+        checks = run.Checks()
+        run.check_job(job, checks)
+        agreement = run.reference_agreement(job, checks)
+        assert set(run.report_dicts(mods, job)) == {"czsl", "gzsl"}
+    assert checks.failures == [] and agreement > 0
+    assert left_behind() == before

@@ -6,8 +6,8 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from conftest import build_dataset
-from mczsl import attr_visual as av, visual_attr as va
+from conftest import build_dataset, subnet_pass
+from mczsl import attr_visual as av
 from mczsl.autodiff import Tensor, _topo_order
 from mczsl.errors import ConfigError, FormatError, NumericError
 from mczsl.evaluate import FusionConfig
@@ -46,8 +46,8 @@ def ranks_own_class_first(ds, state, i) -> bool:
     fusion, no offset) is its own label, with each sub-net run on the sample alone."""
     cfg, seen = FusionConfig(), sorted(ds.split.seen_classes)
     A, Z, w = ds.attributes, ds.class_semantics, state.weights
-    psi1 = av.forward(ds.features[i], A, Z, av.AttrVisualParams(w["w1"], w["w2"]))
-    psi2 = va.forward(ds.features[i], A, Z, va.VisualAttrParams(w["w3"], w["w4"], w["w_att"]))
+    psi1 = subnet_pass(ds.features[i], A, Z, w, ATTR_SIDE)
+    psi2 = subnet_pass(ds.features[i], A, Z, w, REGION_SIDE)
     psi1, psi2 = psi1.attr_scores.data, psi2.attr_scores.data
     scores = Z[seen] @ (cfg.alpha1 * psi1 + cfg.alpha2 * psi2)
     return seen[int(np.argmax(scores))] == int(ds.labels[i])
