@@ -8,11 +8,18 @@ Each op states one gradient function per operand, and `_make` keeps only
 those of operands that need a gradient (trainable leaves and the nodes built
 from them), so a backward pass computes no gradient for a constant. Only
 leaves keep their gradients.
+
+A C-contiguous stack of matrices (a block's V, or V w) times one matrix runs
+as one 2-D product over the stacked rows, and so does that stack's gradient
+g B'; every other product is np.matmul. softmax takes its values from
+numeric.softmax, and logsumexp shifts by numeric.row_max, the exact row max
+that numeric.softmax shifts by too.
 """
 from __future__ import annotations
 
 import numpy as np
 
+from . import numeric
 from .errors import ShapeError
 
 
@@ -163,7 +170,7 @@ def matmul(a, b) -> Tensor:
     a, b = as_tensor(a), as_tensor(b)
     ad, bd = a.data, b.data
     try:
-        out_data = np.matmul(ad, bd)
+        out_data = _product(ad, bd)
     except ValueError as e:
         raise ShapeError(f"matmul shapes do not match: {ad.shape} x {bd.shape}") from e
 
@@ -171,7 +178,7 @@ def matmul(a, b) -> Tensor:
         a2, b2, g2 = _matrices(ad, bd, g)
         if a2.ndim == 2 < g2.ndim:  # sum_i g_i b_i' over the stacked batch rows
             return (_stacked(_swap(g2)).T @ _stacked(_swap(b2))).reshape(ad.shape)
-        return _unbroadcast(g2 @ _swap(b2), a2.shape).reshape(ad.shape)
+        return _unbroadcast(_product(g2, _swap(b2)), a2.shape).reshape(ad.shape)
 
     def grad_b(g):
         a2, b2, g2 = _matrices(ad, bd, g)
@@ -195,6 +202,14 @@ def _swap(x: np.ndarray) -> np.ndarray:
     return np.swapaxes(x, -1, -2)
 
 
+def _product(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """np.matmul(x, y). A C-contiguous stack of matrices times one matrix runs
+    as one 2-D product over the stacked rows, not one small product per matrix."""
+    if x.ndim > 2 == y.ndim and x.flags.c_contiguous and x.size:  # (-1, 0) cannot reshape
+        return (_stacked(x) @ y).reshape(x.shape[:-1] + y.shape[-1:])
+    return np.matmul(x, y)
+
+
 def _stacked(x: np.ndarray) -> np.ndarray:
     """The matrices of a batched array stacked by rows: a view, not a copy, when
     x is C-contiguous (V is, once its transposed view V' is swapped back)."""
@@ -207,7 +222,7 @@ def tsum(a, axis: int | None = None, keepdims: bool = False) -> Tensor:
     def grad(g):
         if axis is not None and not keepdims:
             g = np.expand_dims(g, axis)
-        return np.broadcast_to(g, a.data.shape).copy()
+        return np.broadcast_to(g, a.data.shape)  # _accumulate copies or adds it
 
     return _make(a.data.sum(axis=axis, keepdims=keepdims), (a, grad))
 
@@ -240,15 +255,14 @@ def take(a, indices, axis: int = 0) -> Tensor:
 def softmax(a, axis: int = -1) -> Tensor:
     """Stable softmax along `axis` with the exact softmax Jacobian in backward."""
     a = as_tensor(a)
-    e = np.exp(a.data - np.max(a.data, axis=axis, keepdims=True))
-    s = e / e.sum(axis=axis, keepdims=True)
+    s = numeric.softmax(a.data, axis=axis)
     return _make(s, (a, lambda g: (g - (g * s).sum(axis=axis, keepdims=True)) * s))
 
 
 def logsumexp(a) -> Tensor:
     """log(sum(exp(a))) along the last axis, max-shifted; backward is softmax(a)."""
     a = as_tensor(a)
-    m = np.max(a.data, axis=-1, keepdims=True)
+    m = numeric.row_max(a.data, axis=-1)
     e = np.exp(a.data - m)
     z = e.sum(axis=-1, keepdims=True)
     return _make((np.log(z) + m)[..., 0], (a, lambda g: g[..., None] * (e / z)))

@@ -1,4 +1,5 @@
-"""Seeded random streams, a finiteness check for settings and a stable softmax.
+"""Seeded random streams, a finiteness check for settings, an exact row max
+and a stable softmax.
 
 All in-memory computation is float64; matrices are plain 2-D numpy arrays in
 C (row-major) order. Randomness comes from numpy's PCG64, a named portable
@@ -34,10 +35,21 @@ def check_finite_settings(settings) -> None:
             raise ConfigError(f"{type(settings).__name__}.{f.name} must be finite, got {value}")
 
 
+def row_max(x, axis: int = -1) -> np.ndarray:
+    """np.max(x, axis, keepdims=True) with the same values, NaN and +-inf
+    included (a max does not round). The max runs over axis 0 of a C-contiguous
+    copy with `axis` swapped to the front: elementwise maxima of long rows,
+    where np.max along a short last axis pays a reduction's overhead for every
+    row. The result is a view with the axes swapped back."""
+    x = np.asarray(x)
+    return np.ascontiguousarray(x.swapaxes(axis, 0)).max(axis=0, keepdims=True).swapaxes(0, axis)
+
+
 def softmax(v, axis: int = -1) -> np.ndarray:
     """Numerically stable softmax (max-subtraction), normalized along `axis`."""
     v = np.asarray(v, dtype=np.float64)
-    shifted = v - np.max(v, axis=axis, keepdims=True)
-    e = np.exp(shifted)
-    return e / np.sum(e, axis=axis, keepdims=True)
+    e = v - row_max(v, axis)
+    np.exp(e, out=e)  # in place: one fresh array per call, not three
+    e /= e.sum(axis=axis, keepdims=True)
+    return e
 

@@ -80,7 +80,7 @@ def read_tensor(path: str | Path) -> np.ndarray:
             raise FormatError(f"{path}: zero dimension in shape {dims} at offset 6")
         n *= d
     if n > _MAX_ELEMENTS:
-        raise FormatError(f"{path}: element count {n} exceeds limit at offset 6")
+        raise FormatError(f"{path}: element count {n} exceeds the 2**31-element cap at offset 6")
     expected = dims_end + 4 * n
     if size != expected:
         raise FormatError(

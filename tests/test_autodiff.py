@@ -24,21 +24,23 @@ def numeric_grad(fn, x, eps=1e-6):
     return g
 
 
-def check_op(build, shapes, seed=0, tol=1e-7):
-    """build(tensors) -> scalar Tensor; verifies grads for every input."""
+def check_op(build, shapes, seed=0, tol=1e-7, view=lambda x: x):
+    """build(tensors) -> scalar Tensor; verifies grads for every input. Each
+    input's data is view(array), a linear view of an array of its shape (the
+    array itself by default), and its gradient is compared as view(gradient)."""
     rng = make_rng(seed)
     arrays = [rng.standard_normal(s) if s else np.array(rng.standard_normal())
               for s in shapes]
-    tensors = [ad.Tensor(a.copy(), requires_grad=True) for a in arrays]
+    tensors = [ad.Tensor(view(a.copy()), requires_grad=True) for a in arrays]
     out = build(*tensors)
     out.backward()
     for idx in range(len(arrays)):
         def scalar_fn(x, idx=idx):
-            args = [ad.Tensor(a) for a in arrays]
-            args[idx] = ad.Tensor(x)
+            args = [ad.Tensor(view(a)) for a in arrays]
+            args[idx] = ad.Tensor(view(x))
             return float(build(*args).data)
 
-        expected = numeric_grad(scalar_fn, arrays[idx].copy())
+        expected = view(numeric_grad(scalar_fn, arrays[idx].copy()))
         got = tensors[idx].grad
         assert got is not None
         assert np.max(np.abs(got - expected)) < tol, f"input {idx}"
@@ -63,6 +65,37 @@ def test_mul_broadcast_scalar():
                                    ((2, 1, 3, 4), (5, 4, 2))])
 def test_matmul_all_arities(sa, sb):
     check_op(lambda a, b: ad.tsum(ad.mul(ad.matmul(a, b), ad.matmul(a, b))), [sa, sb])
+
+
+def test_matmul_swapped_stack_takes_the_fallback():
+    # a swapped-axes view of a (2, 4, 3) stack is a (2, 3, 4) stack that is not
+    # C-contiguous, so its product with a (4, 5) matrix runs through np.matmul
+    def swap_stacks(x):
+        return np.swapaxes(x, -1, -2) if x.ndim == 3 else x
+
+    a = swap_stacks(make_rng(6).standard_normal((2, 4, 3)))
+    b = make_rng(7).standard_normal((4, 5))
+    assert a.shape == (2, 3, 4) and not a.flags.c_contiguous
+    assert ad.matmul(a, b).data.tobytes() == np.matmul(a, b).tobytes()
+    check_op(lambda a, b: ad.tsum(ad.mul(ad.matmul(a, b), ad.matmul(a, b))),
+             [(2, 4, 3), (4, 5)], view=swap_stacks)
+
+
+@pytest.mark.parametrize("b", [1, 50, 637])
+def test_stacked_products_equal_np_matmul_bitwise(b):
+    # the synthetic shape (K=12, R=9, D=Da=16): V w, (V w) A' and the gradient
+    # g A of the stacked operand run as one 2-D product over the stacked rows
+    rng = make_rng(b)
+    V, w = rng.standard_normal((b, 9, 16)), rng.standard_normal((16, 16))
+    A = rng.standard_normal((12, 16))
+    Vw = ad.matmul(V, w).data
+    assert Vw.tobytes() == np.matmul(V, w).tobytes()
+    leaf = ad.Tensor(Vw, requires_grad=True)
+    table = ad.matmul(leaf, A.T)
+    assert table.data.tobytes() == np.matmul(Vw, A.T).tobytes()
+    g = rng.standard_normal(table.shape)
+    table.backward(seed=g)
+    assert leaf.grad.tobytes() == np.matmul(g, A).tobytes()
 
 
 def test_matmul_shape_error():

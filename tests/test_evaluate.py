@@ -281,6 +281,23 @@ def test_block_predict_independent_of_blocking(monkeypatch, setting):
     assert len(set(blocked)) > 1
 
 
+def test_block_scores_at_a_cub_like_inner_dimension(monkeypatch):
+    # at D=2048 the one 2-D product over a block's stacked rows may round
+    # differently from block to block, so the class scores of the same samples
+    # under two block sizes agree to 1e-12 relative, not bit for bit
+    r, d = 4, 2048
+    ds = build_dataset(num_classes=4, num_attributes=6, regions=r, feature_dim=d,
+                       attr_dim=8, samples_per_class=2, n_unseen=2, seed=3)
+    state = state_for_dataset(ds, make_rng(4))
+    idx = list(range(ds.num_samples))
+    scores = []
+    for block in (1, 3):
+        monkeypatch.setattr(training, "BLOCK_VALUES", block * r * d)
+        scores.append(class_scores(idx, state, ds, FusionConfig()))
+    single, blocked = scores
+    assert np.max(np.abs(blocked - single)) <= 1e-12 * np.max(np.abs(single))
+
+
 def test_noise_free_training_recovers_planted_labels():
     # the generator plants a perfectly separable structure at zero noise;
     # after training, unseen test predictions recover the planted labels

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from mczsl.numeric import make_rng, softmax
+from mczsl.numeric import make_rng, row_max, softmax
 
 
 class TestSoftmax:
@@ -42,6 +42,43 @@ class TestSoftmax:
         out = softmax(m, axis=1)
         assert np.allclose(out.sum(axis=1), 1.0, atol=1e-12)
         assert np.allclose(out[1], [1 / 3] * 3)
+
+    def test_leaves_its_input_alone(self):
+        # the shift, exp and division run in place on the shifted copy
+        m = np.array([[1.0, 2.0, 3.0], [0.5, -1.0, 4.0]])
+        before = m.copy()
+        softmax(m, axis=0)
+        softmax(m, axis=-1)
+        assert np.array_equal(m, before)
+
+
+class TestRowMax:
+    # a max does not round: row_max gives np.max's values bit for bit
+    @staticmethod
+    def same(x, axis):
+        got, want = row_max(x, axis), np.max(x, axis=axis, keepdims=True)
+        assert got.shape == want.shape and got.dtype == want.dtype
+        assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("axis", [0, 1, -1])
+    def test_equals_np_max_on_every_axis(self, axis):
+        self.same(make_rng(3).standard_normal((6, 9, 12)), axis)
+
+    def test_one_dimensional(self):
+        self.same(make_rng(4).standard_normal(9), 0)
+        self.same(make_rng(4).standard_normal(9), -1)
+
+    @pytest.mark.parametrize("axis", [0, 1, -1])
+    def test_ties_infinities_and_nan(self, axis):
+        x = make_rng(5).standard_normal((5, 7, 9))
+        x[0, :, 3] = x[0, :, 5] = 7.0  # ties along the last axis
+        x[1, 2, :] = 2.5  # a row of equal values
+        x[2, 3, 4] = np.inf
+        x[2, 4, :] = -np.inf  # a row of -inf only
+        x[3, 1, 6] = np.nan
+        x[4, 0, 0] = np.nan
+        x[4, 0, 1] = np.inf  # NaN and +inf in one row: NaN wins, as in np.max
+        self.same(x, axis)
 
 
 def test_rng_reproducible_sequences():

@@ -143,7 +143,7 @@ def test_zero_dimension_rejected(tmp_path):
 
 def test_huge_dims_rejected_before_allocation(tmp_path):
     header = MAGIC + struct.pack("<BB", 1, 3) + struct.pack("<3I", 2**30, 2**30, 2**30)
-    with pytest.raises(FormatError):
+    with pytest.raises(FormatError, match=r"exceeds the 2\*\*31-element cap at offset 6"):
         read_tensor(_write(tmp_path, header + b"\x00" * 16))
 
 
