@@ -191,7 +191,7 @@ def generate_synthetic(config: SynthConfig, seed: int) -> Dataset:
 
 def validate_dataset(ds: Dataset, source: Path | None = None) -> None:
     """Raise DataValidationError naming the first violated invariant, and the
-    manifest `source` of a loaded dataset."""
+    manifest `source` of a loaded dataset (tensor_io checks finiteness)."""
     def fail(invariant: str):
         where = f"{source}: " if source else ""
         raise DataValidationError(f"{where}dataset invariant violated: {invariant}")
@@ -211,10 +211,6 @@ def validate_dataset(ds: Dataset, source: Path | None = None) -> None:
     if ds.class_semantics.shape[1] != k:
         fail("class_semantics columns must equal attribute count K")
     c = ds.class_semantics.shape[0]
-    for name, a in (("features", ds.features), ("attributes", ds.attributes),
-                    ("class_semantics", ds.class_semantics)):
-        if not np.all(np.isfinite(a)):
-            fail(f"{name} must be finite")
     if ds.labels.shape != (n,):
         fail("labels length must equal sample count")
     if ds.labels.min() < 0 or ds.labels.max() >= c:
@@ -247,9 +243,10 @@ def save_dataset(ds: Dataset, directory: str | Path) -> None:
     validate_dataset(ds)
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
+    # features first: if write_tensor refuses them, no file has been replaced yet
+    write_tensor(directory / "features.msdt", ds.features)
     write_tensor(directory / "attributes.msdt", ds.attributes)
     write_tensor(directory / "class_semantics.msdt", ds.class_semantics)
-    write_tensor(directory / "features.msdt", ds.features)
     write_tensor(directory / "labels.msdt", ds.labels.astype(np.float64))
     manifest = {
         "name": ds.name,
@@ -317,15 +314,15 @@ def load_dataset(directory: str | Path) -> Dataset:
     if not np.all(labels_f == np.round(labels_f)):
         raise FormatError(f"{directory / manifest['labels']}: labels must hold integral values")
     labels = labels_f.astype(np.int64)
+    if features.ndim != 3:
+        raise FormatError(f"{directory / manifest['features']}: features must be rank-3 (N x R x D)")
 
     declared = {
         "num_classes": class_semantics.shape[0],
         "num_attributes": attributes.shape[0],
-        "feature_dim": features.shape[2] if features.ndim == 3 else -1,
-        "regions_per_sample": features.shape[1] if features.ndim == 3 else -1,
+        "feature_dim": features.shape[2],
+        "regions_per_sample": features.shape[1],
     }
-    if features.ndim != 3:
-        raise FormatError(f"{directory / manifest['features']}: features must be rank-3 (N x R x D)")
     for key, actual in declared.items():
         if manifest[key] != actual:
             raise FormatError(

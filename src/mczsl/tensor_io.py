@@ -2,10 +2,11 @@
 
 Layout: bytes 0-3 magic b"MSDT"; byte 4 format version (1); byte 5 rank
 (1 to 3); then rank unsigned 32-bit little-endian dims; then the row-major
-payload as IEEE-754 little-endian 32-bit floats. Files must be exactly
-header + payload long; anything else is a FormatError carrying the byte
-offset where parsing failed. `read_tensor` checks the header against the
-file size before it allocates, and returns float32, as the file stores it.
+payload as IEEE-754 little-endian 32-bit floats, every one finite. Files
+must be exactly header + payload long; anything else is a FormatError
+carrying the byte offset where parsing failed, and a write or a read refuses
+the first non-finite value at its offset. `read_tensor` checks the header
+against the file size before it allocates, and returns float32, as stored.
 """
 from __future__ import annotations
 
@@ -22,6 +23,8 @@ VERSION = 1
 MAX_RANK = 3
 # refuse absurd dim products before allocating
 _MAX_ELEMENTS = 1 << 31
+# values per pass of the finite check: its mask is 64 KiB, whatever the payload
+_CHECK_BLOCK = 1 << 16
 
 
 def write_atomic(path: str | Path, *chunks: bytes | str) -> None:
@@ -40,13 +43,26 @@ def write_atomic(path: str | Path, *chunks: bytes | str) -> None:
         raise
 
 
+def _check_finite(path: Path | str, payload: np.ndarray, offset: int) -> None:
+    """Refuse the first non-finite value of the float32 `payload`, which starts
+    at byte `offset` of the file, one block of values at a time."""
+    flat = payload.reshape(-1)
+    for start in range(0, flat.size, _CHECK_BLOCK):
+        finite = np.isfinite(flat[start:start + _CHECK_BLOCK])
+        if not finite.all():
+            at = offset + 4 * (start + int(np.argmin(finite)))
+            raise FormatError(f"{path}: non-finite payload value at offset {at}")
+
+
 def write_tensor(path: str | Path, array: np.ndarray) -> None:
-    """Write an array as an MSDT file (values cast to float32)."""
-    a = np.ascontiguousarray(array, dtype=np.float32)
+    """Write an array as an MSDT file (values cast to float32; finite ones only)."""
+    with np.errstate(over="ignore"):  # an overflow becomes inf, refused below
+        a = np.ascontiguousarray(array, dtype=np.float32)
     if not 1 <= a.ndim <= MAX_RANK:
         raise FormatError(f"tensor rank {a.ndim} outside supported range 1..{MAX_RANK}")
     header = MAGIC + struct.pack("<BB", VERSION, a.ndim)
     header += struct.pack(f"<{a.ndim}I", *a.shape)
+    _check_finite(path, a, len(header))
     write_atomic(path, header, a.tobytes(order="C"))
 
 
@@ -91,6 +107,5 @@ def read_tensor(path: str | Path) -> np.ndarray:
     if data.size != n:  # the file shrank after the size check
         raise FormatError(f"{path}: payload length mismatch at offset {dims_end}: "
                           f"read {data.size} of {n} values")
-    if not np.all(np.isfinite(data)):
-        raise FormatError(f"{path}: non-finite payload values at offset {dims_end}")
+    _check_finite(path, data, dims_end)
     return data.reshape(dims)

@@ -37,6 +37,16 @@ def fill_disk_after(monkeypatch, budget):
                         raising=False)
 
 
+def put_nan(path, index):
+    """Overwrite value `index` of the MSDT file at `path` with NaN and return
+    that value's byte offset."""
+    blob = bytearray(path.read_bytes())
+    offset = 6 + 4 * blob[5] + 4 * index  # the header holds one uint32 per rank
+    blob[offset:offset + 4] = np.float32(np.nan).tobytes()
+    path.write_bytes(bytes(blob))
+    return offset
+
+
 def subnet_pass(V, A, Z, weights, side):
     """One sub-net's observed pass, read from the weights `side` of the mapping
     `weights` (arrays or tape leaves) as training.forward_both reads them:

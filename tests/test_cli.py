@@ -7,7 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from conftest import fill_disk_after, subnet_pass
+from conftest import fill_disk_after, put_nan, subnet_pass
 from mczsl import cli, training
 from mczsl.attr_visual import ATTR_SIDE
 from mczsl.cli import PRESETS, build_parser, main, parse_config_file
@@ -51,6 +51,17 @@ class TestGenSynth:
         code = main(["gen-synth", "--out", str(tmp_path / "x"), "--classes", "3"])
         assert code == 2
         assert "classes" in capsys.readouterr().err
+
+    def test_overflowing_noise_exits_3_and_writes_nothing(self, data_dir, tmp_path, capsys):
+        # a finite setting whose features overflow float32: the write refuses them
+        fresh, earlier = tmp_path / "x", tmp_path / "earlier"
+        shutil.copytree(data_dir, earlier)
+        for out in (fresh, earlier):
+            assert main(["gen-synth", "--out", str(out), "--seed", "2", "--noise", "1e300"]) == 3
+            assert str(out / "features.msdt") in capsys.readouterr().err
+        assert not (fresh / "manifest.json").exists()
+        assert tree_bytes(fresh) == {}
+        assert tree_bytes(earlier) == tree_bytes(data_dir)
 
     def test_output_passes_validation(self, data_dir):
         ds = load_dataset(data_dir)
@@ -238,6 +249,21 @@ class TestEval:
                      str(trained_run / "checkpoint"), "--out", str(tmp_path / "e")])
         assert code == 3
         assert str(data / "manifest.json") in capsys.readouterr().err
+
+    @pytest.mark.parametrize("name,corrupt", [
+        ("features", lambda p: put_nan(p, 1234)),
+        ("features", lambda p: write_tensor(p, read_tensor(p)[:, :, 0])),
+        ("labels", lambda p: write_tensor(p, read_tensor(p)[:, None])),
+    ], ids=["nan_feature", "rank_2_features", "rank_2_labels"])
+    def test_bad_dataset_tensor_exits_3(self, data_dir, trained_run, tmp_path, capsys,
+                                        name, corrupt):
+        data = tmp_path / "data"
+        shutil.copytree(data_dir, data)
+        corrupt(data / f"{name}.msdt")
+        code = main(["eval", "--data", str(data), "--checkpoint",
+                     str(trained_run / "checkpoint"), "--out", str(tmp_path / "e")])
+        assert code == 3
+        assert str(data / f"{name}.msdt") in capsys.readouterr().err
 
     def test_inconsistent_weight_shapes_exit_3(self, data_dir, trained_run, tmp_path, capsys):
         ckpt = tmp_path / "checkpoint"

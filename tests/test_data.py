@@ -1,11 +1,15 @@
 import json
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import put_nan
 from mczsl.data import (
     Dataset,
     Split,
@@ -144,7 +148,30 @@ class TestRoundTrip:
             save_dataset(ds, tmp_path / "d")
 
 
+# the load runs in a fresh process, whose VmHWM counts only its own peak
+_LOAD_GROWTH = """
+import sys
+from mczsl.data import load_dataset
+
+def high_water_mark():
+    with open("/proc/self/status") as status:
+        return next(int(line.split()[1]) * 1024 for line in status if line.startswith("VmHWM:"))
+
+before = high_water_mark()
+load_dataset(sys.argv[1])
+print(high_water_mark() - before)
+"""
+
+
 class TestDtypes:
+    @pytest.fixture(scope="class")
+    def large(self, tmp_path_factory):
+        # 400 samples x 49 regions x 512 channels: a 40 MB float32 payload
+        d = tmp_path_factory.mktemp("large") / "d"
+        cfg = SynthConfig(feature_dim=512, regions=49, samples_per_class=40)
+        save_dataset(generate_synthetic(cfg, seed=0), d)
+        return d
+
     def test_features_stay_float32_and_the_small_matrices_widen(self, tmp_path):
         ds = generate_synthetic(SynthConfig(), seed=0)
         save_dataset(ds, tmp_path / "d")
@@ -153,19 +180,26 @@ class TestDtypes:
             assert d.attributes.dtype == np.float64
             assert d.class_semantics.dtype == np.float64
 
-    def test_load_peak_memory_stays_near_the_features_file(self, tmp_path):
-        # 400 samples x 49 regions x 512 channels: a 40 MB float32 payload
-        cfg = SynthConfig(feature_dim=512, regions=49, samples_per_class=40)
-        save_dataset(generate_synthetic(cfg, seed=0), tmp_path / "d")
-        size = (tmp_path / "d" / "features.msdt").stat().st_size
+    def test_load_peak_memory_stays_near_the_features_file(self, large):
+        size = (large / "features.msdt").stat().st_size
         tracemalloc.start()
         try:
-            ds = load_dataset(tmp_path / "d")
+            ds = load_dataset(large)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         assert peak <= 1.5 * size, f"load peaked at {peak / size:.2f}x the features file"
         assert ds.features.nbytes == 400 * 49 * 512 * 4 == size - 18
+
+    def test_load_peak_resident_set_stays_near_the_features_file(self, large):
+        if not Path("/proc/self/status").exists():
+            pytest.skip("VmHWM is read from /proc/self/status")
+        # the payload itself plus one block of the finite check, no whole-payload mask
+        size = (large / "features.msdt").stat().st_size
+        child = subprocess.run([sys.executable, "-c", _LOAD_GROWTH, str(large)],
+                               capture_output=True, text=True, check=True)
+        growth = int(child.stdout)
+        assert growth <= 1.10 * size, f"load grew VmHWM by {growth / size:.2f}x the features file"
 
 
 def _stub_dataset(num_classes, num_seen, num_attributes, attr_dim=3, regions=2,
@@ -251,6 +285,25 @@ class TestLoadErrors:
         (saved / "manifest.json").write_text(json.dumps(manifest))
         with pytest.raises(FormatError, match="num_attributes"):
             load_dataset(saved)
+
+    def test_nan_feature_refused_at_its_offset(self, saved):
+        # read_tensor's is the one finite check that a loaded dataset gets
+        path = saved / "features.msdt"
+        offset = put_nan(path, 1234)
+        with pytest.raises(FormatError, match="non-finite") as raised:
+            load_dataset(saved)
+        assert str(raised.value) == f"{path}: non-finite payload value at offset {offset}"
+
+    @pytest.mark.parametrize("name,shape,rule", [
+        ("features", (200, 144), "features must be rank-3"),
+        ("labels", (200, 1), "labels must be rank-1"),
+    ])
+    def test_rank_2_tensor_refused(self, saved, name, shape, rule):
+        path = saved / f"{name}.msdt"
+        write_tensor(path, np.zeros(shape))
+        with pytest.raises(FormatError, match=rule) as raised:
+            load_dataset(saved)
+        assert str(raised.value).startswith(f"{path}: ")
 
     def test_nonintegral_labels_rejected(self, saved):
         labels = np.full(200, 0.5)

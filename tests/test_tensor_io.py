@@ -6,7 +6,7 @@ import pytest
 from conftest import fill_disk_after
 from mczsl.errors import FormatError
 from mczsl.numeric import make_rng
-from mczsl.tensor_io import MAGIC, read_tensor, write_tensor
+from mczsl.tensor_io import _CHECK_BLOCK, MAGIC, read_tensor, write_tensor
 
 
 @pytest.mark.parametrize("shape", [(7,), (3, 5), (2, 3, 4)])
@@ -147,11 +147,32 @@ def test_huge_dims_rejected_before_allocation(tmp_path):
         read_tensor(_write(tmp_path, header + b"\x00" * 16))
 
 
-def test_nonfinite_payload_rejected(tmp_path):
-    a = np.array([1.0, np.inf, 2.0], dtype="<f4")
-    blob = MAGIC + struct.pack("<BB", 1, 1) + struct.pack("<1I", 3) + a.tobytes()
-    with pytest.raises(FormatError, match="non-finite"):
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
+@pytest.mark.parametrize("index", [0, 1, _CHECK_BLOCK - 1, _CHECK_BLOCK + 2])
+def test_nonfinite_payload_rejected(tmp_path, value, index):
+    # the last index lies past the first check block
+    a = np.ones(_CHECK_BLOCK + 3, dtype="<f4")
+    a[index] = value
+    blob = MAGIC + struct.pack("<BB", 1, 1) + struct.pack("<1I", a.size) + a.tobytes()
+    with pytest.raises(FormatError, match="non-finite") as raised:
         read_tensor(_write(tmp_path, blob))
+    assert str(raised.value).endswith(f"at offset {10 + 4 * index}")
+
+
+@pytest.mark.parametrize("array", [[1.0, 1e39], [[0.0, np.nan]]], ids=["overflow", "nan"])
+def test_nonfinite_write_refused_before_any_file(tmp_path, array):
+    # 1e39 is finite as float64 but inf as the float32 the file would store
+    header = 6 + 4 * np.ndim(array)
+    with pytest.raises(FormatError, match=f"non-finite payload value at offset {header + 4}"):
+        write_tensor(tmp_path / "new.msdt", array)
+    assert list(tmp_path.iterdir()) == []
+    path = tmp_path / "w.msdt"
+    write_tensor(path, np.arange(6.0).reshape(2, 3))
+    before = path.read_bytes()
+    with pytest.raises(FormatError, match="non-finite"):
+        write_tensor(path, array)
+    assert path.read_bytes() == before
+    assert [p.name for p in tmp_path.iterdir()] == ["w.msdt"]
 
 
 def test_rank_out_of_range_on_write(tmp_path):
