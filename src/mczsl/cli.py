@@ -33,19 +33,15 @@ from .training import (
     train,
 )
 
-# loss weights {cal, ar, causal, distill} and fusion coefficients per preset;
-# "synthetic" reuses the cub weights with a learning rate sized for the small
-# planted-structure datasets
+# what each preset changes from the settings defaults, whose loss weights and
+# fusion coefficients are the paper's CUB ones; "synthetic" keeps those and sets
+# a learning rate and epoch count sized for the small planted-structure datasets
 PRESETS: dict[str, dict] = {
-    "cub": {"lambda_cal": 0.05, "lambda_ar": 0.03, "lambda_causal": 0.3,
-            "lambda_distill": 0.001, "alpha1": 0.8, "alpha2": 0.2},
+    "cub": {},
     "sun": {"lambda_cal": 0.0001, "lambda_ar": 0.01, "lambda_causal": 0.0005,
             "lambda_distill": 0.05, "alpha1": 0.7, "alpha2": 0.3},
-    "awa2": {"lambda_cal": 0.4, "lambda_ar": 0.06, "lambda_causal": 0.1,
-             "lambda_distill": 0.01, "alpha1": 0.8, "alpha2": 0.2},
-    "synthetic": {"lambda_cal": 0.05, "lambda_ar": 0.03, "lambda_causal": 0.3,
-                  "lambda_distill": 0.001, "alpha1": 0.8, "alpha2": 0.2,
-                  "learning_rate": 0.003, "epochs": 30},
+    "awa2": {"lambda_cal": 0.4, "lambda_ar": 0.06, "lambda_causal": 0.1, "lambda_distill": 0.01},
+    "synthetic": {"learning_rate": 0.003, "epochs": 30},
 }
 
 

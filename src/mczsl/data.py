@@ -15,15 +15,15 @@ from pathlib import Path
 import numpy as np
 
 from .errors import ConfigError, DataValidationError, FormatError
-from .numeric import check_finite_settings, make_rng
+from .numeric import check_settings, make_rng
 from .tensor_io import read_tensor, write_atomic, write_tensor
 
 MANIFEST_NAME = "manifest.json"
 
 _SHAPE_KEYS = ("num_classes", "num_attributes", "feature_dim", "regions_per_sample")
 _SPLIT_KEYS = ("seen_classes", "unseen_classes", "train_idx", "test_seen_idx", "test_unseen_idx")
-_REQUIRED_KEYS = {"name", *_SHAPE_KEYS, "attributes", "class_semantics", "features", "labels",
-                  *_SPLIT_KEYS}
+_FILE_KEYS = ("attributes", "class_semantics", "features", "labels")
+_REQUIRED_KEYS = {"name", *_SHAPE_KEYS, *_FILE_KEYS, *_SPLIT_KEYS}
 _OPTIONAL_KEYS = {"class_names", "attribute_names"}
 
 
@@ -80,20 +80,17 @@ class SynthConfig:
     noise: float = 0.05
 
     def __post_init__(self):
-        check_finite_settings(self)
-        checks = [
-            (self.classes >= 4, "classes >= 4"),
-            (self.attributes >= 4, "attributes >= 4"),
-            (self.regions >= 2, "regions >= 2"),
-            (self.feature_dim >= 2, "feature_dim >= 2"),
-            (self.attr_dim >= 2, "attr_dim >= 2"),
-            (self.samples_per_class >= 2, "samples_per_class >= 2"),
-            (0.0 < self.unseen_fraction < 1.0, "unseen_fraction in (0, 1)"),
-            (self.noise >= 0.0, "noise >= 0"),
-        ]
-        for ok, rule in checks:
-            if not ok:
-                raise ConfigError(f"synthetic config violates {rule}")
+        check_settings(
+            self,
+            (lambda: self.classes >= 4, "classes >= 4"),
+            (lambda: self.attributes >= 4, "attributes >= 4"),
+            (lambda: self.regions >= 2, "regions >= 2"),
+            (lambda: self.feature_dim >= 2, "feature_dim >= 2"),
+            (lambda: self.attr_dim >= 2, "attr_dim >= 2"),
+            (lambda: self.samples_per_class >= 2, "samples_per_class >= 2"),
+            (lambda: 0.0 < self.unseen_fraction < 1.0, "unseen_fraction in (0, 1)"),
+            (lambda: self.noise >= 0.0, "noise >= 0"),
+        )
 
 
 def _f32_exact(a: np.ndarray) -> np.ndarray:
@@ -294,8 +291,10 @@ def load_dataset(directory: str | Path) -> Dataset:
     # exact JSON types: a bool is not an integer, and 10.7 is not 10
     of_type = lambda t: lambda v: type(v) is t
     list_of = lambda t: lambda v: type(v) is list and set(map(type, v)) <= {t}
+    file_name = lambda v: type(v) is str and v not in ("", ".", "..") and Path(v).name == v
     for key_set, ok, what in (
             (["name"], of_type(str), "a string"),
+            (_FILE_KEYS, file_name, "the name of a file in the dataset directory"),
             (_SHAPE_KEYS, of_type(int), "an integer"),
             (_SPLIT_KEYS, list_of(int), "a list of integers"),
             (sorted(_OPTIONAL_KEYS & keys), list_of(str), "a list of strings")):
@@ -306,8 +305,7 @@ def load_dataset(directory: str | Path) -> Dataset:
 
     # read_tensor refuses a missing file with FileNotFoundError
     attributes, class_semantics, features, labels_f = (
-        read_tensor(directory / manifest[key])
-        for key in ("attributes", "class_semantics", "features", "labels"))
+        read_tensor(directory / manifest[key]) for key in _FILE_KEYS)
     attributes, class_semantics = (a.astype(np.float64) for a in (attributes, class_semantics))
     if labels_f.ndim != 1:
         raise FormatError(f"{directory / manifest['labels']}: labels must be rank-1")

@@ -18,7 +18,7 @@ import numpy as np
 
 from .data import Dataset, Split
 from .errors import DataValidationError, ShapeError
-from .numeric import check_finite_settings
+from .numeric import check_settings
 from .tensor_io import write_atomic
 from .training import ModelState, score_blocks
 
@@ -32,11 +32,13 @@ class FusionConfig:
     setting: str = "gzsl"
 
     def __post_init__(self):
-        check_finite_settings(self)
-        if self.alpha1 < 0 or self.alpha2 < 0 or self.alpha1 + self.alpha2 <= 0:
-            raise ValueError("fusion coefficients must be nonnegative with positive sum")
-        if self.setting not in SETTINGS:
-            raise ValueError(f"setting must be one of {SETTINGS}")
+        check_settings(
+            self,
+            (lambda: self.alpha1 >= 0, "alpha1 >= 0"),
+            (lambda: self.alpha2 >= 0, "alpha2 >= 0"),
+            (lambda: self.alpha1 + self.alpha2 > 0, "alpha1 + alpha2 > 0"),
+            (lambda: self.setting in SETTINGS, f"setting in {SETTINGS}"),
+        )
 
 
 @dataclass

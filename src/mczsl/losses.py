@@ -8,14 +8,14 @@ autodiff rows or on the plain floats of the batch report.
 """
 from __future__ import annotations
 
-from dataclasses import astuple, dataclass
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import autodiff as ad
 from .data import Split
-from .errors import NumericError, ShapeError
-from .numeric import check_finite_settings
+from .errors import ShapeError
+from .numeric import check_settings
 
 # floor inside KL logarithms; avoids -inf on confident distributions
 KL_FLOOR = 1e-12
@@ -29,10 +29,13 @@ class LossWeights:
     lambda_distill: float = 0.001
 
     def __post_init__(self):
-        check_finite_settings(self)
-        for name in ("lambda_cal", "lambda_ar", "lambda_causal", "lambda_distill"):
-            if getattr(self, name) < 0:
-                raise ValueError(f"{name} must be nonnegative")
+        check_settings(
+            self,
+            (lambda: self.lambda_cal >= 0, "lambda_cal >= 0"),
+            (lambda: self.lambda_ar >= 0, "lambda_ar >= 0"),
+            (lambda: self.lambda_causal >= 0, "lambda_causal >= 0"),
+            (lambda: self.lambda_distill >= 0, "lambda_distill >= 0"),
+        )
 
 
 @dataclass(frozen=True)
@@ -42,7 +45,6 @@ class LossReport:
     causal: float
     distill: float
     total: float
-    weights: LossWeights
     correct: int = 0  # samples ranked right, counted by training.batch_loss_and_grads
 
 
@@ -131,29 +133,9 @@ def distill_loss(p1, p2) -> ad.Tensor:
     return ad.add(jsd, ad.tsum(ad.mul(diff, diff), axis=-1))
 
 
-@dataclass(frozen=True)
-class SubnetLossValues:
-    acec: float
-    ar: float
-    causal: float
-
-
 def weighted_total(acec, ar, causal, distill, weights: LossWeights):
     """The paper's objective acec + l_ar*ar + l_causal*causal + l_distill*distill,
     on floats or on autodiff rows alike."""
     return (acec + ar * weights.lambda_ar + causal * weights.lambda_causal
             + distill * weights.lambda_distill)
 
-
-def total_loss(
-    attr_side: SubnetLossValues, region_side: SubnetLossValues, distill: float,
-    weights: LossWeights,
-) -> LossReport:
-    """Combine the two sub-nets' terms (summed 1:1) with the shared distillation
-    term through `weighted_total`."""
-    acec, ar, causal = (a + b for a, b in zip(astuple(attr_side), astuple(region_side)))
-    total = weighted_total(acec, ar, causal, distill, weights)
-    if not np.isfinite(total):
-        raise NumericError("total loss is non-finite")
-    return LossReport(acec=acec, ar=ar, causal=causal, distill=distill, total=total,
-                      weights=weights)

@@ -1,5 +1,5 @@
-"""Seeded random streams, a finiteness check for settings, an exact row max
-and a stable softmax.
+"""Seeded random streams, the one check of settings dataclasses, an exact row
+max and a stable softmax.
 
 All in-memory computation is float64; matrices are plain 2-D numpy arrays in
 C (row-major) order. Randomness comes from numpy's PCG64, a named portable
@@ -7,8 +7,9 @@ generator: the same seed produces the same stream on every platform.
 """
 from __future__ import annotations
 
+import functools
 import math
-from dataclasses import fields
+from typing import get_args, get_type_hints
 
 import numpy as np
 
@@ -26,13 +27,39 @@ def spawn_rngs(seed: int, n: int) -> list[np.random.Generator]:
     return [np.random.Generator(np.random.PCG64(c)) for c in children]
 
 
-def check_finite_settings(settings) -> None:
-    """Refuse NaN and +-inf in the float fields of a settings dataclass; range
-    checks alone let them through (every comparison with NaN is false)."""
-    for f in fields(settings):
-        value = getattr(settings, f.name)
+@functools.cache
+def _field_types(cls) -> dict[str, tuple[type, ...]]:
+    """The types each field of a settings dataclass may hold: (T,), or
+    (T, NoneType) for `T | None`."""
+    return {name: get_args(typ) or (typ,) for name, typ in get_type_hints(cls).items()}
+
+
+def _is_a(value, typ: type) -> bool:
+    if isinstance(value, bool):  # a bool is never a number
+        return typ is bool
+    if typ is float:  # an int serves as a float; a float never as an int
+        return isinstance(value, (int, float))
+    return isinstance(value, typ)
+
+
+def check_settings(settings, *rules) -> None:
+    """Refuse a settings dataclass with a ConfigError: a field that does not hold
+    its annotated type names `Class.field`, and so does a NaN or +-inf (range
+    rules alone let a NaN through, since every comparison with it is false).
+    Then each (holds, rule) pair runs in order, and the first whose `holds()`
+    is false is refused as "<Class> settings violate <rule>". `holds` is a
+    callable, so it runs only once every field has its type."""
+    name = type(settings).__name__
+    for field, types in _field_types(type(settings)).items():
+        value = getattr(settings, field)
+        if not any(_is_a(value, t) for t in types):
+            wanted = " or ".join("None" if t is type(None) else t.__name__ for t in types)
+            raise ConfigError(f"{name}.{field} must be {wanted}, got {value!r}")
         if isinstance(value, float) and not math.isfinite(value):
-            raise ConfigError(f"{type(settings).__name__}.{f.name} must be finite, got {value}")
+            raise ConfigError(f"{name}.{field} must be finite, got {value}")
+    for holds, rule in rules:
+        if not holds():
+            raise ConfigError(f"{name} settings violate {rule}")
 
 
 def row_max(x, axis: int = -1) -> np.ndarray:

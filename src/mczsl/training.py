@@ -13,29 +13,27 @@ from __future__ import annotations
 
 import json
 import time
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
-from typing import Callable, get_type_hints
+from typing import Callable
 
 import numpy as np
 
 from . import attr_visual, autodiff as ad, visual_attr
 from .attr_visual import ATTR_SIDE, REGION_SIDE, SubnetForward
 from .data import Dataset
-from .errors import ConfigError, FormatError, NumericError
+from .errors import FormatError, NumericError
 from .losses import (
     LossReport,
     LossWeights,
-    SubnetLossValues,
     acec_loss,
     ar_loss,
     causal_loss,
     distill_loss,
     seen_class_distribution,
-    total_loss,
     weighted_total,
 )
-from .numeric import check_finite_settings, make_rng, softmax, spawn_rngs
+from .numeric import check_settings, make_rng, softmax, spawn_rngs
 from .tensor_io import read_tensor, write_atomic, write_tensor
 
 INTERVENTION_KINDS = ("random", "uniform", "reversed", "random_plus_reversed")
@@ -71,23 +69,20 @@ class Hyperparams:
     intervention_seed: int | None = None
 
     def __post_init__(self):
-        check_finite_settings(self)
-        checks = [
-            (self.learning_rate >= 0, "learning_rate >= 0"),
-            (self.batch_size >= 1, "batch_size >= 1"),
-            (self.epochs >= 0, "epochs >= 0"),
-            (0 <= self.momentum < 1, "momentum in [0, 1)"),
-            (self.weight_decay >= 0, "weight_decay >= 0"),
-            (0 < self.rms_decay < 1, "rms_decay in (0, 1)"),
-            (self.rms_epsilon > 0, "rms_epsilon > 0"),
-            (self.intervention in INTERVENTION_KINDS,
+        check_settings(
+            self,
+            (lambda: self.learning_rate >= 0, "learning_rate >= 0"),
+            (lambda: self.batch_size >= 1, "batch_size >= 1"),
+            (lambda: self.epochs >= 0, "epochs >= 0"),
+            (lambda: 0 <= self.momentum < 1, "momentum in [0, 1)"),
+            (lambda: self.weight_decay >= 0, "weight_decay >= 0"),
+            (lambda: 0 < self.rms_decay < 1, "rms_decay in (0, 1)"),
+            (lambda: self.rms_epsilon > 0, "rms_epsilon > 0"),
+            (lambda: self.intervention in INTERVENTION_KINDS,
              f"intervention in {INTERVENTION_KINDS}"),
-            (self.seed >= 0, "seed >= 0"),
-            ((self.intervention_seed or 0) >= 0, "intervention_seed >= 0 (or None)"),
-        ]
-        for ok, rule in checks:
-            if not ok:
-                raise ConfigError(f"hyperparams violate {rule}")
+            (lambda: self.seed >= 0, "seed >= 0"),
+            (lambda: (self.intervention_seed or 0) >= 0, "intervention_seed >= 0 (or None)"),
+        )
 
 
 @dataclass
@@ -263,9 +258,12 @@ def batch_loss_and_grads(
                     else np.zeros_like(params[name]))
              for name in PARAM_NAMES}
     means = (sums / n).tolist()
-    report = total_loss(SubnetLossValues(*means[:3]), SubnetLossValues(*means[3:6]),
-                        means[6], weights)
-    return replace(report, correct=correct), grads
+    # the two sub-nets' terms sum 1:1; the distillation term is shared
+    acec, ar, causal = (a + b for a, b in zip(means[:3], means[3:6]))
+    total = weighted_total(acec, ar, causal, means[6], weights)
+    if not np.isfinite(total):
+        raise NumericError("total loss is non-finite")
+    return LossReport(acec, ar, causal, means[6], total, correct), grads
 
 
 def rmsprop_update(state: ModelState, grads: dict[str, np.ndarray], hp: Hyperparams) -> None:
@@ -335,7 +333,7 @@ def train(dataset: Dataset, hp: Hyperparams) -> tuple[ModelState, TrainLog]:
 
         correct = sum(r.correct for _, r in batch_reports)
         log.epoch_reports.append(LossReport(**{k: wmean(k) for k in LOSS_FIELDS},
-                                            weights=hp.loss_weights, correct=correct))
+                                            correct=correct))
         log.train_accuracy.append(correct / total_n)
         log.epoch_seconds.append(time.perf_counter() - t0)
     return state, log
@@ -379,19 +377,10 @@ def load_checkpoint(directory: str | Path) -> tuple[ModelState, dict]:
     if type(epoch) is not int or epoch < 0:
         raise FormatError(f"{meta_path}: 'epoch' must be a non-negative integer, got {epoch!r}")
     hp = meta.get("hyperparams")
-    try:
-        built = Hyperparams(**{**hp, "loss_weights": LossWeights(**hp["loss_weights"])})
+    try:  # the settings check refuses a wrong type, a non-finite value or a broken rule
+        Hyperparams(**{**hp, "loss_weights": LossWeights(**hp["loss_weights"])})
     except (TypeError, KeyError, ValueError) as e:
         raise FormatError(f"{meta_path}: 'hyperparams' do not build Hyperparams ({e!r})") from e
-    # exact JSON types: a bool is not an integer
-    json_types = {int: ((int,), "an integer"), int | None: ((int, type(None)), "an integer"),
-                  float: ((int, float), "a number")}
-    for prefix, settings in (("", built), ("loss_weights.", built.loss_weights)):
-        for name, typ in get_type_hints(type(settings)).items():
-            value = getattr(settings, name)
-            if typ in json_types and type(value) not in json_types[typ][0]:
-                raise FormatError(f"{meta_path}: 'hyperparams.{prefix}{name}' must be "
-                                  f"{json_types[typ][1]}, got {value!r}")
     arrays = {name: read_tensor(directory / f"{name}.msdt").astype(np.float64)
               for name in PARAM_NAMES}
     da_d = arrays["w1"].shape

@@ -1,7 +1,7 @@
 import json
 import shlex
 import shutil
-from dataclasses import asdict, fields
+from dataclasses import asdict, astuple, fields
 from pathlib import Path
 
 import numpy as np
@@ -239,6 +239,11 @@ class TestEval:
         pytest.param(lambda m: {"train_idx": [0, 99999]}, id="train_idx_out_of_range"),
         pytest.param(lambda m: {"seen_classes": m["seen_classes"] + m["unseen_classes"][:1]},
                      id="seen_unseen_overlap"),
+        *[pytest.param(lambda m, key=key: {key: None}, id=f"{key}_null")
+          for key in ("attributes", "class_semantics", "features", "labels")],
+        pytest.param(lambda m: {"features": 5}, id="features_int"),
+        pytest.param(lambda m: {"features": "../data/features.msdt"}, id="features_outside"),
+        pytest.param(lambda m: {"features": ""}, id="features_empty"),
     ])
     def test_bad_manifest_field_exits_3(self, data_dir, trained_run, tmp_path, capsys, edit):
         data = tmp_path / "data"
@@ -510,6 +515,34 @@ def test_presets_are_config_keys_that_build_settings(tmp_path, preset):
     Hyperparams(**pick(Hyperparams), loss_weights=LossWeights(**pick(LossWeights)))
     FusionConfig(**pick(FusionConfig))
     assert set(values) <= _names(Hyperparams) | _names(LossWeights) | _names(FusionConfig)
+
+
+# README's preset table: (lambda_cal, lambda_ar, lambda_causal, lambda_distill), (alpha1, alpha2)
+PRESET_TABLE = {
+    "cub": ((0.05, 0.03, 0.3, 0.001), (0.8, 0.2)),
+    "sun": ((0.0001, 0.01, 0.0005, 0.05), (0.7, 0.3)),
+    "awa2": ((0.4, 0.06, 0.1, 0.01), (0.8, 0.2)),
+    "synthetic": ((0.05, 0.03, 0.3, 0.001), (0.8, 0.2)),
+}
+
+
+@pytest.mark.parametrize("preset", sorted(PRESETS))
+def test_preset_resolves_to_the_readme_table(preset):
+    args = build_parser().parse_args(["train", "--data", "d", "--out", "o", "--preset", preset])
+    cfg = cli._resolve(args)
+    hp, fusion = cli._hyperparams(cfg), cli._from_cfg(FusionConfig, cfg)
+    assert astuple(hp.loss_weights) == PRESET_TABLE[preset][0]
+    assert (fusion.alpha1, fusion.alpha2) == PRESET_TABLE[preset][1]
+    if preset == "synthetic":
+        assert (hp.learning_rate, hp.epochs) == (0.003, 30)
+
+
+def test_presets_list_only_what_they_change():
+    defaults = {name: default for cls in (Hyperparams, FusionConfig)
+                for name, _, default in cli._settings(cls)}
+    restated = [(preset, key) for preset, values in PRESETS.items()
+                for key, value in values.items() if value == defaults[key]]
+    assert not restated
 
 
 # a valid value other than the dataclass default for every settings field

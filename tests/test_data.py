@@ -286,6 +286,15 @@ class TestLoadErrors:
         with pytest.raises(FormatError, match="num_attributes"):
             load_dataset(saved)
 
+    @pytest.mark.parametrize("value", [None, 5, "../d/features.msdt", "", ".", "..",
+                                       "sub/features.msdt", "/features.msdt"])
+    def test_tensor_file_key_must_name_a_file_in_the_directory(self, saved, value):
+        manifest = json.loads((saved / "manifest.json").read_text())
+        manifest["features"] = value
+        (saved / "manifest.json").write_text(json.dumps(manifest))
+        with pytest.raises(FormatError, match="'features' must be the name of a file in the"):
+            load_dataset(saved)
+
     def test_nan_feature_refused_at_its_offset(self, saved):
         # read_tensor's is the one finite check that a loaded dataset gets
         path = saved / "features.msdt"

@@ -14,13 +14,12 @@ from mczsl.gradcheck import finite_difference_check
 from mczsl.losses import (
     KL_FLOOR,
     LossWeights,
-    SubnetLossValues,
     acec_loss,
     ar_loss,
     causal_loss,
     distill_loss,
     seen_class_distribution,
-    total_loss,
+    weighted_total,
 )
 from mczsl.numeric import make_rng
 
@@ -204,38 +203,19 @@ class TestDistill:
 class TestTotal:
     def test_zero_weights_leave_only_acec(self):
         w = LossWeights(0.0, 0.0, 0.0, 0.0)
-        rep = total_loss(SubnetLossValues(1.0, 5.0, 7.0), SubnetLossValues(2.0, 4.0, 1.0),
-                         distill=9.0, weights=w)
-        assert rep.total == rep.acec == 3.0
+        assert weighted_total(3.0, 9.0, 8.0, 9.0, w) == 3.0
 
     def test_weighted_sum_hand_arithmetic(self):
         w = LossWeights(0.05, 0.03, 0.3, 0.001)
-        rep = total_loss(SubnetLossValues(1.0, 2.0, 3.0), SubnetLossValues(0.5, 1.0, 1.5),
-                         distill=4.0, weights=w)
-        assert rep.acec == 1.5 and rep.ar == 3.0 and rep.causal == 4.5 and rep.distill == 4.0
         expected = 1.5 + 0.03 * 3.0 + 0.3 * 4.5 + 0.001 * 4.0
-        assert abs(rep.total - expected) < 1e-12
-        assert rep.weights == w  # configuration echoed in the report
-
-    def test_identity_holds(self):
-        rng = make_rng(2)
-        for _ in range(20):
-            w = LossWeights(*rng.random(4))
-            a = SubnetLossValues(*rng.random(3))
-            b = SubnetLossValues(*rng.random(3))
-            d = float(rng.random())
-            rep = total_loss(a, b, d, w)
-            reassembled = (rep.acec + w.lambda_ar * rep.ar
-                           + w.lambda_causal * rep.causal + w.lambda_distill * rep.distill)
-            assert abs(rep.total - reassembled) < 1e-9
+        assert abs(weighted_total(1.5, 3.0, 4.5, 4.0, w) - expected) < 1e-12
 
     def test_doubling_ar_weight_changes_total_by_ar(self):
-        a = SubnetLossValues(1.0, 2.0, 3.0)
-        b = SubnetLossValues(0.5, 1.5, 0.5)
+        terms = (1.5, 3.5, 3.5, 1.0)
         w1 = LossWeights(0.1, 0.2, 0.3, 0.4)
         w2 = LossWeights(0.1, 0.4, 0.3, 0.4)
-        r1, r2 = total_loss(a, b, 1.0, w1), total_loss(a, b, 1.0, w2)
-        assert abs((r2.total - r1.total) - 0.2 * r1.ar) < 1e-12
+        t1, t2 = weighted_total(*terms, w1), weighted_total(*terms, w2)
+        assert abs((t2 - t1) - 0.2 * 3.5) < 1e-12
 
     def test_negative_weight_rejected(self):
         with pytest.raises(ValueError):

@@ -5,7 +5,12 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from mczsl.data import SynthConfig
+from mczsl.errors import ConfigError
+from mczsl.evaluate import FusionConfig
+from mczsl.losses import LossWeights
 from mczsl.numeric import make_rng, row_max, softmax
+from mczsl.training import Hyperparams
 
 
 class TestSoftmax:
@@ -85,3 +90,26 @@ def test_rng_reproducible_sequences():
     a, b = make_rng(123), make_rng(123)
     assert np.array_equal(a.standard_normal(100), b.standard_normal(100))
     assert a.integers(0, 1000) == b.integers(0, 1000)
+
+
+class TestCheckSettings:
+    @pytest.mark.parametrize("cls,field,value", [
+        (Hyperparams, "batch_size", 1.5), (Hyperparams, "epochs", True),
+        (Hyperparams, "seed", np.int64(3)), (Hyperparams, "intervention_seed", True),
+        (Hyperparams, "loss_weights", None), (LossWeights, "lambda_ar", True),
+        (FusionConfig, "alpha1", True), (SynthConfig, "classes", 10.0),
+        # the type check runs before any rule, which could not compare these
+        (Hyperparams, "seed", "3"), (FusionConfig, "alpha2", None),
+    ], ids=lambda v: repr(v) if not isinstance(v, type) else v.__name__)
+    def test_wrong_type_refused_naming_the_field(self, cls, field, value):
+        with pytest.raises(ConfigError, match=rf"^{cls.__name__}\.{field} must be "):
+            cls(**{field: value})
+
+    def test_int_for_a_float_and_none_for_an_optional_accepted(self):
+        assert FusionConfig(alpha1=1, alpha2=0).alpha1 == 1
+        assert Hyperparams(intervention_seed=None).intervention_seed is None
+        assert LossWeights(lambda_ar=np.float64(0.5)).lambda_ar == 0.5  # a float subclass
+
+    def test_first_broken_rule_is_named(self):
+        with pytest.raises(ConfigError, match=r"^FusionConfig settings violate alpha1 >= 0$"):
+            FusionConfig(alpha1=-1.0, alpha2=-1.0)
