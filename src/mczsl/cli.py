@@ -7,7 +7,6 @@ Every run is reproducible from its flags and seed. Exit codes: 0 ok,
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 from dataclasses import fields, is_dataclass, replace
 from pathlib import Path
@@ -21,7 +20,7 @@ from .errors import ConfigError, DataValidationError, FormatError, NumericError
 from .evaluate import (SETTINGS, FusionConfig, check_test_splits, evaluate_settings,
                        per_class_csv, write_report_json)
 from .losses import LossWeights
-from .tensor_io import write_atomic
+from .tensor_io import write_atomic, write_json
 from .training import (
     INTERVENTION_KINDS,
     Hyperparams,
@@ -68,8 +67,6 @@ _CONFIG_KEYS = {name: typ for cls in (Hyperparams, FusionConfig, SynthConfig)
 def parse_config_file(path: str | Path) -> dict:
     """key=value lines; blank lines and # comments allowed; unknown keys rejected."""
     path = Path(path)
-    if not path.exists():
-        raise FileNotFoundError(f"config file not found: {path}")
     try:
         text = path.read_text(encoding="utf-8")
     except UnicodeDecodeError as e:
@@ -136,13 +133,12 @@ def cmd_train(args: argparse.Namespace) -> int:
     dataset = _load(args, epochs=hp.epochs)
     state, log = train(dataset, hp)
     out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
     save_checkpoint(state, hp, out / "checkpoint", epoch=hp.epochs,
                     loss_history=log.epoch_reports)
     entries = [report_dict(r) | {"epoch": e, "train_accuracy": log.train_accuracy[e],
                                  "seconds": log.epoch_seconds[e]}
                for e, r in enumerate(log.epoch_reports)]
-    write_atomic(out / "train_log.json", json.dumps(entries, indent=2, sort_keys=True) + "\n")
+    write_json(out / "train_log.json", entries)
     if entries:
         last = entries[-1]
         print(f"trained {hp.epochs} epochs: total={last['total']:.4f} "
@@ -213,7 +209,6 @@ def cmd_intervene_compare(args: argparse.Namespace) -> int:
         else:
             kind_hp = replace(hp, intervention=kind)
             state, log = train(dataset, kind_hp)
-            run_dir.mkdir(parents=True, exist_ok=True)
             save_checkpoint(state, kind_hp, ckpt, epoch=kind_hp.epochs,
                             loss_history=log.epoch_reports)
         czsl, gzsl = evaluate_settings(dataset, state, fusion, SETTINGS).values()

@@ -7,7 +7,6 @@ manifest plus MSDT tensor files; all tensor payloads round-trip bit-exactly.
 """
 from __future__ import annotations
 
-import json
 import reprlib
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -16,7 +15,7 @@ import numpy as np
 
 from .errors import ConfigError, DataValidationError, FormatError
 from .numeric import check_settings, make_rng
-from .tensor_io import read_tensor, write_atomic, write_tensor
+from .tensor_io import read_index, read_tensor, write_directory
 
 MANIFEST_NAME = "manifest.json"
 
@@ -147,17 +146,18 @@ def generate_synthetic(config: SynthConfig, seed: int) -> Dataset:
     features = np.zeros((n, r, d), dtype=np.float32)  # rounded as a file round trip would
     labels = np.zeros(n, dtype=np.int64)
     i = 0
-    for ci in range(c):
-        base = np.zeros((r, d))
-        for ki in range(k):
-            if protos[ci, ki] >= 0.5:
-                base[slot[ki]] += signatures[ki]
-        for _ in range(config.samples_per_class):
-            perm = rng.permutation(r)
-            noisy = base + config.noise * rng.standard_normal((r, d))
-            features[i] = noisy[perm]
-            labels[i] = ci
-            i += 1
+    with np.errstate(over="ignore"):  # an overflow becomes inf, which the save refuses
+        for ci in range(c):
+            base = np.zeros((r, d))
+            for ki in range(k):
+                if protos[ci, ki] >= 0.5:
+                    base[slot[ki]] += signatures[ki]
+            for _ in range(config.samples_per_class):
+                perm = rng.permutation(r)
+                noisy = base + config.noise * rng.standard_normal((r, d))
+                features[i] = noisy[perm]
+                labels[i] = ci
+                i += 1
 
     # per seen class: ~70% train, rest held out as seen-class test samples
     n_test = max(1, int(round(0.3 * config.samples_per_class)))
@@ -236,51 +236,34 @@ def validate_dataset(ds: Dataset, source: Path | None = None) -> None:
         fail("attribute_names length must equal attribute count")
 
 
+def _shape_fields(ds: Dataset) -> dict[str, int]:
+    """The manifest's _SHAPE_KEYS, as the tensors of `ds` give them."""
+    return dict(zip(_SHAPE_KEYS, (ds.num_classes, ds.attributes.shape[0], ds.feature_dim,
+                                  ds.num_regions)))
+
+
 def save_dataset(ds: Dataset, directory: str | Path) -> None:
+    """Save `ds` as one unit (tensor_io.write_directory): a refused tensor or a
+    failed write never leaves the earlier manifest over a mix of files."""
     validate_dataset(ds)
-    directory = Path(directory)
-    directory.mkdir(parents=True, exist_ok=True)
-    # features first: if write_tensor refuses them, no file has been replaced yet
-    write_tensor(directory / "features.msdt", ds.features)
-    write_tensor(directory / "attributes.msdt", ds.attributes)
-    write_tensor(directory / "class_semantics.msdt", ds.class_semantics)
-    write_tensor(directory / "labels.msdt", ds.labels.astype(np.float64))
     manifest = {
         "name": ds.name,
-        "num_classes": ds.num_classes,
-        "num_attributes": ds.num_attributes,
-        "feature_dim": ds.feature_dim,
-        "regions_per_sample": ds.num_regions,
-        "attributes": "attributes.msdt",
-        "class_semantics": "class_semantics.msdt",
-        "features": "features.msdt",
-        "labels": "labels.msdt",
-        "seen_classes": list(map(int, ds.split.seen_classes)),
-        "unseen_classes": list(map(int, ds.split.unseen_classes)),
-        "train_idx": list(map(int, ds.split.train_idx)),
-        "test_seen_idx": list(map(int, ds.split.test_seen_idx)),
-        "test_unseen_idx": list(map(int, ds.split.test_unseen_idx)),
+        **_shape_fields(ds),
+        **{key: f"{key}.msdt" for key in _FILE_KEYS},
+        **{key: list(map(int, getattr(ds.split, key))) for key in _SPLIT_KEYS},
     }
     if ds.class_names:
         manifest["class_names"] = ds.class_names
     if ds.attribute_names:
         manifest["attribute_names"] = ds.attribute_names
-    write_atomic(directory / MANIFEST_NAME, json.dumps(manifest, indent=2, sort_keys=True) + "\n")
+    write_directory(directory, {key: getattr(ds, key) for key in _FILE_KEYS},
+                    MANIFEST_NAME, manifest)
 
 
 def load_dataset(directory: str | Path) -> Dataset:
     directory = Path(directory)
     manifest_path = directory / MANIFEST_NAME
-    if not manifest_path.exists():
-        raise FileNotFoundError(f"manifest not found: {manifest_path}")
-    try:
-        manifest = json.loads(manifest_path.read_text(encoding="utf-8"))
-    except UnicodeDecodeError as e:
-        raise FormatError(f"{manifest_path}: not UTF-8 text ({e})") from e
-    except json.JSONDecodeError as e:
-        raise FormatError(f"{manifest_path}: invalid JSON at position {e.pos}") from e
-    if not isinstance(manifest, dict):
-        raise FormatError(f"{manifest_path}: manifest must be a JSON object")
+    manifest = read_index(manifest_path)
     keys = set(manifest)
     missing = _REQUIRED_KEYS - keys
     if missing:
@@ -315,18 +298,6 @@ def load_dataset(directory: str | Path) -> Dataset:
     if features.ndim != 3:
         raise FormatError(f"{directory / manifest['features']}: features must be rank-3 (N x R x D)")
 
-    declared = {
-        "num_classes": class_semantics.shape[0],
-        "num_attributes": attributes.shape[0],
-        "feature_dim": features.shape[2],
-        "regions_per_sample": features.shape[1],
-    }
-    for key, actual in declared.items():
-        if manifest[key] != actual:
-            raise FormatError(
-                f"{manifest_path}: manifest {key}={manifest[key]} disagrees with tensor ({actual})"
-            )
-
     ds = Dataset(
         name=manifest["name"],
         features=features,
@@ -337,6 +308,11 @@ def load_dataset(directory: str | Path) -> Dataset:
         class_names=manifest.get("class_names", []),
         attribute_names=manifest.get("attribute_names", []),
     )
+    for key, actual in _shape_fields(ds).items():
+        if manifest[key] != actual:
+            raise FormatError(
+                f"{manifest_path}: manifest {key}={manifest[key]} disagrees with tensor ({actual})"
+            )
     validate_dataset(ds, manifest_path)
     return ds
 

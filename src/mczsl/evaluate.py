@@ -9,7 +9,6 @@ sample count); the GZSL summary is the harmonic mean H = 2SU/(S+U).
 """
 from __future__ import annotations
 
-import json
 from collections import Counter
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
@@ -19,7 +18,7 @@ import numpy as np
 from .data import Dataset, Split
 from .errors import DataValidationError, ShapeError
 from .numeric import check_settings
-from .tensor_io import write_atomic
+from .tensor_io import write_json
 from .training import ModelState, score_blocks
 
 SETTINGS = ("czsl", "gzsl")
@@ -162,8 +161,7 @@ def report_to_dict(report: EvalReport) -> dict:
 
 
 def write_report_json(reports: dict[str, EvalReport], path: str | Path) -> None:
-    payload = {name: report_to_dict(r) for name, r in sorted(reports.items())}
-    write_atomic(path, json.dumps(payload, indent=2, sort_keys=True) + "\n")
+    write_json(path, {name: report_to_dict(r) for name, r in reports.items()})
 
 
 def per_class_csv(report: EvalReport, class_names: list[str] | None = None) -> str:

@@ -11,7 +11,6 @@ independently of initialization and shuffling.
 """
 from __future__ import annotations
 
-import json
 import time
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
@@ -34,7 +33,7 @@ from .losses import (
     weighted_total,
 )
 from .numeric import check_settings, make_rng, softmax, spawn_rngs
-from .tensor_io import read_tensor, write_atomic, write_tensor
+from .tensor_io import read_index, read_tensor, write_directory
 
 INTERVENTION_KINDS = ("random", "uniform", "reversed", "random_plus_reversed")
 PARAM_NAMES = ATTR_SIDE + REGION_SIDE
@@ -348,31 +347,20 @@ def save_checkpoint(
     epoch: int, loss_history: list[LossReport] | None = None,
 ) -> None:
     """Weights as MSDT tensors plus deterministic JSON metadata (no wall-clock,
-    so identical runs produce byte-identical checkpoints)."""
-    directory = Path(directory)
-    directory.mkdir(parents=True, exist_ok=True)
-    for name, p in state.weights.items():
-        write_tensor(directory / f"{name}.msdt", p)
-    meta = {
+    so identical runs produce byte-identical checkpoints), saved as one unit
+    by tensor_io.write_directory."""
+    write_directory(directory, state.weights, CHECKPOINT_META, {
         "epoch": epoch,
         "seed": hp.seed,
         "hyperparams": asdict(hp),
         "loss_history": [report_dict(r) for r in (loss_history or [])],
-    }
-    write_atomic(directory / CHECKPOINT_META, json.dumps(meta, indent=2, sort_keys=True) + "\n")
+    })
 
 
 def load_checkpoint(directory: str | Path) -> tuple[ModelState, dict]:
     directory = Path(directory)
     meta_path = directory / CHECKPOINT_META
-    if not meta_path.exists():
-        raise FileNotFoundError(f"checkpoint metadata not found: {meta_path}")
-    try:
-        meta = json.loads(meta_path.read_text(encoding="utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as e:
-        raise FormatError(f"{meta_path}: not a JSON document ({e})") from e
-    if not isinstance(meta, dict):
-        raise FormatError(f"{meta_path}: metadata must be a JSON object")
+    meta = read_index(meta_path)
     epoch = meta.get("epoch")
     if type(epoch) is not int or epoch < 0:
         raise FormatError(f"{meta_path}: 'epoch' must be a non-negative integer, got {epoch!r}")

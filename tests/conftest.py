@@ -1,6 +1,7 @@
 import builtins
 import errno
 import importlib
+import itertools
 
 import numpy as np
 import pytest
@@ -35,6 +36,20 @@ def fill_disk_after(monkeypatch, budget):
     monkeypatch.setattr(tensor_io, "open",
                         lambda path, mode: _FullDisk(builtins.open(path, mode), budget),
                         raising=False)
+
+
+def fail_nth_write(monkeypatch, n):
+    """Make the n-th `tensor_io.write_atomic` call from now on (counting from 1)
+    fail with ENOSPC before it writes anything; every other call runs."""
+    tensor_io = importlib.import_module("mczsl.tensor_io")
+    write, calls = tensor_io.write_atomic, itertools.count(1)
+
+    def failing(path, *chunks):
+        if next(calls) == n:
+            raise OSError(errno.ENOSPC, "No space left on device", str(path))
+        write(path, *chunks)
+
+    monkeypatch.setattr(tensor_io, "write_atomic", failing)
 
 
 def put_nan(path, index):

@@ -7,12 +7,12 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from conftest import fill_disk_after, put_nan, subnet_pass
+from conftest import fail_nth_write, fill_disk_after, put_nan, subnet_pass
 from mczsl import cli, training
 from mczsl.attr_visual import ATTR_SIDE
 from mczsl.cli import PRESETS, build_parser, main, parse_config_file
-from mczsl.data import SynthConfig, load_dataset
-from mczsl.errors import ConfigError
+from mczsl.data import SynthConfig, generate_synthetic, load_dataset, save_dataset
+from mczsl.errors import ConfigError, FormatError
 from mczsl.evaluate import FusionConfig
 from mczsl.losses import LossWeights
 from mczsl.numeric import make_rng
@@ -62,6 +62,12 @@ class TestGenSynth:
         assert not (fresh / "manifest.json").exists()
         assert tree_bytes(fresh) == {}
         assert tree_bytes(earlier) == tree_bytes(data_dir)
+
+    # 1e300 overflows the float32 cast, 1e308 already the float64 noise product
+    @pytest.mark.parametrize("noise", ["1e300", "1e308"])
+    def test_overflowing_noise_warns_nothing(self, tmp_path, recwarn, noise):
+        assert main(["gen-synth", "--out", str(tmp_path / "x"), "--noise", noise]) == 3
+        assert [w.message for w in recwarn if issubclass(w.category, RuntimeWarning)] == []
 
     def test_output_passes_validation(self, data_dir):
         ds = load_dataset(data_dir)
@@ -151,6 +157,14 @@ def scored_test_samples(data_dir) -> int:
     return len(split.test_unseen_idx) + len(split.test_seen_idx)
 
 
+# JSON that the parser refuses past the syntax: nesting beyond the recursion
+# limit, and an integer beyond Python's 4,300-digit string conversion limit
+UNPARSABLE_INDEX = [
+    pytest.param(b"[" * 100_000 + b"]" * 100_000, id="deep_nesting"),
+    pytest.param(b'{"epoch": ' + b"7" * 5001 + b"}", id="long_integer"),
+]
+
+
 class TestEval:
     def test_untrained_checkpoint_finite_metrics(self, data_dir, tmp_path):
         run = tmp_path / "run"
@@ -219,6 +233,7 @@ class TestEval:
             **asdict(Hyperparams()),
             "loss_weights": {**asdict(LossWeights()), "lambda_cal": True}}}).encode(),
             id="lambda_cal_True"),
+        *UNPARSABLE_INDEX,
     ])
     def test_corrupt_checkpoint_metadata_exits_3(self, data_dir, trained_run, tmp_path,
                                                  capsys, corrupt):
@@ -297,6 +312,16 @@ class TestEval:
         err = capsys.readouterr().err
         assert str(ckpt) in err and str(data_dir) in err
 
+    @pytest.mark.parametrize("corrupt", UNPARSABLE_INDEX)
+    def test_unparsable_manifest_exits_3(self, data_dir, trained_run, tmp_path, capsys, corrupt):
+        data = tmp_path / "data"
+        shutil.copytree(data_dir, data)
+        (data / "manifest.json").write_bytes(corrupt)
+        code = main(["eval", "--data", str(data), "--checkpoint",
+                     str(trained_run / "checkpoint"), "--out", str(tmp_path / "e")])
+        assert code == 3
+        assert str(data / "manifest.json") in capsys.readouterr().err
+
     def test_non_utf8_manifest_exits_3(self, data_dir, trained_run, tmp_path, capsys):
         data = tmp_path / "data"
         shutil.copytree(data_dir, data)
@@ -359,6 +384,56 @@ class TestInterveneCompare:
                      "--out", str(tmp_path / "train"), "--learning-rate", "0"]) == 2
         assert "learning_rate" in capsys.readouterr().err
         assert not (tmp_path / "train").exists()
+
+
+@pytest.mark.parametrize("kind,failing", [("dataset", n) for n in range(1, 6)]
+                         + [("checkpoint", n) for n in range(1, 7)])
+def test_failed_save_never_loads_a_mix(data_dir, trained_run, tmp_path, capsys, monkeypatch,
+                                       kind, failing):
+    # a save of other contents over an earlier directory, whose n-th file write
+    # fails: a dataset writes 4 tensors and its manifest, a checkpoint 5 and its
+    # metadata; the directory must load as before or be refused, never as a mix
+    data, ckpt = tmp_path / "data", tmp_path / "checkpoint"
+    shutil.copytree(data_dir, data)
+    shutil.copytree(trained_run / "checkpoint", ckpt)
+    target, index = (data, "manifest.json") if kind == "dataset" else (ckpt, "metadata.json")
+    before = tree_bytes(target)
+    fail_nth_write(monkeypatch, failing)
+    with pytest.raises(OSError, match="No space left"):
+        if kind == "dataset":
+            save_dataset(generate_synthetic(SynthConfig(), seed=2), data)
+        else:
+            save_checkpoint(init_state(16, 16, make_rng(5)), Hyperparams(), ckpt, epoch=0)
+    if (target / index).exists():
+        assert tree_bytes(target) == before
+    else:
+        assert main(["eval", "--data", str(data), "--checkpoint", str(ckpt),
+                     "--out", str(tmp_path / "e")]) == 3
+        assert str(target / index) in capsys.readouterr().err
+
+
+def test_refused_tensor_leaves_the_earlier_dataset(data_dir, tmp_path):
+    data = tmp_path / "data"
+    shutil.copytree(data_dir, data)
+    ds = generate_synthetic(SynthConfig(), seed=2)
+    ds.attributes[0, 0] = np.nan
+    with pytest.raises(FormatError, match="attributes.msdt"):
+        save_dataset(ds, data)
+    assert tree_bytes(data) == tree_bytes(data_dir)
+
+
+@pytest.mark.parametrize("missing", ["run.cfg", "data/manifest.json", "data/features.msdt",
+                                     "checkpoint/metadata.json", "checkpoint/w3.msdt"])
+def test_missing_file_exits_3_naming_it(data_dir, trained_run, tmp_path, capsys, missing):
+    shutil.copytree(data_dir, tmp_path / "data")
+    shutil.copytree(trained_run / "checkpoint", tmp_path / "checkpoint")
+    (tmp_path / "run.cfg").write_text("")
+    (tmp_path / missing).unlink()
+    code = main(["eval", "--data", str(tmp_path / "data"), "--checkpoint",
+                 str(tmp_path / "checkpoint"), "--out", str(tmp_path / "e"),
+                 "--config", str(tmp_path / "run.cfg")])
+    assert code == 3
+    assert str(tmp_path / missing) in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("key", ["test_unseen_idx", "test_seen_idx"])

@@ -32,12 +32,16 @@ BLAS_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 # blocks' own forward) and evaluate.predict (scoring goes through
 # class_scores). Their per-layer metrics read 0 until the benchmark's span
 # list is updated (a benchmark change); drop each entry when its target goes.
+# `data` and `training` no longer bind write_tensor: datasets and checkpoints
+# save through tensor_io.write_directory, so `tensor_io.write_s` reads 0 until
+# that span points at write_directory.
 KNOWN_STALE = {
     ("mczsl.attr_visual", "attention"), ("mczsl.attr_visual", "features"),
     ("mczsl.attr_visual", "embed"), ("mczsl.visual_attr", "attention"),
     ("mczsl.visual_attr", "features"), ("mczsl.visual_attr", "embed"),
     ("mczsl.visual_attr", "project"), ("mczsl.training", "_train_accuracy"),
-    ("mczsl.evaluate", "predict"),
+    ("mczsl.evaluate", "predict"), ("mczsl.data", "write_tensor"),
+    ("mczsl.training", "write_tensor"),
 }
 
 
