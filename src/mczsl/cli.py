@@ -65,13 +65,14 @@ _CONFIG_KEYS = {name: typ for cls in (Hyperparams, FusionConfig, SynthConfig)
 
 
 def parse_config_file(path: str | Path) -> dict:
-    """key=value lines; blank lines and # comments allowed; unknown keys rejected."""
+    """key=value lines; blank lines and # comments allowed; unknown or repeated keys rejected."""
     path = Path(path)
     try:
         text = path.read_text(encoding="utf-8")
     except UnicodeDecodeError as e:
         raise ConfigError(f"{path}: not UTF-8 text ({e})") from e
     values: dict = {}
+    line_of: dict[str, int] = {}
     for lineno, raw in enumerate(text.splitlines(), 1):
         line = raw.strip()
         if not line or line.startswith("#"):
@@ -82,6 +83,9 @@ def parse_config_file(path: str | Path) -> dict:
         key, value = key.strip(), value.strip()
         if key not in _CONFIG_KEYS:
             raise ConfigError(f"{path}:{lineno}: unknown key {key!r}")
+        if key in line_of:
+            raise ConfigError(f"{path}:{lineno}: key {key!r} already set on line {line_of[key]}")
+        line_of[key] = lineno
         try:
             values[key] = _CONFIG_KEYS[key](value)
         except ValueError as e:

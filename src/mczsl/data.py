@@ -92,93 +92,64 @@ class SynthConfig:
         )
 
 
-def _f32_exact(a: np.ndarray) -> np.ndarray:
-    # quantize through float32 so save/load is lossless
-    return a.astype(np.float32).astype(np.float64)
-
-
 def generate_synthetic(config: SynthConfig, seed: int) -> Dataset:
     """Deterministic dataset with planted structure.
 
-    Class prototypes are 0/1 attribute activations. Each attribute k owns a
-    fixed region slot (k mod R) and contributes a linear signature a_k @ M to
-    that region when active in the class; per-sample region order is permuted
-    and Gaussian noise of scale `config.noise` is added. A nearest-prototype
-    classifier on the noiseless attribute activations is exact, so planted
-    labels remain recoverable.
+    Class prototypes are distinct, non-empty 0/1 attribute activations. Active
+    attribute k adds its unit-norm linear signature a_k @ M to region slot
+    k mod R of its class's (R x D) base; each sample permutes the base's regions
+    and adds Gaussian noise of scale `config.noise`. Noiseless classes are
+    exactly separable, so planted labels remain recoverable.
     """
     if seed < 0:
         raise ConfigError(f"synthetic dataset seed must be >= 0, got {seed}")
     rng = make_rng(seed)
-    c, k = config.classes, config.attributes
+    c, k, m = config.classes, config.attributes, config.samples_per_class
     r, d, da = config.regions, config.feature_dim, config.attr_dim
     if c > 2**k - 1:
-        raise ConfigError(
-            f"{c} classes need distinct non-empty activation patterns but only "
-            f"{2**k - 1} exist for {k} attributes"
-        )
+        raise ConfigError(f"{c} classes need distinct non-empty activation patterns but only "
+                          f"{2**k - 1} exist for {k} attributes")
 
-    # distinct, non-empty activation patterns per class
-    protos = np.zeros((c, k))
-    seen_patterns: set[bytes] = set()
-    for ci in range(c):
-        while True:
-            row = (rng.random(k) < 0.5).astype(np.float64)
-            key = row.tobytes()
-            if row.sum() >= 1 and key not in seen_patterns:
-                seen_patterns.add(key)
-                protos[ci] = row
-                break
+    # distinct, non-empty activation patterns per class, in the order first drawn
+    patterns: dict[bytes, np.ndarray] = {}
+    while len(patterns) < c:
+        row = (rng.random(k) < 0.5).astype(np.float64)
+        if row.any():
+            patterns[row.tobytes()] = row
+    protos = np.array(list(patterns.values()))
 
     attr_vectors = rng.standard_normal((k, da))
     attr_vectors /= np.linalg.norm(attr_vectors, axis=1, keepdims=True)
     attr_to_feature = rng.standard_normal((da, d)) / np.sqrt(da)
     signatures = attr_vectors @ attr_to_feature  # K x D
     signatures /= np.linalg.norm(signatures, axis=1, keepdims=True)
-    slot = np.arange(k) % r
 
-    n_unseen = int(round(c * config.unseen_fraction))
-    n_unseen = min(max(n_unseen, 1), c - 1)
-    unseen = sorted(int(x) for x in rng.choice(c, size=n_unseen, replace=False))
-    seen = [ci for ci in range(c) if ci not in set(unseen)]
+    n_unseen = min(max(int(round(c * config.unseen_fraction)), 1), c - 1)
+    unseen = np.sort(rng.choice(c, size=n_unseen, replace=False))
+    seen = np.delete(np.arange(c), unseen)
 
-    n = c * config.samples_per_class
-    features = np.zeros((n, r, d), dtype=np.float32)  # rounded as a file round trip would
-    labels = np.zeros(n, dtype=np.int64)
-    i = 0
+    labels = np.repeat(np.arange(c, dtype=np.int64), m)
+    features = np.empty((c * m, r, d), dtype=np.float32)  # rounded as a file round trip would
     with np.errstate(over="ignore"):  # an overflow becomes inf, which the save refuses
-        for ci in range(c):
-            base = np.zeros((r, d))
-            for ki in range(k):
-                if protos[ci, ki] >= 0.5:
-                    base[slot[ki]] += signatures[ki]
-            for _ in range(config.samples_per_class):
-                perm = rng.permutation(r)
-                noisy = base + config.noise * rng.standard_normal((r, d))
-                features[i] = noisy[perm]
-                labels[i] = ci
-                i += 1
+        for i, ci in enumerate(labels):
+            if i % m == 0:  # one class's base at a time; add.at sums in attribute order
+                base = np.zeros((r, d))
+                active = np.flatnonzero(protos[ci])
+                np.add.at(base, active % r, signatures[active])
+            perm = rng.permutation(r)
+            features[i] = (base + config.noise * rng.standard_normal((r, d)))[perm]
 
     # per seen class: ~70% train, rest held out as seen-class test samples
-    n_test = max(1, int(round(0.3 * config.samples_per_class)))
-    train_idx: list[int] = []
-    test_seen_idx: list[int] = []
-    test_unseen_idx: list[int] = []
-    for ci in range(c):
-        idx = list(range(ci * config.samples_per_class, (ci + 1) * config.samples_per_class))
-        if ci in set(unseen):
-            test_unseen_idx.extend(idx)
-        else:
-            train_idx.extend(idx[:-n_test])
-            test_seen_idx.extend(idx[-n_test:])
-
+    n_test = max(1, int(round(0.3 * m)))
+    idx = np.arange(c * m).reshape(c, m)
     ds = Dataset(
         name="synthetic",
         features=features,
         labels=labels,
-        attributes=_f32_exact(attr_vectors),
-        class_semantics=_f32_exact(protos),
-        split=Split(seen, unseen, train_idx, test_seen_idx, test_unseen_idx),
+        attributes=attr_vectors.astype(np.float32).astype(np.float64),  # lossless to save
+        class_semantics=protos,  # 0/1, exact in float32
+        split=Split(seen.tolist(), unseen.tolist(), idx[seen, :-n_test].ravel().tolist(),
+                    idx[seen, -n_test:].ravel().tolist(), idx[unseen].ravel().tolist()),
         class_names=[f"class_{ci}" for ci in range(c)],
         attribute_names=[f"attr_{ki}" for ki in range(k)],
     )
@@ -292,8 +263,10 @@ def load_dataset(directory: str | Path) -> Dataset:
     attributes, class_semantics = (a.astype(np.float64) for a in (attributes, class_semantics))
     if labels_f.ndim != 1:
         raise FormatError(f"{directory / manifest['labels']}: labels must be rank-1")
-    if not np.all(labels_f == np.round(labels_f)):
-        raise FormatError(f"{directory / manifest['labels']}: labels must hold integral values")
+    c = class_semantics.shape[0]  # checked on the floats: an out-of-range cast is undefined
+    if not np.all((labels_f == np.round(labels_f)) & (labels_f >= 0) & (labels_f < c)):
+        raise FormatError(f"{directory / manifest['labels']}: labels must hold integral "
+                          f"values in [0, {c})")
     labels = labels_f.astype(np.int64)
     if features.ndim != 3:
         raise FormatError(f"{directory / manifest['features']}: features must be rank-3 (N x R x D)")

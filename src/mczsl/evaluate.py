@@ -16,7 +16,7 @@ from pathlib import Path
 import numpy as np
 
 from .data import Dataset, Split
-from .errors import DataValidationError, ShapeError
+from .errors import DataValidationError, NumericError, ShapeError
 from .numeric import check_settings
 from .tensor_io import write_json
 from .training import ModelState, score_blocks
@@ -72,9 +72,11 @@ def top_classes(scores: np.ndarray, split: Split, setting: str) -> np.ndarray:
     return cands[np.argmax(scores[:, cands], axis=1)]
 
 
-def fused_score(psi, psi_attr, Z, split: Split, cfg: FusionConfig = FusionConfig()) -> np.ndarray:
+def fused_score(psi, psi_attr, Z, split: Split, cfg: FusionConfig = FusionConfig(),
+                rows=None) -> np.ndarray:
     """Scores over every class, one row per row of the attribute scores:
-    (alpha1*psi + alpha2*psi_attr) . z_c + 1 for unseen c, - 1 for seen c."""
+    (alpha1*psi + alpha2*psi_attr) . z_c + 1 for unseen c, - 1 for seen c. A
+    non-finite score raises NumericError naming its row's sample in `rows` (or its row)."""
     psi = np.asarray(psi, dtype=np.float64)
     psi_attr = np.asarray(psi_attr, dtype=np.float64)
     Z = np.asarray(Z, dtype=np.float64)
@@ -82,18 +84,24 @@ def fused_score(psi, psi_attr, Z, split: Split, cfg: FusionConfig = FusionConfig
         raise ShapeError(
             f"fusion shapes inconsistent: psi {psi.shape}, psi_attr {psi_attr.shape}, Z {Z.shape}"
         )
-    fused = cfg.alpha1 * psi + cfg.alpha2 * psi_attr
     offsets = np.full(Z.shape[0], -1.0)
     offsets[split.unseen_classes] = 1.0
-    return fused @ Z.T + offsets
+    with np.errstate(over="ignore", invalid="ignore"):  # a non-finite score is refused below
+        scores = (cfg.alpha1 * psi + cfg.alpha2 * psi_attr) @ Z.T + offsets
+    bad = np.flatnonzero(~np.isfinite(scores.reshape(-1, Z.shape[0])).all(axis=1))
+    if bad.size:
+        raise NumericError(f"non-finite fused class score at sample index "
+                           f"{bad[0] if rows is None else rows[bad[0]]} "
+                           f"(alpha1={cfg.alpha1}, alpha2={cfg.alpha2})")
+    return scores
 
 
 def class_scores(indices, state: ModelState, dataset: Dataset, cfg: FusionConfig) -> np.ndarray:
     """len(indices) x C fused scores of the samples `indices`, stacked from the
     blocks of `score_blocks`."""
     blocks = [fused_score(f1.attr_scores.data, f2.attr_scores.data,
-                          dataset.class_semantics, dataset.split, cfg)
-              for _, f1, f2 in score_blocks(indices, dataset, state.weights)]
+                          dataset.class_semantics, dataset.split, cfg, rows)
+              for rows, f1, f2 in score_blocks(indices, dataset, state.weights)]
     return np.concatenate([np.empty((0, dataset.num_classes)), *blocks])
 
 

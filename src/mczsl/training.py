@@ -246,7 +246,7 @@ def batch_loss_and_grads(
         if bad.size:
             raise NumericError(f"non-finite loss at sample index {rows[bad[0]]}")
         ad.tsum(row_totals).backward(seed=1.0 / n)
-        scores = fused_score(f1.attr_scores.data, f2.attr_scores.data, Z, split)
+        scores = fused_score(f1.attr_scores.data, f2.attr_scores.data, Z, split, rows=rows)
         correct = int(np.sum(top_classes(scores, split, "train") == labels))
         return np.array([t.data.sum() for t in terms]), correct
 

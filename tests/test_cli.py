@@ -331,6 +331,21 @@ class TestEval:
         assert code == 3
         assert str(data / "manifest.json") in capsys.readouterr().err
 
+    def test_overflowing_class_scores_exit_4(self, data_dir, trained_run, tmp_path, capsys,
+                                             recwarn):
+        # 1e308 fusion coefficients overflow every fused class score: no accuracy is
+        # printed from an argmax over inf and NaN, and no report is written
+        out = tmp_path / "eval"
+        code = main(["eval", "--data", str(data_dir), "--checkpoint",
+                     str(trained_run / "checkpoint"), "--out", str(out), "--setting", "both",
+                     "--alpha1", "1e308", "--alpha2", "1e308"])
+        first = load_dataset(data_dir).split.test_unseen_idx[0]
+        captured = capsys.readouterr()
+        assert code == 4 and captured.out == ""
+        assert captured.err == (f"error: non-finite fused class score at sample index {first} "
+                                f"(alpha1=1e+308, alpha2=1e+308)\n")
+        assert not out.exists() and not recwarn.list
+
     def test_bad_setting_exits_2(self, data_dir, trained_run, tmp_path):
         code = main(["eval", "--data", str(data_dir), "--checkpoint",
                      str(trained_run / "checkpoint"), "--out", str(tmp_path / "e"),
@@ -549,6 +564,19 @@ class TestConfigFile:
         code = main(["train", "--data", str(data_dir), "--out", str(tmp_path / "r"),
                      "--config", str(cfg)])
         assert code == 2
+
+    def test_repeated_key_rejected(self, data_dir, tmp_path, capsys):
+        cfg = tmp_path / "twice.cfg"
+        cfg.write_text("epochs=3\n# again\nlearning_rate=0.003\nepochs=5\n")
+        message = f"{cfg}:4: key 'epochs' already set on line 1"
+        with pytest.raises(ConfigError) as raised:
+            parse_config_file(cfg)
+        assert str(raised.value) == message
+        code = main(["train", "--data", str(data_dir), "--out", str(tmp_path / "r"),
+                     "--config", str(cfg)])
+        assert code == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not (tmp_path / "r").exists()
 
     def test_malformed_line_rejected(self, tmp_path):
         cfg = tmp_path / "bad.cfg"

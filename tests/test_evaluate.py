@@ -8,7 +8,7 @@ import pytest
 from conftest import build_dataset
 from mczsl import training
 from mczsl.data import Split
-from mczsl.errors import ShapeError
+from mczsl.errors import NumericError, ShapeError
 from mczsl.evaluate import (
     EvalReport,
     FusionConfig,
@@ -92,6 +92,18 @@ class TestFusedScore:
         with pytest.raises(ShapeError):
             fused_score(np.zeros(3), np.zeros(4), np.zeros((2, 3)),
                         make_split([0], [1]), FusionConfig())
+
+    def test_overflowing_score_names_its_sample(self, recwarn):
+        # 1e308 + 1e308 overflows: refused, naming the row's sample, and no warning printed
+        psi = np.zeros((4, 3))
+        psi[2] = 1e308
+        split = make_split([0, 1], [2, 3])
+        cfg = FusionConfig(alpha1=1.0, alpha2=1.0)
+        with pytest.raises(NumericError, match=r"score at sample index 12 \(alpha1=1.0, "):
+            fused_score(psi, psi, np.ones((4, 3)), split, cfg, np.arange(10, 14))
+        with pytest.raises(NumericError, match="score at sample index 2 "):
+            fused_score(psi, psi, np.ones((4, 3)), split, cfg)
+        assert not recwarn.list
 
     def test_invalid_config(self):
         with pytest.raises(ValueError):
