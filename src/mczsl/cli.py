@@ -14,7 +14,7 @@ from typing import get_args, get_type_hints
 
 import numpy as np
 
-from .attr_visual import export_attention
+from .attr_visual import export_attention, score_blocks, weight_shapes
 from .data import MANIFEST_NAME, SynthConfig, generate_synthetic, load_dataset, save_dataset
 from .errors import ConfigError, DataValidationError, FormatError, NumericError
 from .evaluate import (SETTINGS, FusionConfig, check_test_splits, evaluate_settings,
@@ -28,7 +28,6 @@ from .training import (
     load_checkpoint,
     report_dict,
     save_checkpoint,
-    score_blocks,
     train,
 )
 
@@ -155,7 +154,7 @@ def cmd_train(args: argparse.Namespace) -> int:
 def _fitting_checkpoint(checkpoint, dataset, data) -> ModelState:
     """The checkpoint's weights, refused unless they fit the dataset's (Da, D)."""
     state, _ = load_checkpoint(checkpoint)
-    want = (dataset.attributes.shape[1], dataset.feature_dim)
+    want = weight_shapes(dataset.attributes.shape[1], dataset.feature_dim)["w1"]
     if (have := state.weights["w1"].shape) != want:
         raise FormatError(f"{checkpoint}: weights are for (Da, D) = {have}, "
                           f"but the dataset {data} has (Da, D) = {want}")
@@ -206,16 +205,16 @@ def cmd_intervene_compare(args: argparse.Namespace) -> int:
     out.mkdir(parents=True, exist_ok=True)
     rows = []
     for kind in INTERVENTION_KINDS:
-        run_dir = out / f"intervene_{kind}"
-        ckpt = run_dir / "checkpoint"
+        ckpt = out / f"intervene_{kind}" / "checkpoint"
+        kind_hp = replace(hp, intervention=kind)
         if args.eval_only:
-            state = _fitting_checkpoint(ckpt, dataset, args.data)
+            state, log = _fitting_checkpoint(ckpt, dataset, args.data), None
         else:
-            kind_hp = replace(hp, intervention=kind)
             state, log = train(dataset, kind_hp)
+        czsl, gzsl = evaluate_settings(dataset, state, fusion, SETTINGS).values()
+        if log is not None:  # saved once scored: a refused score leaves no checkpoint
             save_checkpoint(state, kind_hp, ckpt, epoch=kind_hp.epochs,
                             loss_history=log.epoch_reports)
-        czsl, gzsl = evaluate_settings(dataset, state, fusion, SETTINGS).values()
         rows.append((kind, czsl.czsl_acc, gzsl.gzsl_u, gzsl.gzsl_s, gzsl.gzsl_h))
     lines = ["kind,czsl_acc,gzsl_u,gzsl_s,gzsl_h"]
     lines += [f"{k},{a:.6f},{u:.6f},{s:.6f},{h:.6f}" for k, a, u, s, h in rows]

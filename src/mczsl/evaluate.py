@@ -2,8 +2,9 @@
 
 Predictions fuse the two sub-nets' attribute scores with fixed coefficients
 into one score per class plus a +1/-1 unseen/seen calibration offset.
-`class_scores` stacks them over `training.score_blocks`' blocks into an N x C
-matrix, and each setting is an argmax over its columns (`candidate_classes`).
+`class_scores` stacks them over `attr_visual.score_blocks`' blocks (reading a
+model state only through its weight dict `.weights`) into an N x C matrix,
+and each setting is an argmax over its columns (`candidate_classes`).
 Accuracies are per-class means (each class weighs equally regardless of its
 sample count); the GZSL summary is the harmonic mean H = 2SU/(S+U).
 """
@@ -15,11 +16,11 @@ from pathlib import Path
 
 import numpy as np
 
+from .attr_visual import score_blocks
 from .data import Dataset, Split
 from .errors import DataValidationError, NumericError, ShapeError
 from .numeric import check_settings
 from .tensor_io import write_json
-from .training import ModelState, score_blocks
 
 SETTINGS = ("czsl", "gzsl")
 
@@ -74,12 +75,9 @@ def top_classes(scores: np.ndarray, split: Split, setting: str) -> np.ndarray:
 
 def fused_score(psi, psi_attr, Z, split: Split, cfg: FusionConfig = FusionConfig(),
                 rows=None) -> np.ndarray:
-    """Scores over every class, one row per row of the attribute scores:
+    """Scores over every class, one row per row of the float64 attribute scores:
     (alpha1*psi + alpha2*psi_attr) . z_c + 1 for unseen c, - 1 for seen c. A
     non-finite score raises NumericError naming its row's sample in `rows` (or its row)."""
-    psi = np.asarray(psi, dtype=np.float64)
-    psi_attr = np.asarray(psi_attr, dtype=np.float64)
-    Z = np.asarray(Z, dtype=np.float64)
     if psi.shape != psi_attr.shape or Z.ndim != 2 or Z.shape[1] != psi.shape[-1]:
         raise ShapeError(
             f"fusion shapes inconsistent: psi {psi.shape}, psi_attr {psi_attr.shape}, Z {Z.shape}"
@@ -96,7 +94,7 @@ def fused_score(psi, psi_attr, Z, split: Split, cfg: FusionConfig = FusionConfig
     return scores
 
 
-def class_scores(indices, state: ModelState, dataset: Dataset, cfg: FusionConfig) -> np.ndarray:
+def class_scores(indices, state, dataset: Dataset, cfg: FusionConfig) -> np.ndarray:
     """len(indices) x C fused scores of the samples `indices`, stacked from the
     blocks of `score_blocks`."""
     blocks = [fused_score(f1.attr_scores.data, f2.attr_scores.data,
@@ -125,7 +123,7 @@ def per_class_accuracy(pairs: list[tuple[int, int]]) -> dict[int, float]:
     return {c: correct[c] / totals[c] for c in totals}
 
 
-def evaluate_settings(dataset: Dataset, state: ModelState, cfg: FusionConfig,
+def evaluate_settings(dataset: Dataset, state, cfg: FusionConfig,
                       settings: list[str]) -> dict[str, EvalReport]:
     """One report per setting in `settings`, all read from one class-score
     matrix: the unseen test samples, plus the seen ones under GZSL, are scored
@@ -155,7 +153,7 @@ def evaluate_settings(dataset: Dataset, state: ModelState, cfg: FusionConfig,
     return reports
 
 
-def evaluate(dataset: Dataset, state: ModelState, cfg: FusionConfig) -> EvalReport:
+def evaluate(dataset: Dataset, state, cfg: FusionConfig) -> EvalReport:
     """The report of the one setting cfg.setting (see evaluate_settings); what
     perfbench/workloads.py scores its shards with."""
     return evaluate_settings(dataset, state, cfg, [cfg.setting])[cfg.setting]

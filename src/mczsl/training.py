@@ -18,8 +18,8 @@ from typing import Callable
 
 import numpy as np
 
-from . import attr_visual, autodiff as ad, visual_attr
-from .attr_visual import ATTR_SIDE, REGION_SIDE, SubnetForward
+from . import attr_visual, autodiff as ad, evaluate, visual_attr
+from .attr_visual import ATTR_SIDE, REGION_SIDE, block_samples
 from .data import Dataset
 from .errors import FormatError, NumericError
 from .losses import (
@@ -41,15 +41,9 @@ LOSS_FIELDS = ("acec", "ar", "causal", "distill", "total")  # the LossReport fig
 
 CHECKPOINT_META = "metadata.json"
 
-BLOCK_VALUES = 2 ** 21  # region-feature values per inference block: 5 samples at the CUB-like shape
-# A training block also holds its graph and gradients, so it takes half as
-# many: 2 samples at the CUB-like shape, a whole batch at the synthetic one.
-TRAIN_BLOCK_VALUES = BLOCK_VALUES // 2
-
-
-def block_samples(dataset: Dataset, values: int) -> int:
-    """Samples in a block of at most `values` region-feature values (at least 1)."""
-    return max(1, values // (dataset.num_regions * dataset.feature_dim))
+# A training block also holds its graph and gradients, so it takes half the
+# values: 2 samples at the CUB-like shape, a whole batch at the synthetic one.
+TRAIN_BLOCK_VALUES = attr_visual.BLOCK_VALUES // 2
 
 
 @dataclass(frozen=True)
@@ -113,40 +107,14 @@ class TrainLog:
 
 def init_state(attr_dim: int, feature_dim: int, rng: np.random.Generator) -> ModelState:
     """Uniform(-1/sqrt(fan_in), 1/sqrt(fan_in)) init, fan_in = first dimension,
-    drawn in PARAM_NAMES order: Da x D for ATTR_SIDE, D x Da for REGION_SIDE."""
-    shapes = ([(attr_dim, feature_dim)] * len(ATTR_SIDE)
-              + [(feature_dim, attr_dim)] * len(REGION_SIDE))
+    drawn in PARAM_NAMES order in the shapes of attr_visual.weight_shapes."""
+    shapes = attr_visual.weight_shapes(attr_dim, feature_dim)
     return ModelState({name: rng.uniform(-1 / np.sqrt(rows), 1 / np.sqrt(rows), (rows, cols))
-                       for name, (rows, cols) in zip(PARAM_NAMES, shapes)})
+                       for name, (rows, cols) in shapes.items()})
 
 
 def state_for_dataset(dataset: Dataset, rng: np.random.Generator) -> ModelState:
     return init_state(dataset.attributes.shape[1], dataset.feature_dim, rng)
-
-
-def forward_both(V, dataset: Dataset, products, weights) -> tuple[SubnetForward, SubnetForward]:
-    """Both sub-nets on one sample's regions V (R x D), or on a block of
-    samples (B x R x D), against the dataset's attributes and prototypes.
-    `products` are (A w1, A w2), built once by the caller; V w3, V w4 and
-    V w_att come from the mapping `weights` (arrays or tape leaves).
-    Training, prediction and attention export all score samples here, and
-    the (float32) features are widened to float64 here, one block at a time."""
-    A, Z, V = dataset.attributes, dataset.class_semantics, np.asarray(V, dtype=np.float64)
-    f1 = attr_visual.cross_attention(products, V, Z)
-    region_products = attr_visual.query_products(V, weights, REGION_SIDE)
-    return f1, attr_visual.cross_attention(region_products, A, Z)
-
-
-def score_blocks(indices, dataset: Dataset, weights):
-    """(rows, f1, f2) per block of `block_samples(dataset, BLOCK_VALUES)` of the
-    samples `indices`, in order, from `forward_both`; A w1 and A w2 run once
-    per call, and one block's copy of the features is alive at a time."""
-    idx = np.asarray(indices, dtype=np.intp)
-    block = block_samples(dataset, BLOCK_VALUES)
-    products = attr_visual.query_products(dataset.attributes, weights, ATTR_SIDE)
-    for start in range(0, idx.size, block):
-        rows = idx[start:start + block]
-        yield (rows, *forward_both(dataset.features[rows], dataset, products, weights))
 
 
 def make_intervention_attention(
@@ -211,8 +179,6 @@ def batch_loss_and_grads(
     The report's `correct` counts the rows whose fused class scores (default
     fusion) rank their label first among the seen classes.
     """
-    # imported here because evaluate imports this module
-    from .evaluate import fused_score, top_classes
     idx = np.asarray(batch_indices, dtype=np.intp)
     if idx.size == 0:
         raise ValueError("batch must be nonempty")
@@ -226,7 +192,8 @@ def batch_loss_and_grads(
     def run_block(start: int) -> tuple[np.ndarray, int]:
         rows = idx[start:start + block]
         labels = dataset.labels[rows]
-        f1, f2 = forward_both(dataset.features[rows], dataset, product_leaves, leaves)
+        f1, f2 = attr_visual.forward_both(dataset.features[rows], dataset, product_leaves,
+                                          leaves)
         beta_bars, gamma_bars = intervention_fn(slice(start, start + rows.size),
                                                 f1.attention.data, f2.attention.data)
         terms = (
@@ -246,8 +213,9 @@ def batch_loss_and_grads(
         if bad.size:
             raise NumericError(f"non-finite loss at sample index {rows[bad[0]]}")
         ad.tsum(row_totals).backward(seed=1.0 / n)
-        scores = fused_score(f1.attr_scores.data, f2.attr_scores.data, Z, split, rows=rows)
-        correct = int(np.sum(top_classes(scores, split, "train") == labels))
+        scores = evaluate.fused_score(f1.attr_scores.data, f2.attr_scores.data, Z, split,
+                                      rows=rows)
+        correct = int(np.sum(evaluate.top_classes(scores, split, "train") == labels))
         return np.array([t.data.sum() for t in terms]), correct
 
     sums, correct = map(sum, zip(*(run_block(start) for start in range(0, n, block))))
@@ -371,13 +339,12 @@ def load_checkpoint(directory: str | Path) -> tuple[ModelState, dict]:
         raise FormatError(f"{meta_path}: 'hyperparams' do not build Hyperparams ({e!r})") from e
     arrays = {name: read_tensor(directory / f"{name}.msdt").astype(np.float64)
               for name in PARAM_NAMES}
-    da_d = arrays["w1"].shape
     for name, arr in arrays.items():
         path = directory / f"{name}.msdt"
-        want = da_d if name in ATTR_SIDE else da_d[::-1]
         if arr.ndim != 2:
             raise FormatError(f"{path}: {name} must be a matrix, got shape {arr.shape}")
-        if arr.shape != want:
+        # w1 comes first, so its shape is a checked matrix here
+        if arr.shape != (want := attr_visual.weight_shapes(*arrays["w1"].shape)[name]):
             raise FormatError(f"{path}: {name} has shape {arr.shape}, expected {want} "
                               f"({', '.join(ATTR_SIDE)} are Da x D; "
                               f"{', '.join(REGION_SIDE)} are D x Da)")

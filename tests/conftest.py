@@ -64,7 +64,7 @@ def put_nan(path, index):
 
 def subnet_pass(V, A, Z, weights, side):
     """One sub-net's observed pass, read from the weights `side` of the mapping
-    `weights` (arrays or tape leaves) as training.forward_both reads them:
+    `weights` (arrays or tape leaves) as attr_visual.forward_both reads them:
     for ATTR_SIDE (w1, w2) the attributes A attend over the regions V; for
     REGION_SIDE (w3, w4, w_att) the regions attend over the attributes."""
     queries, keys = (V, A) if side == REGION_SIDE else (A, V)

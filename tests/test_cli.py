@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from conftest import fail_nth_write, fill_disk_after, put_nan, subnet_pass
-from mczsl import cli, training
+from mczsl import attr_visual, cli, training
 from mczsl.attr_visual import ATTR_SIDE
 from mczsl.cli import PRESETS, build_parser, main, parse_config_file
 from mczsl.data import SynthConfig, generate_synthetic, load_dataset, save_dataset
@@ -140,15 +140,15 @@ class TestTrain:
 
 
 def count_scored_rows(monkeypatch):
-    """Rows of region features that reach training.forward_both, per call."""
+    """Rows of region features that reach attr_visual.forward_both, per call."""
     rows = []
-    forward_both = training.forward_both
+    forward_both = attr_visual.forward_both
 
     def counting(V, *args):
         rows.append(len(V))
         return forward_both(V, *args)
 
-    monkeypatch.setattr(training, "forward_both", counting)
+    monkeypatch.setattr(attr_visual, "forward_both", counting)
     return rows
 
 
@@ -259,6 +259,11 @@ class TestEval:
         pytest.param(lambda m: {"features": 5}, id="features_int"),
         pytest.param(lambda m: {"features": "../data/features.msdt"}, id="features_outside"),
         pytest.param(lambda m: {"features": ""}, id="features_empty"),
+        # pops the key from the manifest before the (then empty) update merges in
+        pytest.param(lambda m: m.pop("labels") and {}, id="labels_key_missing"),
+        pytest.param(lambda m: {"class_names": m["class_names"][:-1]}, id="class_names_short"),
+        pytest.param(lambda m: {"attribute_names": m["attribute_names"][:-1]},
+                     id="attribute_names_short"),
     ])
     def test_bad_manifest_field_exits_3(self, data_dir, trained_run, tmp_path, capsys, edit):
         data = tmp_path / "data"
@@ -284,6 +289,38 @@ class TestEval:
                      str(trained_run / "checkpoint"), "--out", str(tmp_path / "e")])
         assert code == 3
         assert str(data / f"{name}.msdt") in capsys.readouterr().err
+
+    @pytest.mark.parametrize("name,corrupt,fields,invariant", [
+        ("labels", lambda t: t[:-1], {}, "labels length must equal sample count"),
+        ("class_semantics", lambda t: np.pad(t, ((0, 0), (0, 1))), {},
+         "class_semantics columns must equal attribute count K"),
+        ("attributes", lambda t: t[:1], {"num_attributes": 1},
+         "K >= 2 (at least two attributes)"),
+    ], ids=["labels_one_short", "class_semantics_k_plus_1_columns", "one_attribute"])
+    def test_tensor_breaking_an_invariant_exits_3(self, data_dir, trained_run, tmp_path, capsys,
+                                                  name, corrupt, fields, invariant):
+        data = tmp_path / "data"
+        shutil.copytree(data_dir, data)
+        write_tensor(data / f"{name}.msdt", corrupt(read_tensor(data / f"{name}.msdt")))
+        manifest = json.loads((data / "manifest.json").read_text())
+        (data / "manifest.json").write_text(json.dumps(manifest | fields))
+        code = main(["eval", "--data", str(data), "--checkpoint",
+                     str(trained_run / "checkpoint"), "--out", str(tmp_path / "e")])
+        assert code == 3
+        assert capsys.readouterr().err == (f"error: {data / 'manifest.json'}: dataset "
+                                           f"invariant violated: {invariant}\n")
+
+    @pytest.mark.parametrize("corrupt", [lambda w: w[0], lambda w: w[None]],
+                             ids=["rank_1", "rank_3"])
+    def test_weight_that_is_not_a_matrix_exits_3(self, data_dir, trained_run, tmp_path, capsys,
+                                                 corrupt):
+        ckpt = tmp_path / "checkpoint"
+        shutil.copytree(trained_run / "checkpoint", ckpt)
+        write_tensor(ckpt / "w1.msdt", corrupt(read_tensor(ckpt / "w1.msdt")))
+        code = main(["eval", "--data", str(data_dir), "--checkpoint", str(ckpt),
+                     "--out", str(tmp_path / "e")])
+        assert code == 3
+        assert f"{ckpt / 'w1.msdt'}: w1 must be a matrix" in capsys.readouterr().err
 
     def test_inconsistent_weight_shapes_exit_3(self, data_dir, trained_run, tmp_path, capsys):
         ckpt = tmp_path / "checkpoint"
@@ -399,6 +436,18 @@ class TestInterveneCompare:
                      "--out", str(tmp_path / "train"), "--learning-rate", "0"]) == 2
         assert "learning_rate" in capsys.readouterr().err
         assert not (tmp_path / "train").exists()
+
+    def test_overflowing_class_scores_exit_4_and_save_no_checkpoint(self, data_dir, tmp_path,
+                                                                    capsys):
+        # each kind is scored before its checkpoint is saved, so the refusal
+        # leaves no run directory and no table behind
+        out = tmp_path / "cmp"
+        code = main(["intervene-compare", "--data", str(data_dir), "--out", str(out),
+                     "--preset", "synthetic", "--seed", "1", "--epochs", "2",
+                     "--alpha1", "1e308", "--alpha2", "1e308"])
+        assert code == 4
+        assert "non-finite fused class score" in capsys.readouterr().err
+        assert list(out.iterdir()) == []
 
 
 @pytest.mark.parametrize("kind,failing", [("dataset", n) for n in range(1, 6)]
@@ -519,8 +568,8 @@ class TestExportAttention:
     def test_blocks_do_not_change_exports(self, monkeypatch, data_dir, trained_run, tmp_path):
         # samples are scored in blocks; one sample per block writes the same bytes
         outputs = []
-        for block_values in (training.BLOCK_VALUES, 1):
-            monkeypatch.setattr(training, "BLOCK_VALUES", block_values)
+        for block_values in (attr_visual.BLOCK_VALUES, 1):
+            monkeypatch.setattr(attr_visual, "BLOCK_VALUES", block_values)
             out = tmp_path / f"attn_{block_values}"
             assert main(["export-attention", "--data", str(data_dir), "--checkpoint",
                          str(trained_run / "checkpoint"), "--out", str(out),
@@ -593,6 +642,22 @@ class TestConfigFile:
                      "--config", str(cfg)])
         assert code == 2
         assert str(cfg) in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command,line,message", [
+        ("train", "epochs=abc", "bad value for epochs: 'abc'"),
+        ("train", "intervention_seed=None", "bad value for intervention_seed: 'None'"),
+        ("eval", "setting=both2", "setting must be czsl, gzsl, or both, got 'both2'"),
+    ])
+    def test_bad_value_exits_2(self, data_dir, trained_run, tmp_path, capsys, command, line,
+                               message):
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text(line + "\n")
+        inputs = {"train": [], "eval": ["--checkpoint", str(trained_run / "checkpoint")]}
+        code = main([command, "--data", str(data_dir), *inputs[command],
+                     "--out", str(tmp_path / "r"), "--config", str(cfg)])
+        assert code == 2
+        assert message in capsys.readouterr().err
+        assert not (tmp_path / "r").exists()
 
     @pytest.mark.parametrize("key", ["data", "out", "checkpoint", "preset", "samples"])
     def test_non_setting_keys_rejected(self, tmp_path, key):

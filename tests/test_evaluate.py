@@ -1,12 +1,15 @@
 import importlib
 import importlib.util
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from conftest import build_dataset
-from mczsl import training
+import mczsl
+from mczsl import attr_visual, training
 from mczsl.data import Split
 from mczsl.errors import NumericError, ShapeError
 from mczsl.evaluate import (
@@ -115,13 +118,13 @@ class TestFusedScore:
         ds = build_dataset(num_classes=6, samples_per_class=4, n_unseen=3, seed=21)
         state = state_for_dataset(ds, make_rng(22))
         forwards = []
-        forward_both = training.forward_both
+        forward_both = attr_visual.forward_both
 
         def recording(*args):
             forwards.append(forward_both(*args))
             return forwards[-1]
 
-        monkeypatch.setattr(training, "forward_both", recording)
+        monkeypatch.setattr(attr_visual, "forward_both", recording)
         batch = ds.split.train_idx
         report, _ = training.batch_loss_and_grads(
             batch, ds, state.params(), LossWeights(), lambda _, betas, gammas: (betas, gammas))
@@ -281,8 +284,8 @@ def test_block_predict_independent_of_blocking(monkeypatch, setting):
         p *= 4.0  # spread the scores beyond the +-1 offsets
     idx = [int(i) for i in make_rng(19).permutation(ds.num_samples)]
     cfg = FusionConfig(setting=setting)
-    # blocks of 5 samples, cut by training.score_blocks
-    monkeypatch.setattr(importlib.import_module("mczsl.training"), "BLOCK_VALUES", 5 * r * d)
+    # blocks of 5 samples, cut by attr_visual.score_blocks
+    monkeypatch.setattr(importlib.import_module("mczsl.attr_visual"), "BLOCK_VALUES", 5 * r * d)
     blocked = top_classes(class_scores(idx, state, ds, cfg), ds.split, setting).tolist()
     assert blocked == [top_classes(class_scores([i], state, ds, cfg), ds.split, setting)[0]
                        for i in idx]
@@ -304,7 +307,7 @@ def test_block_scores_at_a_cub_like_inner_dimension(monkeypatch):
     idx = list(range(ds.num_samples))
     scores = []
     for block in (1, 3):
-        monkeypatch.setattr(training, "BLOCK_VALUES", block * r * d)
+        monkeypatch.setattr(attr_visual, "BLOCK_VALUES", block * r * d)
         scores.append(class_scores(idx, state, ds, FusionConfig()))
     single, blocked = scores
     assert np.max(np.abs(blocked - single)) <= 1e-12 * np.max(np.abs(single))
@@ -346,3 +349,13 @@ class TestSerialization:
         assert lines[0] == "class,name,accuracy"
         assert lines[1] == "0,zero,1.000000"
         assert lines[2] == "2,two,0.750000"
+
+
+def test_evaluate_imports_without_training():
+    # evaluate scores through attr_visual; training imports evaluate, not the reverse
+    src = str(Path(mczsl.__file__).resolve().parents[1])
+    code = (f"import sys; sys.path.insert(0, {src!r}); import mczsl.evaluate; "
+            "print('mczsl.training' in sys.modules)")
+    child = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                           check=True)
+    assert child.stdout == "False\n"

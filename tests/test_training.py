@@ -21,7 +21,6 @@ from mczsl.training import (
     REGION_SIDE,
     Hyperparams,
     batch_loss_and_grads,
-    forward_both,
     init_state,
     load_checkpoint,
     make_intervention_attention,
@@ -509,7 +508,7 @@ def test_attribute_products_run_once_per_predict_call(monkeypatch):
 
     ds = prime_dataset()
     assert ds.num_samples == 24
-    monkeypatch.setattr(importlib.import_module("mczsl.training"), "BLOCK_VALUES",
+    monkeypatch.setattr(importlib.import_module("mczsl.attr_visual"), "BLOCK_VALUES",
                         5 * ds.num_regions * ds.feature_dim)
     state = state_for_dataset(ds, make_rng(4))
     count = record_attribute_products(monkeypatch, ds)
@@ -608,8 +607,8 @@ class TestDtypeContract:
         products = av.query_products(ds.attributes, weights, ATTR_SIDE)
         block = ds.features[:5]
         assert block.dtype == np.float32
-        narrow = forward_both(block, ds, products, weights)
-        wide = forward_both(block.astype(np.float64), ds, products, weights)
+        narrow = av.forward_both(block, ds, products, weights)
+        wide = av.forward_both(block.astype(np.float64), ds, products, weights)
         for a, b in zip(narrow, wide):
             assert a.attr_scores.data.tobytes() == b.attr_scores.data.tobytes()
 
