@@ -6,17 +6,18 @@ of the keys K with weights softmax(Q w_s K') by rows. Its readout
 q_i' w_e (attention K)_i is the row sum of attention times the table Q w_e K'.
 The attribute-to-visual sub-net takes Q = A (K x Da), K = V (R x D), w_s = w1
 and w_e = w2, so its readout is one confidence per attribute. The
-visual-to-attribute sub-net takes Q = V, K = A, w_s = w3 and w_e = w4, and the
-raw table V w_att A' lifts its R region scores to K attribute scores. Class
-logits are dot products of the attribute scores with the class prototypes Z
-(C x K).
+visual-to-attribute sub-net takes Q = V, K = A, w_s = w3 and w_e = w4, and
+lifts its R region scores s to K attribute scores through the raw table
+V w_att A': their s-weighted row sum, computed as ((s' V) w_att) A', so the
+R x K table is never built. Class logits are dot products of the attribute
+scores with the class prototypes Z (C x K).
 
 The five trained matrices live in one dict, ATTR_SIDE for the first sub-net
 and REGION_SIDE for the second, shaped by `weight_shapes`; `query_products`
 builds the query side Q w of each table (Q w) K' from it, `cross_attention`
 reads the tables against the keys, and `forward_both` runs both sub-nets.
 A w1 and A w2 do not depend on the image, so training builds them once per
-batch and `score_blocks` once per call; V w3, V w4, V w_att per block.
+batch and `score_blocks` once per call; V w3 and V w4 per block.
 
 V holds one sample's regions (R x D) or a block of samples (B x R x D). V, A
 and Z are constants; only the weight matrices are trainable. Every pass builds
@@ -60,15 +61,19 @@ class SubnetForward:
     attr_scores: ad.Tensor  # K per-attribute confidences
     logits: ad.Tensor  # C class scores
     table: ad.Tensor  # queries x keys readout table Q w_e K'
-    lift: ad.Tensor | None  # queries x K table from readout to attribute scores
+    lift: tuple[ad.Tensor, ad.Tensor, ad.Tensor] | None  # operands (Q', w_lift, K'), no table
     prototypes: ad.Tensor  # Z', K x C
 
 
 def _readout(attention, table, lift, prototypes) -> SubnetForward:
-    """The pass under `attention`: readout, lift (if any) and class logits."""
+    """The pass under `attention`: readout, lift (if any) and class logits.
+    The lift of the per-query readout s is ((s' Q) w_lift) K', with s' Q taken
+    as the column Q' s and its unit axis summed away."""
     scores = ad.tsum(ad.mul(attention, table), axis=-1, keepdims=lift is not None)
     if lift is not None:
-        scores = ad.tsum(ad.mul(scores, lift), axis=-2)
+        queries_t, w_lift, keys_t = lift
+        pooled = ad.tsum(ad.matmul(queries_t, scores), axis=-1)
+        scores = ad.matmul(ad.matmul(pooled, w_lift), keys_t)
     return SubnetForward(attention, scores, ad.matmul(scores, prototypes),
                          table, lift, prototypes)
 
@@ -84,31 +89,39 @@ def query_products(Q, weights, names) -> list[ad.Tensor]:
     return [ad.matmul(Q, w) for w in ws]
 
 
-def cross_attention(products, K, Z) -> SubnetForward:
+def cross_attention(products, K, Z, lift=None) -> SubnetForward:
     """Rows of Q attend over rows of K (either may lead with a block axis), from
-    the query-side products (Q w_s, Q w_e) or (Q w_s, Q w_e, Q w_lift). With a
-    third product, the per-query readout is lifted to attribute scores through
-    the raw table Q w_lift K' (no normalization)."""
+    the query-side products (Q w_s, Q w_e). With lift = (Q, w_lift), the
+    per-query readout s is lifted to attribute scores through the raw table
+    Q w_lift K' (no normalization): its s-weighted row sum, computed as
+    ((s' Q) w_lift) K' without building the table."""
     K = np.asarray(K)
     if K.ndim not in (2, 3) or any(p.data.shape[-1] != K.shape[-1] for p in products):
         raise ShapeError(f"bilinear shapes inconsistent: query products "
                          f"{[p.data.shape for p in products]} x keys {K.shape}")
     keys_t = ad.constant(np.swapaxes(K, -1, -2))
-    scores, readout, *lift = [ad.matmul(p, keys_t) for p in products]
-    return _readout(ad.softmax(scores, axis=-1), readout, lift[0] if lift else None,
-                    ad.constant(np.transpose(Z)))
+    scores, readout = [ad.matmul(p, keys_t) for p in products]
+    if lift is not None:
+        Q, w_lift = np.asarray(lift[0]), ad.as_tensor(lift[1])
+        if w_lift.data.shape != (Q.shape[-1], K.shape[-1]):
+            raise ShapeError(f"bilinear shapes inconsistent: {Q.shape} x lift "
+                             f"{w_lift.data.shape} x keys {K.shape}")
+        lift = (ad.constant(np.swapaxes(Q, -1, -2)), w_lift, keys_t)
+    return _readout(ad.softmax(scores, axis=-1), readout, lift, ad.constant(np.transpose(Z)))
 
 
 def forward_both(V, dataset: Dataset, products, weights) -> tuple[SubnetForward, SubnetForward]:
     """Both sub-nets on one sample's regions V (R x D), or on a block of
     samples (B x R x D), against the dataset's attributes and prototypes.
     `products` are (A w1, A w2), built once by the caller; V w3, V w4 and
-    V w_att come from the mapping `weights` (arrays or tape leaves).
+    the lift w_att come from the mapping `weights` (arrays or tape leaves).
     Training, prediction and attention export all score samples here, and
     the (float32) features are widened to float64 here, one block at a time."""
     A, Z, V = dataset.attributes, dataset.class_semantics, np.asarray(V, dtype=np.float64)
     f1 = cross_attention(products, V, Z)
-    return f1, cross_attention(query_products(V, weights, REGION_SIDE), A, Z)
+    *tables, w_lift = REGION_SIDE
+    return f1, cross_attention(query_products(V, weights, tables), A, Z,
+                               lift=(V, weights[w_lift]))
 
 
 def score_blocks(indices, dataset: Dataset, weights):
@@ -134,8 +147,9 @@ def intervened(observed: SubnetForward, attn_bar) -> SubnetForward:
     """The observed pass with its attention forced to `attn_bar`.
 
     Only the readout, the lift and the logits run again, on the observed
-    pass's products. attn_bar is an exogenous constant: no gradient ever flows
-    into it, while the downstream weights keep their gradients.
+    pass's products and lift operands. attn_bar is an exogenous constant: no
+    gradient ever flows into it, while the downstream weights keep their
+    gradients.
     """
     attn_bar = ad.constant(attn_bar.data if isinstance(attn_bar, ad.Tensor) else attn_bar)
     if attn_bar.shape != observed.attention.data.shape:

@@ -201,8 +201,7 @@ def cmd_intervene_compare(args: argparse.Namespace) -> int:
     hp = _hyperparams(cfg, trains=not args.eval_only)
     fusion = _from_cfg(FusionConfig, cfg, setting="gzsl")
     dataset = _load(args, SETTINGS, 0 if args.eval_only else hp.epochs)
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
+    out = Path(args.out)  # made by the first checkpoint save; read from with --eval-only
     rows = []
     for kind in INTERVENTION_KINDS:
         ckpt = out / f"intervene_{kind}" / "checkpoint"

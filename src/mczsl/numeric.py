@@ -62,13 +62,23 @@ def check_settings(settings, *rules) -> None:
             raise ConfigError(f"{name} settings violate {rule}")
 
 
+# the longest axis row_max reduces through a transposed copy; timed crossover
+# 32-48 entries, on many short rows and on a few long ones alike
+TRANSPOSED_MAX_AXIS = 32
+
+
 def row_max(x, axis: int = -1) -> np.ndarray:
     """np.max(x, axis, keepdims=True) with the same values, NaN and +-inf
-    included (a max does not round). The max runs over axis 0 of a C-contiguous
-    copy with `axis` swapped to the front: elementwise maxima of long rows,
-    where np.max along a short last axis pays a reduction's overhead for every
-    row. The result is a view with the axes swapped back."""
+    included (a max does not round). An axis of up to TRANSPOSED_MAX_AXIS
+    entries (the default synthetic shape's K=12, R=9, C=10) is reduced over
+    axis 0 of a C-contiguous copy with `axis` swapped to the front: elementwise
+    maxima of long rows, where np.max along a short last axis pays a
+    reduction's overhead for every row; the result is a view with the axes
+    swapped back. A longer axis (the CUB-like K=312 and R=196) goes to np.max,
+    which is faster there."""
     x = np.asarray(x)
+    if x.shape[axis] > TRANSPOSED_MAX_AXIS:
+        return np.max(x, axis=axis, keepdims=True)
     return np.ascontiguousarray(x.swapaxes(axis, 0)).max(axis=0, keepdims=True).swapaxes(0, axis)
 
 

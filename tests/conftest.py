@@ -66,9 +66,13 @@ def subnet_pass(V, A, Z, weights, side):
     """One sub-net's observed pass, read from the weights `side` of the mapping
     `weights` (arrays or tape leaves) as attr_visual.forward_both reads them:
     for ATTR_SIDE (w1, w2) the attributes A attend over the regions V; for
-    REGION_SIDE (w3, w4, w_att) the regions attend over the attributes."""
-    queries, keys = (V, A) if side == REGION_SIDE else (A, V)
-    return cross_attention(query_products(queries, weights, side), keys, Z)
+    REGION_SIDE (w3, w4, w_att) the regions attend over the attributes, and
+    w_att lifts their scores to attribute scores."""
+    if side == REGION_SIDE:
+        *tables, w_lift = side
+        return cross_attention(query_products(V, weights, tables), A, Z,
+                               lift=(V, weights[w_lift]))
+    return cross_attention(query_products(A, weights, side), V, Z)
 
 
 @pytest.fixture(scope="session")

@@ -1,7 +1,7 @@
 """The bilinear cross-attention of attr_visual in its two readings, each built
 from a weight dict by `conftest.subnet_pass` as training reads it: attributes
 attending over regions (ATTR_SIDE, weights w1 and w2) and regions attending
-over attributes (REGION_SIDE, weights w3 and w4, plus the lift table w_att).
+over attributes (REGION_SIDE, weights w3 and w4, plus the lift weight w_att).
 The intervened pass runs through `attr_visual.intervened`, or its region-side
 name `visual_attr.intervened`. A case that holds for both readings is written
 once, in a `...Cases` class, and runs once per reading: `TestX` runs it on the
@@ -78,6 +78,17 @@ def region_scores(attr_scores, V, A, params):
     """Read the R region scores back out of the K lifted attribute scores
     (R == K <= D, Da, so the lift table V w_att A' is square and invertible)."""
     return np.linalg.solve((V @ params["w_att"] @ A.T).T, attr_scores)
+
+
+def lift_table_form(attention, V, A, params):
+    """The region reading's attribute scores under `attention` as the s-weighted
+    row sum of the full lift table V w_att A', for one sample or a block."""
+    s = np.sum(attention * ((V @ params["w4"]) @ A.T), axis=-1)
+    return np.sum(s[..., None] * ((V @ params["w_att"]) @ A.T), axis=-2)
+
+
+def assert_close_relative(got, want, rtol=1e-12):
+    assert np.max(np.abs(got - want)) <= rtol * np.max(np.abs(want))
 
 
 def readout_oracle(Q, w_e, mixes):
@@ -285,6 +296,22 @@ class TestProject:
         expected = psi_hat @ table
         assert np.max(np.abs(fwd.attr_scores.data - expected)) < 1e-12
 
+    @pytest.mark.parametrize("block", [(), (3,)])
+    def test_lift_matches_table_form(self, block):
+        # ((s' V) w_att) A' equals the table form, observed and intervened, on
+        # one sample and on a block of samples
+        rng = make_rng(14)
+        V = rng.standard_normal(block + (5, 6))
+        A = rng.standard_normal((7, 4))
+        params = {n: rng.standard_normal((6, 4)) for n in REGION_SIDE}
+        fwd = VA.run(V, A, params)
+        attention_bar = softmax(rng.standard_normal(fwd.attention.shape), axis=-1)
+        bar = va.intervened(fwd, attention_bar)
+        for pass_, attention in ((fwd, fwd.attention.data), (bar, attention_bar)):
+            assert pass_.attr_scores.shape == block + (7,)
+            assert_close_relative(pass_.attr_scores.data,
+                                  lift_table_form(attention, V, A, params))
+
 
 class PredictCases:
     def test_one_hot_prototypes_select_scores(self):
@@ -356,27 +383,33 @@ class IntervenedCases:
         attention_bar /= attention_bar.sum(axis=1, keepdims=True)
         bar = reading.module.intervened(reading.run(V, A, params, Z), attention_bar)
         # oracle: the readout table, its attention-weighted row sums, in the
-        # region reading the region-weighted rows of the lift table, and the
-        # prototype product in numpy
+        # region reading their lift ((s' V) w_att) A' (s' V as the column V' s),
+        # and the prototype product in numpy
         expected = np.sum(attention_bar * ((Q @ params[reading.embed]) @ K.T), axis=1)
         if reading.by_regions:
-            expected = np.sum(expected[:, None] * (V @ params["w_att"] @ A.T), axis=0)
+            pooled = np.sum(V.T @ expected[:, None], axis=-1)
+            expected = (pooled @ params["w_att"]) @ A.T
+            assert_close_relative(expected, lift_table_form(attention_bar, V, A, params))
         assert np.array_equal(bar.attention.data, attention_bar)
         assert np.array_equal(bar.attr_scores.data, expected)
         assert np.array_equal(bar.logits.data, Z @ expected)
 
     def test_reuses_observed_products(self, monkeypatch):
-        # only Z.psi runs again; the readout (and lift) tables come from the
-        # observed pass
+        # the readout table comes from the observed pass: only Z.psi runs again,
+        # and in the region reading the lift's small products, never V w
         reading = self.reading
         V, A, params = reading.instance(k=4, r=3, seed=24)
         Q, K = reading.sides(V, A)
         fwd = reading.run(V, A, params)
         calls = []
         matmul = ad.matmul
-        monkeypatch.setattr(ad, "matmul", lambda a, b: calls.append(1) or matmul(a, b))
+        monkeypatch.setattr(ad, "matmul", lambda a, b: calls.append(
+            (ad.as_tensor(a).shape, ad.as_tensor(b).shape)) or matmul(a, b))
         reading.module.intervened(fwd, np.full((len(Q), len(K)), 1.0 / len(K)))
-        assert len(calls) == 1
+        if reading.by_regions:
+            assert calls and (V.shape, params["w_att"].shape) not in calls
+        else:
+            assert len(calls) == 1
 
     def test_unnormalized_rows_rejected(self):
         reading = self.reading
@@ -486,6 +519,23 @@ def assert_gradients_pass_finite_difference_check(reading, dims):
 
     report = finite_difference_check(loss_fn, base, epsilon=1e-5, tolerance=1e-4)
     assert report.passed, report
+
+
+def test_forward_both_multiplies_the_block_by_w3_and_w4_only(small_dataset, monkeypatch):
+    # the lift reads the block through s' V, so V w_att is never built
+    ds = small_dataset
+    rng = make_rng(81)
+    leaves = {n: ad.Tensor(rng.standard_normal(shape), requires_grad=True)
+              for n, shape in av.weight_shapes(ds.attributes.shape[1], ds.feature_dim).items()}
+    products = av.query_products(ds.attributes, leaves, ATTR_SIDE)
+    block = ds.features[:4]
+    calls = []
+    matmul = ad.matmul
+    monkeypatch.setattr(ad, "matmul", lambda a, b: calls.append((a, b)) or matmul(a, b))
+    av.forward_both(block, ds, products, leaves)
+    by_block = [b for a, b in calls if ad.as_tensor(a).shape == block.shape]
+    assert len(by_block) == 2
+    assert by_block[0] is leaves["w3"] and by_block[1] is leaves["w4"]
 
 
 def test_gradients_pass_finite_difference_check():

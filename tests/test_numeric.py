@@ -9,7 +9,7 @@ from mczsl.data import SynthConfig
 from mczsl.errors import ConfigError
 from mczsl.evaluate import FusionConfig
 from mczsl.losses import LossWeights
-from mczsl.numeric import make_rng, row_max, softmax
+from mczsl.numeric import TRANSPOSED_MAX_AXIS, make_rng, row_max, softmax
 from mczsl.training import Hyperparams
 
 
@@ -84,6 +84,19 @@ class TestRowMax:
         x[4, 0, 0] = np.nan
         x[4, 0, 1] = np.inf  # NaN and +inf in one row: NaN wins, as in np.max
         self.same(x, axis)
+
+    @pytest.mark.parametrize("n", [TRANSPOSED_MAX_AXIS, TRANSPOSED_MAX_AXIS + 1, 312])
+    @pytest.mark.parametrize("axis", [0, -1])
+    def test_both_paths_with_infinities_and_nan(self, n, axis):
+        x = np.moveaxis(make_rng(6).standard_normal((4, 5, n)), -1, axis)
+        rows = np.moveaxis(x, axis, -1)  # a view: writes land in x
+        rows[0, 1, 3] = np.inf
+        rows[1, 2, :] = -np.inf
+        rows[2, 3, n - 1] = np.nan
+        rows[3, 0, 0], rows[3, 0, 1] = np.nan, np.inf
+        self.same(x, axis)
+        # the transposed path hands back a view, np.max a fresh array
+        assert (row_max(x, axis).base is None) == (n > TRANSPOSED_MAX_AXIS)
 
 
 def test_rng_reproducible_sequences():
