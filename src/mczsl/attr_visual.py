@@ -82,11 +82,7 @@ def query_products(Q, weights, names) -> list[ad.Tensor]:
     """Q w for the weights `names` of the mapping `weights` (arrays or tape
     leaves): the query side of the tables (Q w) K'. Q may lead with a block axis."""
     Q = ad.constant(Q)
-    ws = [ad.as_tensor(weights[name]) for name in names]
-    for w, name in zip(ws, names):
-        if Q.data.ndim not in (2, 3) or w.data.ndim != 2 or w.data.shape[0] != Q.shape[-1]:
-            raise ShapeError(f"bilinear shapes inconsistent: {Q.shape} x {name} {w.data.shape}")
-    return [ad.matmul(Q, w) for w in ws]
+    return [ad.matmul(Q, weights[name]) for name in names]
 
 
 def cross_attention(products, K, Z, lift=None) -> SubnetForward:
@@ -95,18 +91,11 @@ def cross_attention(products, K, Z, lift=None) -> SubnetForward:
     per-query readout s is lifted to attribute scores through the raw table
     Q w_lift K' (no normalization): its s-weighted row sum, computed as
     ((s' Q) w_lift) K' without building the table."""
-    K = np.asarray(K)
-    if K.ndim not in (2, 3) or any(p.data.shape[-1] != K.shape[-1] for p in products):
-        raise ShapeError(f"bilinear shapes inconsistent: query products "
-                         f"{[p.data.shape for p in products]} x keys {K.shape}")
     keys_t = ad.constant(np.swapaxes(K, -1, -2))
     scores, readout = [ad.matmul(p, keys_t) for p in products]
     if lift is not None:
-        Q, w_lift = np.asarray(lift[0]), ad.as_tensor(lift[1])
-        if w_lift.data.shape != (Q.shape[-1], K.shape[-1]):
-            raise ShapeError(f"bilinear shapes inconsistent: {Q.shape} x lift "
-                             f"{w_lift.data.shape} x keys {K.shape}")
-        lift = (ad.constant(np.swapaxes(Q, -1, -2)), w_lift, keys_t)
+        Q, w_lift = lift
+        lift = (ad.constant(np.swapaxes(Q, -1, -2)), ad.as_tensor(w_lift), keys_t)
     return _readout(ad.softmax(scores, axis=-1), readout, lift, ad.constant(np.transpose(Z)))
 
 

@@ -10,7 +10,6 @@ import argparse
 import sys
 from dataclasses import fields, is_dataclass, replace
 from pathlib import Path
-from typing import get_args, get_type_hints
 
 import numpy as np
 
@@ -20,6 +19,7 @@ from .errors import ConfigError, DataValidationError, FormatError, NumericError
 from .evaluate import (SETTINGS, FusionConfig, check_test_splits, evaluate_settings,
                        per_class_csv, write_report_json)
 from .losses import LossWeights
+from .numeric import field_types
 from .tensor_io import write_atomic, write_json
 from .training import (
     INTERVENTION_KINDS,
@@ -45,17 +45,16 @@ PRESETS: dict[str, dict] = {
 
 def _settings(cls, skip=()):
     """(name, type, default) for each field of a settings dataclass, nested
-    dataclasses flattened and `T | None` read as T."""
-    hints = get_type_hints(cls)
+    dataclasses flattened and `T | None` read as T (numeric.field_types)."""
+    types = field_types(cls)
     for f in fields(cls):
         if f.name in skip:
             continue
-        typ = hints[f.name]
+        typ = next(t for t in types[f.name] if t is not type(None))
         if is_dataclass(typ):
             yield from _settings(typ)
         else:
-            scalar = next((t for t in get_args(typ) if t is not type(None)), typ)
-            yield f.name, scalar, f.default
+            yield f.name, typ, f.default
 
 
 # one global key set, so one config file can serve train, eval and the rest

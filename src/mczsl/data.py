@@ -142,7 +142,7 @@ def generate_synthetic(config: SynthConfig, seed: int) -> Dataset:
     # per seen class: ~70% train, rest held out as seen-class test samples
     n_test = max(1, int(round(0.3 * m)))
     idx = np.arange(c * m).reshape(c, m)
-    ds = Dataset(
+    return Dataset(
         name="synthetic",
         features=features,
         labels=labels,
@@ -153,8 +153,6 @@ def generate_synthetic(config: SynthConfig, seed: int) -> Dataset:
         class_names=[f"class_{ci}" for ci in range(c)],
         attribute_names=[f"attr_{ki}" for ki in range(k)],
     )
-    validate_dataset(ds)
-    return ds
 
 
 def validate_dataset(ds: Dataset, source: Path | None = None) -> None:

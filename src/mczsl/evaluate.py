@@ -19,6 +19,7 @@ import numpy as np
 from .attr_visual import score_blocks
 from .data import Dataset, Split
 from .errors import DataValidationError, NumericError, ShapeError
+from .losses import calibration_offsets
 from .numeric import check_settings
 from .tensor_io import write_json
 
@@ -76,16 +77,15 @@ def top_classes(scores: np.ndarray, split: Split, setting: str) -> np.ndarray:
 def fused_score(psi, psi_attr, Z, split: Split, cfg: FusionConfig = FusionConfig(),
                 rows=None) -> np.ndarray:
     """Scores over every class, one row per row of the float64 attribute scores:
-    (alpha1*psi + alpha2*psi_attr) . z_c + 1 for unseen c, - 1 for seen c. A
+    (alpha1*psi + alpha2*psi_attr) . z_c plus losses.calibration_offsets. A
     non-finite score raises NumericError naming its row's sample in `rows` (or its row)."""
     if psi.shape != psi_attr.shape or Z.ndim != 2 or Z.shape[1] != psi.shape[-1]:
         raise ShapeError(
             f"fusion shapes inconsistent: psi {psi.shape}, psi_attr {psi_attr.shape}, Z {Z.shape}"
         )
-    offsets = np.full(Z.shape[0], -1.0)
-    offsets[split.unseen_classes] = 1.0
     with np.errstate(over="ignore", invalid="ignore"):  # a non-finite score is refused below
-        scores = (cfg.alpha1 * psi + cfg.alpha2 * psi_attr) @ Z.T + offsets
+        scores = ((cfg.alpha1 * psi + cfg.alpha2 * psi_attr) @ Z.T
+                  + calibration_offsets(split, Z.shape[0]))
     bad = np.flatnonzero(~np.isfinite(scores.reshape(-1, Z.shape[0])).all(axis=1))
     if bad.size:
         raise NumericError(f"non-finite fused class score at sample index "

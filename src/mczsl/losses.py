@@ -48,6 +48,13 @@ class LossReport:
     correct: int = 0  # samples ranked right, counted by training.batch_loss_and_grads
 
 
+def calibration_offsets(split: Split, num_classes: int) -> np.ndarray:
+    """The self-calibration shift of each class's logit: +1 unseen, -1 seen."""
+    offsets = np.full(num_classes, -1.0)
+    offsets[split.unseen_classes] = 1.0
+    return offsets
+
+
 def _seen_one_hot(labels, split: Split) -> np.ndarray:
     """One-hot rows over the seen classes, one per label; refuses unseen labels."""
     labels = np.asarray(labels)
@@ -70,17 +77,14 @@ def acec_loss(logits, labels, split: Split, lambda_cal: float) -> ad.Tensor:
     sub-net's class logits (one per class).
 
     The calibration term is the summed negative log-probability of each unseen
-    class under a softmax over ALL classes whose logits are shifted by +1 for
-    unseen classes and -1 for seen ones; it pushes mass onto unseen classes
-    during training.
+    class under a softmax over ALL classes whose logits are shifted by
+    `calibration_offsets`; it pushes mass onto unseen classes during training.
     """
     logits = ad.as_tensor(logits)
     term1 = _seen_cross_entropy(logits, _seen_one_hot(labels, split), split)
     if lambda_cal == 0.0 or not split.unseen_classes:
         return term1
-    indicator = np.full(logits.data.shape[-1], -1.0)
-    indicator[split.unseen_classes] = 1.0
-    shifted = ad.add(logits, ad.constant(indicator))
+    shifted = ad.add(logits, ad.constant(calibration_offsets(split, logits.data.shape[-1])))
     lse_all = ad.logsumexp(shifted)
     unseen_sum = ad.tsum(ad.take(shifted, split.unseen_classes, axis=-1), axis=-1)
     n_unseen = float(len(split.unseen_classes))

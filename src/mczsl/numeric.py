@@ -28,7 +28,7 @@ def spawn_rngs(seed: int, n: int) -> list[np.random.Generator]:
 
 
 @functools.cache
-def _field_types(cls) -> dict[str, tuple[type, ...]]:
+def field_types(cls) -> dict[str, tuple[type, ...]]:
     """The types each field of a settings dataclass may hold: (T,), or
     (T, NoneType) for `T | None`."""
     return {name: get_args(typ) or (typ,) for name, typ in get_type_hints(cls).items()}
@@ -50,7 +50,7 @@ def check_settings(settings, *rules) -> None:
     is false is refused as "<Class> settings violate <rule>". `holds` is a
     callable, so it runs only once every field has its type."""
     name = type(settings).__name__
-    for field, types in _field_types(type(settings)).items():
+    for field, types in field_types(type(settings)).items():
         value = getattr(settings, field)
         if not any(_is_a(value, t) for t in types):
             wanted = " or ".join("None" if t is type(None) else t.__name__ for t in types)

@@ -1,12 +1,13 @@
 """Binary tensor files ("MSDT") and the run directories built from them.
 
 Layout: bytes 0-3 magic b"MSDT"; byte 4 format version (1); byte 5 rank
-(1 to 3); then rank unsigned 32-bit little-endian dims; then the row-major
-payload as IEEE-754 little-endian 32-bit floats, every one finite. Files
-must be exactly header + payload long; anything else is a FormatError
-carrying the byte offset where parsing failed, and a write or a read refuses
-the first non-finite value at its offset. `read_tensor` checks the header
-against the file size before it allocates, and returns float32, as stored.
+(1 to 3); then rank unsigned 32-bit little-endian dims, none zero and at most
+2**31 values in all; then the row-major payload as IEEE-754 little-endian
+32-bit floats, every one finite. Files must be exactly header + payload long;
+anything else is a FormatError carrying the byte offset where parsing failed.
+A write refuses the shapes and the values that a read refuses.
+`read_tensor` checks the header against the file size before it allocates,
+and returns float32, as stored.
 
 A run directory (a dataset or a checkpoint) is `<name>.msdt` files under one
 JSON index. `write_directory` checks every tensor before it touches the
@@ -17,6 +18,7 @@ anything but a JSON object with a FormatError naming the file.
 from __future__ import annotations
 
 import json
+import math
 import os
 import struct
 from pathlib import Path
@@ -61,13 +63,24 @@ def _check_finite(path: Path | str, payload: np.ndarray, offset: int) -> None:
             raise FormatError(f"{path}: non-finite payload value at offset {at}")
 
 
+def _element_count(path: Path | str, dims: tuple[int, ...]) -> int:
+    """The value count of shape `dims`; a zero dimension or a count over the cap
+    is refused at offset 6, where the dims start, on write and on read alike."""
+    if 0 in dims:
+        raise FormatError(f"{path}: zero dimension in shape {dims} at offset 6")
+    if (n := math.prod(dims)) > _MAX_ELEMENTS:
+        raise FormatError(f"{path}: element count {n} exceeds the 2**31-element cap at offset 6")
+    return n
+
+
 def _encoded(path: str | Path, array: np.ndarray) -> tuple[bytes, memoryview]:
-    """The MSDT header and a byte view (not a copy) of `array` cast to float32,
-    refused unless its rank is supported and every value is finite."""
+    """The MSDT header and a byte view (not a copy) of `array` cast to float32. A
+    shape the reader refuses is refused before the cast (no copy), a non-finite value after."""
+    if not 1 <= len(shape := np.shape(array)) <= MAX_RANK:
+        raise FormatError(f"{path}: tensor rank {len(shape)} outside supported range 1..{MAX_RANK}")
+    _element_count(path, shape)
     with np.errstate(over="ignore"):  # an overflow becomes inf, refused below
         a = np.ascontiguousarray(array, dtype="<f4")
-    if not 1 <= a.ndim <= MAX_RANK:
-        raise FormatError(f"{path}: tensor rank {a.ndim} outside supported range 1..{MAX_RANK}")
     header = MAGIC + struct.pack("<BB", VERSION, a.ndim)
     header += struct.pack(f"<{a.ndim}I", *a.shape)
     _check_finite(path, a, len(header))
@@ -131,13 +144,7 @@ def read_tensor(path: str | Path) -> np.ndarray:
     if size < dims_end:
         raise FormatError(f"{path}: truncated dims at offset {size} (need {dims_end} bytes)")
     dims = struct.unpack(f"<{rank}I", head[6:dims_end])
-    n = 1
-    for d in dims:
-        if d == 0:
-            raise FormatError(f"{path}: zero dimension in shape {dims} at offset 6")
-        n *= d
-    if n > _MAX_ELEMENTS:
-        raise FormatError(f"{path}: element count {n} exceeds the 2**31-element cap at offset 6")
+    n = _element_count(path, dims)
     expected = dims_end + 4 * n
     if size != expected:
         raise FormatError(

@@ -141,6 +141,24 @@ class TestAttention(AttentionCases):
         with pytest.raises(ShapeError):
             AV.run(V[:, :2], A, params)
 
+    # (reading, operand, its wrong shape): d=4 and da=3, so w1 is 3 x 4, the
+    # region side's weights 4 x 3 and V 3 x 4; autodiff.matmul refuses each
+    @pytest.mark.parametrize("side, operand, shape", [
+        (VA, "V", (3, 2)),
+        (AV, "w1", (4, 4)),
+        (VA, "w3", (5, 3)),
+        (VA, "w_att", (5, 3)),
+        (VA, "w_att", (4, 4)),
+    ], ids=["region-V-D", "w1-rows", "w3-rows", "w_att-rows", "w_att-cols"])
+    def test_bilinear_mismatch_refused(self, side, operand, shape):
+        V, A, params = side.instance(k=2, r=3)
+        if operand == "V":
+            V = V[:, :shape[1]]
+        else:
+            params = {**params, operand: np.ones(shape)}
+        with pytest.raises(ShapeError):
+            side.run(V, A, params)
+
 
 class TestAttentionVisualAttr(AttentionCases):
     reading = VA

@@ -129,7 +129,8 @@ class TestGenerator:
                           feature_dim=feature_dim, attr_dim=4,
                           samples_per_class=samples_per_class,
                           unseen_fraction=unseen_fraction)
-        ds = generate_synthetic(cfg, seed=seed)  # validates internally
+        ds = generate_synthetic(cfg, seed=seed)
+        validate_dataset(ds)
         assert 1 <= len(ds.split.unseen_classes) <= classes - 1
 
 
@@ -190,6 +191,17 @@ class TestRoundTrip:
         ds.split = Split(ds.split.seen_classes, ds.split.unseen_classes, [], [], [])
         with pytest.raises(DataValidationError, match="at least one sample"):
             save_dataset(ds, tmp_path / "d")
+
+    def test_zero_width_attributes_refused_before_any_file(self, tmp_path):
+        # K x 0 attributes pass validate_dataset, but the reader refuses a zero dimension
+        ds = generate_synthetic(SynthConfig(), seed=0)
+        save_dataset(ds, tmp_path / "d")
+        before = dir_bytes(tmp_path / "d")
+        ds.attributes = np.zeros((ds.num_attributes, 0))
+        with pytest.raises(FormatError, match=r"attributes\.msdt: zero dimension in shape "
+                                              r"\(12, 0\) at offset 6"):
+            save_dataset(ds, tmp_path / "d")
+        assert dir_bytes(tmp_path / "d") == before
 
 
 # the load runs in a fresh process, whose VmHWM counts only its own peak

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from conftest import fill_disk_after
+from mczsl import tensor_io
 from mczsl.errors import FormatError
 from mczsl.numeric import make_rng
 from mczsl.tensor_io import _CHECK_BLOCK, MAGIC, read_tensor, write_tensor
@@ -173,6 +174,23 @@ def test_nonfinite_write_refused_before_any_file(tmp_path, array):
         write_tensor(path, array)
     assert path.read_bytes() == before
     assert [p.name for p in tmp_path.iterdir()] == ["w.msdt"]
+
+
+def test_element_cap_is_one_rule_for_write_and_read(tmp_path, monkeypatch):
+    path = tmp_path / "t.msdt"
+    write_tensor(path, np.ones((3, 4)))
+    before = path.read_bytes()
+    monkeypatch.setattr(tensor_io, "_MAX_ELEMENTS", 11)  # 3 x 4 is one value over
+    cap = r"element count 12 exceeds the 2\*\*31-element cap at offset 6"
+    with pytest.raises(FormatError, match=cap) as read:
+        read_tensor(path)
+    with pytest.raises(FormatError, match=cap) as written:
+        write_tensor(path, np.ones((3, 4)))
+    assert str(written.value) == str(read.value)
+    assert path.read_bytes() == before
+    # the shape is refused before the float32 cast, which would fail on strings
+    with pytest.raises(FormatError, match=cap):
+        write_tensor(tmp_path / "s.msdt", np.full((3, 4), "x"))
 
 
 def test_rank_out_of_range_on_write(tmp_path):
