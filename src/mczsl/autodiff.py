@@ -1,13 +1,13 @@
 """Minimal reverse-mode automatic differentiation over numpy arrays.
 
 Just enough ops for the model: add, sub and mul with numpy broadcasting,
-matrix products, sums, log, an elementwise floor, gather, and stable
-softmax/logsumexp. Every Tensor holds float64 data; gradients accumulate in
-float64. Graphs are built eagerly and freed when the tensors go away.
-Each op states one gradient function per operand, and `_make` keeps only
-those of operands that need a gradient (trainable leaves and the nodes built
-from them), so a backward pass computes no gradient for a constant. Only
-leaves keep their gradients.
+matrix products, a transpose of the last two axes, sums, log, an elementwise
+floor, gather, and stable softmax/logsumexp. Every Tensor holds float64
+data; gradients accumulate in float64. Graphs are built eagerly and freed
+when the tensors go away. Each op states one gradient function per operand,
+and `_make` keeps only those of operands that need a gradient (trainable
+leaves and the nodes built from them), so a backward pass computes no
+gradient for a constant. Only leaves keep their gradients.
 
 A C-contiguous stack of matrices (a block's V, or V w) times one matrix runs
 as one 2-D product over the stacked rows, and so does that stack's gradient
@@ -204,6 +204,12 @@ def _stacked(x: np.ndarray) -> np.ndarray:
     """The matrices of a batched array stacked by rows: a view, not a copy, when
     x is C-contiguous (V is, once its transposed view V' is swapped back)."""
     return x.reshape(-1, x.shape[-1])
+
+
+def transpose(a) -> Tensor:
+    """The last two axes swapped, as a view; the gradient is swapped back."""
+    a = as_tensor(a)
+    return _make(_swap(a.data), (a, _swap))
 
 
 def tsum(a, axis: int | None = None, keepdims: bool = False) -> Tensor:

@@ -171,9 +171,11 @@ def validate_dataset(ds: Dataset, source: Path | None = None) -> None:
         fail("R >= 1 and D >= 1")
     if ds.attributes.ndim != 2 or ds.class_semantics.ndim != 2:
         fail("attributes and class_semantics must be matrices")
-    k = ds.attributes.shape[0]
+    k, da = ds.attributes.shape
     if k < 2:
         fail("K >= 2 (at least two attributes)")
+    if da < 1:
+        fail("Da >= 1")
     if ds.class_semantics.shape[1] != k:
         fail("class_semantics columns must equal attribute count K")
     c = ds.class_semantics.shape[0]

@@ -166,13 +166,12 @@ def batch_loss_and_grads(
 ) -> tuple[LossReport, dict[str, np.ndarray]]:
     """Batch-mean loss report and batch-mean gradients for the five matrices.
 
-    A w1 and A w2 run once per batch. The batch runs in blocks of
-    `block_samples(dataset, TRAIN_BLOCK_VALUES)` samples, each one tape graph:
-    a batched forward of both sub-nets that reads A w1 and A w2 through a leaf
-    each, the seven loss terms once on the block's (b, C) logits and (b, K)
-    attribute scores, one loss per row, and one backward. A block's graph is
-    freed before the next block's forward. The leaves' gradients sum over the
-    blocks and go back through the two products once, after the last block.
+    The batch runs in blocks of `block_samples(dataset, TRAIN_BLOCK_VALUES)`
+    samples, each one tape graph: a batched forward of both sub-nets, which
+    reads every table from the block through the weight leaves, the seven loss
+    terms once on the block's (b, C) logits and (b, K) attribute scores, one
+    loss per row, and one backward, which adds the block's share into the
+    leaves' gradients. A block's graph is freed before the next block's forward.
     intervention_fn(positions, betas, gammas) gets the slice of the batch that
     a block covers and its observed attentions (b x K x R, b x R x K), and
     returns the gradient-free (beta_bars, gamma_bars) of the same shapes.
@@ -183,8 +182,6 @@ def batch_loss_and_grads(
     if idx.size == 0:
         raise ValueError("batch must be nonempty")
     leaves = {name: ad.Tensor(params[name], requires_grad=True) for name in PARAM_NAMES}
-    products = attr_visual.query_products(dataset.attributes, leaves, ATTR_SIDE)
-    product_leaves = [ad.Tensor(p.data, requires_grad=True) for p in products]
     Z, split = dataset.class_semantics, dataset.split
     n = idx.size
     block = block_samples(dataset, TRAIN_BLOCK_VALUES)
@@ -192,8 +189,7 @@ def batch_loss_and_grads(
     def run_block(start: int) -> tuple[np.ndarray, int]:
         rows = idx[start:start + block]
         labels = dataset.labels[rows]
-        f1, f2 = attr_visual.forward_both(dataset.features[rows], dataset, product_leaves,
-                                          leaves)
+        f1, f2 = attr_visual.forward_both(dataset.features[rows], dataset, leaves)
         beta_bars, gamma_bars = intervention_fn(slice(start, start + rows.size),
                                                 f1.attention.data, f2.attention.data)
         terms = (
@@ -219,8 +215,6 @@ def batch_loss_and_grads(
         return np.array([t.data.sum() for t in terms]), correct
 
     sums, correct = map(sum, zip(*(run_block(start) for start in range(0, n, block))))
-    for product, leaf in zip(products, product_leaves):
-        product.backward(seed=leaf.grad)
     grads = {name: (leaves[name].grad if leaves[name].grad is not None
                     else np.zeros_like(params[name]))
              for name in PARAM_NAMES}

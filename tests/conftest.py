@@ -6,7 +6,7 @@ import itertools
 import numpy as np
 import pytest
 
-from mczsl.attr_visual import REGION_SIDE, cross_attention, query_products
+from mczsl.attr_visual import cross_attention
 from mczsl.data import Dataset, Split, SynthConfig, generate_synthetic
 from mczsl.numeric import make_rng
 
@@ -67,12 +67,9 @@ def subnet_pass(V, A, Z, weights, side):
     `weights` (arrays or tape leaves) as attr_visual.forward_both reads them:
     for ATTR_SIDE (w1, w2) the attributes A attend over the regions V; for
     REGION_SIDE (w3, w4, w_att) the regions attend over the attributes, and
-    w_att lifts their scores to attribute scores."""
-    if side == REGION_SIDE:
-        *tables, w_lift = side
-        return cross_attention(query_products(V, weights, tables), A, Z,
-                               lift=(V, weights[w_lift]))
-    return cross_attention(query_products(A, weights, side), V, Z)
+    w_att lifts their scores to attribute scores. Both read their tables as
+    (V w) A'."""
+    return cross_attention(V, A, Z, weights, side)
 
 
 @pytest.fixture(scope="session")

@@ -50,6 +50,11 @@ class Reading:
         """(queries, keys); applied to (queries, keys) it gives back (V, A)."""
         return (V, A) if self.by_regions else (A, V)
 
+    def table(self, V, A, w):
+        """The R x K table (V w) A' that the forward reads through weight w
+        (through w' in the attribute reading), in its association order."""
+        return (V @ (w if self.by_regions else w.T)) @ A.T
+
     def run(self, V, A, params, Z=None):
         """Observed pass; identity prototypes by default, so logits = scores."""
         return subnet_pass(V, A, np.eye(A.shape[0]) if Z is None else Z, params, self.names)
@@ -186,11 +191,11 @@ class FeaturesCases:
         attention = np.zeros((len(Q), len(K)))
         attention[:, key] = 1.0
         got = reading.readout_under(attention, V, A, params)
-        table_column = ((Q @ w_e) @ K.T)[:, key]
+        table = reading.table(V, A, w_e)
         if reading.by_regions:
-            assert np.allclose(got, table_column, atol=1e-9)
+            assert np.allclose(got, table[:, key], atol=1e-9)
         else:
-            assert np.array_equal(got, table_column)
+            assert np.array_equal(got, table[key])
         assert np.allclose(got, readout_oracle(Q, w_e, np.tile(K[key], (len(Q), 1))), atol=1e-9)
 
     def test_matches_weighted_sum_oracle(self):
@@ -400,10 +405,16 @@ class IntervenedCases:
         attention_bar = make_rng(23).random((len(Q), len(K)))
         attention_bar /= attention_bar.sum(axis=1, keepdims=True)
         bar = reading.module.intervened(reading.run(V, A, params, Z), attention_bar)
-        # oracle: the readout table, its attention-weighted row sums, in the
-        # region reading their lift ((s' V) w_att) A' (s' V as the column V' s),
-        # and the prototype product in numpy
-        expected = np.sum(attention_bar * ((Q @ params[reading.embed]) @ K.T), axis=1)
+        # oracle: the R x K readout table, its attention-weighted sums along
+        # the attention's axis, in the region reading their lift ((s' V) w_att) A'
+        # (s' V as the column V' s), and the prototype product in numpy
+        table = reading.table(V, A, params[reading.embed])
+        if reading.by_regions:
+            expected = np.sum(attention_bar * table, axis=1)
+        else:
+            expected = np.sum(attention_bar.T * table, axis=0)
+        assert_close_relative(expected, np.sum(attention_bar * ((Q @ params[reading.embed])
+                                                                 @ K.T), axis=1))
         if reading.by_regions:
             pooled = np.sum(V.T @ expected[:, None], axis=-1)
             expected = (pooled @ params["w_att"]) @ A.T
@@ -539,21 +550,54 @@ def assert_gradients_pass_finite_difference_check(reading, dims):
     assert report.passed, report
 
 
-def test_forward_both_multiplies_the_block_by_w3_and_w4_only(small_dataset, monkeypatch):
-    # the lift reads the block through s' V, so V w_att is never built
+def test_forward_both_reads_the_block_through_four_weights(small_dataset, monkeypatch):
+    # every table is (V w) A' for w = w1', w2', w3, w4; the lift reads the
+    # block through s' V, so V w_att is never built
     ds = small_dataset
     rng = make_rng(81)
     leaves = {n: ad.Tensor(rng.standard_normal(shape), requires_grad=True)
               for n, shape in av.weight_shapes(ds.attributes.shape[1], ds.feature_dim).items()}
-    products = av.query_products(ds.attributes, leaves, ATTR_SIDE)
     block = ds.features[:4]
     calls = []
     matmul = ad.matmul
     monkeypatch.setattr(ad, "matmul", lambda a, b: calls.append((a, b)) or matmul(a, b))
-    av.forward_both(block, ds, products, leaves)
+    av.forward_both(block, ds, leaves)
     by_block = [b for a, b in calls if ad.as_tensor(a).shape == block.shape]
-    assert len(by_block) == 2
-    assert by_block[0] is leaves["w3"] and by_block[1] is leaves["w4"]
+    assert len(by_block) == 4
+    for b, name in zip(by_block[:2], ATTR_SIDE):  # transpose nodes over w1 and w2
+        assert b._parents == (leaves[name],)
+        assert np.array_equal(b.data, leaves[name].data.T)
+    assert by_block[2] is leaves["w3"] and by_block[3] is leaves["w4"]
+    lifted = [ad.as_tensor(a).shape for a, b in calls if b is leaves["w_att"]]
+    assert lifted == [(len(block), ds.feature_dim)]  # s' V, one row per sample
+
+
+def old_order_attribute_pass(V, A, Z, w1, w2):
+    """The attribute reading as it was associated before its tables were read
+    from the regions: per sample, the K x R tables (A w1) V' and (A w2) V', the
+    softmax over R along each row, the readout row sums and the logits."""
+    V_t = np.swapaxes(np.asarray(V, dtype=np.float64), -1, -2)
+    scores, readout = np.matmul(A @ w1, V_t), np.matmul(A @ w2, V_t)
+    e = np.exp(scores - scores.max(axis=-1, keepdims=True))
+    beta = e / e.sum(axis=-1, keepdims=True)
+    psi = np.sum(beta * readout, axis=-1)
+    return beta, readout, psi, psi @ Z.T
+
+
+@pytest.mark.parametrize("rows", [[2], [0, 3, 5, 7]], ids=["one-sample", "block-of-4"])
+def test_forward_both_matches_the_old_association_order(small_dataset, rows):
+    ds = small_dataset
+    rng = make_rng(82)
+    weights = {n: rng.standard_normal(shape)
+               for n, shape in av.weight_shapes(ds.attributes.shape[1], ds.feature_dim).items()}
+    V = ds.features[rows[0]] if len(rows) == 1 else ds.features[rows]
+    f1, _ = av.forward_both(V, ds, weights)
+    beta, readout, psi, logits = old_order_attribute_pass(V, ds.attributes, ds.class_semantics,
+                                                          weights["w1"], weights["w2"])
+    assert f1.attention.shape == beta.shape == V.shape[:-2] + (ds.num_attributes, ds.num_regions)
+    for got, want in ((f1.attention.data, beta), (np.swapaxes(f1.table.data, -1, -2), readout),
+                      (f1.attr_scores.data, psi), (f1.logits.data, logits)):
+        assert_close_relative(got, want)
 
 
 def test_gradients_pass_finite_difference_check():

@@ -5,6 +5,7 @@ import pytest
 
 from mczsl import autodiff as ad
 from mczsl.errors import ShapeError
+from mczsl.gradcheck import directional_check
 from mczsl.numeric import make_rng
 
 
@@ -103,6 +104,34 @@ def test_matmul_shape_error():
         ad.matmul(ad.Tensor(np.zeros((2, 3))), ad.Tensor(np.zeros((2, 2))))
     with pytest.raises(ShapeError, match=r"\(2, 3, 4\).*\(3, 4, 5\)"):
         ad.matmul(ad.Tensor(np.zeros((2, 3, 4))), ad.Tensor(np.zeros((3, 4, 5))))
+
+
+@pytest.mark.parametrize("shape", [(3, 4), (2, 3, 4)])
+def test_transpose_is_a_view_with_the_gradient_swapped_back(shape):
+    a = ad.Tensor(make_rng(8).standard_normal(shape), requires_grad=True)
+    t = ad.transpose(a)
+    assert t.shape == shape[:-2] + shape[:-3:-1] and np.shares_memory(t.data, a.data)
+    assert np.array_equal(t.data, np.swapaxes(a.data, -1, -2))
+    weights = ad.constant(np.arange(float(a.data.size)).reshape(t.shape))
+    check_op(lambda a: ad.tsum(ad.mul(ad.transpose(a), weights)), [shape])
+
+
+def test_transpose_passes_the_directional_check():
+    # V w' A', the form of the attribute reading's tables, against central
+    # differences along random directions of w
+    rng = make_rng(9)
+    V, A = rng.standard_normal((2, 5, 4)), rng.standard_normal((6, 3))
+    C = rng.standard_normal((2, 5, 6))
+
+    def loss_fn(params):
+        w = ad.Tensor(params["w"], requires_grad=True)
+        table = ad.matmul(ad.matmul(ad.constant(V), ad.transpose(w)), ad.constant(A.T))
+        loss = ad.tsum(ad.mul(ad.softmax(table, axis=-2), ad.constant(C)))
+        loss.backward()
+        return loss.item(), {"w": w.grad}
+
+    report = directional_check(loss_fn, {"w": rng.standard_normal((3, 4))}, directions=4, seed=1)
+    assert report.passed, report
 
 
 def test_sum_axes():

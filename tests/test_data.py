@@ -193,13 +193,12 @@ class TestRoundTrip:
             save_dataset(ds, tmp_path / "d")
 
     def test_zero_width_attributes_refused_before_any_file(self, tmp_path):
-        # K x 0 attributes pass validate_dataset, but the reader refuses a zero dimension
+        # validate_dataset refuses K x 0 attributes before the writer sees them
         ds = generate_synthetic(SynthConfig(), seed=0)
         save_dataset(ds, tmp_path / "d")
         before = dir_bytes(tmp_path / "d")
         ds.attributes = np.zeros((ds.num_attributes, 0))
-        with pytest.raises(FormatError, match=r"attributes\.msdt: zero dimension in shape "
-                                              r"\(12, 0\) at offset 6"):
+        with pytest.raises(DataValidationError, match="dataset invariant violated: Da >= 1"):
             save_dataset(ds, tmp_path / "d")
         assert dir_bytes(tmp_path / "d") == before
 

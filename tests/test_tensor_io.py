@@ -142,6 +142,14 @@ def test_zero_dimension_rejected(tmp_path):
         read_tensor(_write(tmp_path, bytes(blob)))
 
 
+def test_zero_dimension_refused_on_write(tmp_path):
+    # the writer states the reader's rule, at the reader's offset
+    with pytest.raises(FormatError, match=r"attributes\.msdt: zero dimension in shape "
+                                          r"\(12, 0\) at offset 6"):
+        write_tensor(tmp_path / "attributes.msdt", np.zeros((12, 0)))
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_huge_dims_rejected_before_allocation(tmp_path):
     header = MAGIC + struct.pack("<BB", 1, 3) + struct.pack("<3I", 2**30, 2**30, 2**30)
     with pytest.raises(FormatError, match=r"exceeds the 2\*\*31-element cap at offset 6"):
