@@ -9,11 +9,20 @@ and `_make` keeps only those of operands that need a gradient (trainable
 leaves and the nodes built from them), so a backward pass computes no
 gradient for a constant. Only leaves keep their gradients.
 
+Gradients reach a node through `_accumulate`. An interior node keeps the
+first one it receives, with no copy, and adds a later one out of place; a
+leaf keeps a private copy and adds later ones into it in place. So no array
+handed to a node is written to: add hands one g to both operands, and tsum a
+read-only view.
+
 A C-contiguous stack of matrices (a block's V, or V w) times one matrix runs
 as one 2-D product over the stacked rows, and so does that stack's gradient
-g B'; every other product is np.matmul. softmax takes its values from
-numeric.softmax, and logsumexp shifts by numeric.row_max, the exact row max
-that numeric.softmax shifts by too.
+g B'. The matrix's gradient, the sum of a_i' g_i over the stacked rows, runs
+as (G' A)', the faster orientation at the CUB-like shape, so a weight read as
+w' (w1, w2) receives it in its own C-contiguous layout, through the transpose
+node with no copy. Every other product is np.matmul. softmax takes its values
+from numeric.softmax, and logsumexp shifts by numeric.row_max, the exact row
+max that numeric.softmax shifts by too.
 """
 from __future__ import annotations
 
@@ -99,8 +108,11 @@ def _topo_order(root: Tensor) -> list[Tensor]:
 
 
 def _accumulate(t: Tensor, g: np.ndarray) -> None:
-    if t.grad is None:
-        # a copy, never g itself: _unbroadcast can hand one g to both operands
+    # g may be shared or read-only, so it is never written to: an interior
+    # node keeps it or adds out of place, a leaf copies it and adds in place
+    if t._parents:
+        t.grad = g if t.grad is None else t.grad + g
+    elif t.grad is None:
         t.grad = np.array(g, dtype=np.float64)
     else:
         t.grad += g
@@ -172,8 +184,8 @@ def matmul(a, b) -> Tensor:
 
     def grad_b(g):
         a2, b2, g2 = _matrices(ad, bd, g)
-        if b2.ndim == 2 < g2.ndim:  # sum_i a_i' g_i over the stacked batch rows
-            return (_stacked(a2).T @ _stacked(g2)).reshape(bd.shape)
+        if b2.ndim == 2 < g2.ndim:  # sum_i a_i' g_i over the stacked batch rows, as (G' A)'
+            return (_stacked(g2).T @ _stacked(a2)).T.reshape(bd.shape)
         return _unbroadcast(_swap(a2) @ g2, b2.shape).reshape(bd.shape)
 
     return _make(out_data, (a, grad_a), (b, grad_b))
@@ -218,7 +230,7 @@ def tsum(a, axis: int | None = None, keepdims: bool = False) -> Tensor:
     def grad(g):
         if axis is not None and not keepdims:
             g = np.expand_dims(g, axis)
-        return np.broadcast_to(g, a.data.shape)  # _accumulate copies or adds it
+        return np.broadcast_to(g, a.data.shape)  # read-only: _accumulate never writes to it
 
     return _make(a.data.sum(axis=axis, keepdims=keepdims), (a, grad))
 

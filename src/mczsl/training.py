@@ -128,9 +128,10 @@ def make_intervention_attention(
     observed betas (b x K x R) and gammas (b x R x K), returns (beta_bars,
     gamma_bars) in the same shapes.
 
-    random: Uniform(0,1) entries, softmax-normalized along the attention axis;
-    one (b, 2KR) draw per block, row i holding sample i's beta then gamma, so
-    the stream is that of per-sample (K, R) then (R, K) draws.
+    random: Uniform[0,1) entries, softmax-normalized along the attention axis;
+    one (b, 2KR) rng.random draw per block (the values and stream of
+    rng.uniform(0, 1)), row i holding sample i's beta then gamma, so the
+    stream is that of per-sample (K, R) then (R, K) draws.
     uniform: every weight 1/(length of the attention axis).
     reversed: softmax(-log(observed + eps)) per row, inverting the observed ranking.
     random_plus_reversed: alternates random/reversed on even/odd alternation_index
@@ -142,7 +143,7 @@ def make_intervention_attention(
     if kind == "random":
         if rng is None:
             raise ValueError("random intervention requires an RNG stream")
-        draws = rng.uniform(0.0, 1.0, (len(betas), sum(obs[0].size for obs in observed)))
+        draws = rng.random((len(betas), sum(obs[0].size for obs in observed)))
         halves = np.split(draws, [observed[0][0].size], axis=1)
         return tuple(softmax(h.reshape(obs.shape), axis=-1) for h, obs in zip(halves, observed))
     if kind == "uniform":
@@ -215,7 +216,9 @@ def batch_loss_and_grads(
         return np.array([t.data.sum() for t in terms]), correct
 
     sums, correct = map(sum, zip(*(run_block(start) for start in range(0, n, block))))
-    grads = {name: (leaves[name].grad if leaves[name].grad is not None
+    # a weight read as V w (w3, w4) gathers its gradient F-ordered, as (G' V)';
+    # one copy to its weight's C order here beats mixed layouts in every update pass
+    grads = {name: (np.ascontiguousarray(leaves[name].grad) if leaves[name].grad is not None
                     else np.zeros_like(params[name]))
              for name in PARAM_NAMES}
     means = (sums / n).tolist()
@@ -229,19 +232,31 @@ def batch_loss_and_grads(
 
 def rmsprop_update(state: ModelState, grads: dict[str, np.ndarray], hp: Hyperparams) -> None:
     """RMSProp with momentum; weight decay is decoupled (parameters shrink
-    toward zero before the gradient step, so the gradient check stays clean)."""
+    toward zero before the gradient step, so the gradient check stays clean).
+
+    Per weight p with gradient g (C- or F-ordered), in this order:
+    sq = decay*sq + ((1-decay)*g)*g; buf = momentum*buf + g/(sqrt(sq) + eps);
+    p -= (lr*weight_decay)*p when weight_decay > 0; p -= lr*buf. Every step
+    runs in place through one scratch buffer, the size of the largest weight,
+    in the order and rounding of those expressions, so no other temporary is
+    allocated."""
     lr = hp.learning_rate
+    scratch = np.empty(max(p.size for p in state.weights.values()))
     for name, p in state.weights.items():
-        g = grads[name]
-        sq = state.sq_avg[name]
-        buf = state.momentum_buf[name]
+        g, sq, buf = grads[name], state.sq_avg[name], state.momentum_buf[name]
+        tmp = scratch[:p.size].reshape(p.shape)
+        np.multiply(g, 1.0 - hp.rms_decay, out=tmp)
+        tmp *= g
         sq *= hp.rms_decay
-        sq += (1.0 - hp.rms_decay) * g * g
+        sq += tmp
+        np.sqrt(sq, out=tmp)
+        tmp += hp.rms_epsilon
+        np.divide(g, tmp, out=tmp)
         buf *= hp.momentum
-        buf += g / (np.sqrt(sq) + hp.rms_epsilon)
+        buf += tmp
         if hp.weight_decay != 0.0:
-            p -= lr * hp.weight_decay * p
-        p -= lr * buf
+            p -= np.multiply(p, lr * hp.weight_decay, out=tmp)
+        p -= np.multiply(buf, lr, out=tmp)
 
 
 def train_step(

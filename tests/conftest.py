@@ -62,6 +62,16 @@ def put_nan(path, index):
     return offset
 
 
+def record_deliveries(monkeypatch) -> list:
+    """(tensor, gradient) for every delivery `autodiff._accumulate` receives
+    from now on, in order; each is still delivered."""
+    ad = importlib.import_module("mczsl.autodiff")
+    accumulate, delivered = ad._accumulate, []
+    monkeypatch.setattr(ad, "_accumulate",
+                        lambda t, g: delivered.append((t, g)) or accumulate(t, g))
+    return delivered
+
+
 def subnet_pass(V, A, Z, weights, side):
     """One sub-net's observed pass, read from the weights `side` of the mapping
     `weights` (arrays or tape leaves) as attr_visual.forward_both reads them:

@@ -3,6 +3,7 @@ differences of its forward, computed independently inside the tests."""
 import numpy as np
 import pytest
 
+from conftest import record_deliveries
 from mczsl import autodiff as ad
 from mczsl.errors import ShapeError
 from mczsl.gradcheck import directional_check
@@ -318,3 +319,89 @@ def test_operands_of_one_node_get_their_own_grads():
 
 def test_data_stays_float64():
     assert ad.Tensor(np.float32([1, 2])).data.dtype == np.float64
+
+
+def test_interior_node_keeps_the_one_gradient_it_receives(monkeypatch):
+    leaf = ad.Tensor(make_rng(12).standard_normal((3, 4)), requires_grad=True)
+    y = ad.mul(leaf, 2.0)
+    g = make_rng(13).standard_normal((3, 4))
+    ad._accumulate(y, g)
+    assert y.grad is g
+    # through a backward pass: the node passes on the array it was handed
+    y.grad = None
+    out = ad.tsum(ad.mul(y, ad.constant(make_rng(14).standard_normal((3, 4)))))
+    delivered = record_deliveries(monkeypatch)
+    passed = []
+    backward = y._backward
+    y._backward = lambda grad: passed.append(grad) or backward(grad)
+    out.backward()
+    (received,) = [grad for t, grad in delivered if t is y]
+    assert len(passed) == 1 and passed[0] is received
+
+
+def test_leaf_grad_is_private_and_accumulates_in_place(monkeypatch):
+    # the leaf receives tsum's read-only broadcast view, and add's g, which it
+    # shares with the other operand; its .grad shares memory with neither
+    leaf = ad.Tensor(make_rng(15).standard_normal((3, 4)), requires_grad=True)
+    c = ad.constant(make_rng(16).standard_normal((3, 4)))
+    out = ad.add(ad.tsum(ad.add(leaf, ad.mul(leaf, c))), ad.tsum(leaf))
+    delivered = record_deliveries(monkeypatch)
+    out.backward()
+    handed = [grad for t, grad in delivered if t is leaf]
+    assert len(handed) == 3
+    assert not any(np.shares_memory(leaf.grad, grad) for _, grad in delivered)
+    assert leaf.grad.flags.writeable
+    buffer, first = leaf.grad, leaf.grad.copy()
+    out.backward()
+    assert leaf.grad is buffer
+    assert np.allclose(leaf.grad, first + first, rtol=1e-15, atol=0)
+
+
+def test_add_of_interior_nodes_keeps_their_shared_gradient_apart():
+    # add hands one g to both operands; a later gradient into one of them
+    # is added out of place, so the other's gradient (and g) stay as they were
+    x = ad.Tensor(make_rng(17).standard_normal(5), requires_grad=True)
+    a, b = ad.mul(x, 2.0), ad.mul(x, 3.0)
+    g, h = make_rng(18).standard_normal(5), make_rng(19).standard_normal(5)
+    g_bytes = g.tobytes()
+    ad.add(a, b)._backward(g)
+    assert a.grad is g and b.grad is g
+    ad._accumulate(a, h)
+    assert b.grad is g and g.tobytes() == g_bytes
+    assert np.array_equal(a.grad, g + h)
+    # end to end: d/dx of sum(c1 (2x + 3x)) + sum(c2 2x)
+    c1, c2 = make_rng(20).standard_normal(5), make_rng(21).standard_normal(5)
+    a, b = ad.mul(x, 2.0), ad.mul(x, 3.0)
+    ad.add(ad.tsum(ad.mul(ad.add(a, b), c1)), ad.tsum(ad.mul(a, c2))).backward()
+    assert np.allclose(x.grad, 5.0 * c1 + 2.0 * c2, rtol=1e-15, atol=0)
+
+
+def test_add_of_a_node_to_itself_gives_exactly_twice_the_gradient():
+    g = make_rng(22).standard_normal((2, 3))
+    leaf = ad.Tensor(make_rng(23).standard_normal((2, 3)), requires_grad=True)
+    ad.add(leaf, leaf).backward(seed=g)
+    assert np.array_equal(leaf.grad, 2.0 * g)
+    leaf.grad = None
+    y = ad.mul(leaf, 1.0)  # an interior node, handed g twice by one add
+    ad.add(y, y).backward(seed=g)
+    assert np.array_equal(leaf.grad, 2.0 * g)
+
+
+@pytest.mark.parametrize("through_transpose", [False, True])
+def test_stacked_rows_weight_gradient_is_the_sum_over_samples(through_transpose):
+    # a block (V w) A' with K < Da < D: the weight's gradient is the sum over
+    # samples of V_i' (g_i A), whether the weight is a leaf or the transpose of one
+    K, Da, D, b, R = 4, 7, 11, 3, 5
+    rng = make_rng(24)
+    V, A = rng.standard_normal((b, R, D)), rng.standard_normal((K, Da))
+    leaf = ad.Tensor(rng.standard_normal((Da, D) if through_transpose else (D, Da)),
+                     requires_grad=True)
+    w = ad.transpose(leaf) if through_transpose else leaf
+    table = ad.matmul(ad.matmul(ad.constant(V), w), ad.constant(A.T))
+    g = rng.standard_normal(table.shape)
+    table.backward(seed=g)
+    expected = sum(V[i].T @ (g[i] @ A) for i in range(b))
+    got = leaf.grad.T if through_transpose else leaf.grad
+    assert np.linalg.norm(got - expected) <= 1e-12 * np.linalg.norm(expected)
+    if through_transpose:  # delivered in the leaf's own Da x D layout
+        assert leaf.grad.flags.c_contiguous

@@ -1,4 +1,5 @@
 import copy
+import gc
 import importlib
 import json
 import tracemalloc
@@ -6,7 +7,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from conftest import build_dataset, subnet_pass
+from conftest import build_dataset, record_deliveries, subnet_pass
 from mczsl import attr_visual as av
 from mczsl.autodiff import Tensor, _topo_order
 from mczsl.errors import ConfigError, FormatError, NumericError
@@ -20,6 +21,7 @@ from mczsl.training import (
     PARAM_NAMES,
     REGION_SIDE,
     Hyperparams,
+    ModelState,
     batch_loss_and_grads,
     init_state,
     load_checkpoint,
@@ -139,7 +141,8 @@ class TestInterventionAttention:
 
 def per_sample_interventions(kind, betas, gammas, rng, alternation_index):
     """Reference: each sample's (beta_bar, gamma_bar) on its own, in sample
-    order, the random ones as a (K, R) then an (R, K) draw from the stream."""
+    order, the random ones as a (K, R) then an (R, K) rng.uniform(0, 1) draw
+    from the stream."""
     if kind == "random_plus_reversed":
         kind = "random" if alternation_index % 2 == 0 else "reversed"
     pairs = []
@@ -166,7 +169,7 @@ def test_block_draw_is_the_per_sample_stream(kind, alternation_index):
     reference = per_sample_interventions(kind, betas, gammas, reference_rng, alternation_index)
     for got, want in zip(block, reference):
         assert got.shape == want.shape
-        assert np.array_equal(got, want)
+        assert got.tobytes() == want.tobytes()
     assert block_rng.bit_generator.state == reference_rng.bit_generator.state
 
 
@@ -251,6 +254,51 @@ class TestRmsprop:
         for name in state.params():
             assert np.allclose(state.params()[name],
                                before.params()[name] * (1 - 0.5 * 0.1), atol=1e-15)
+
+    @pytest.mark.parametrize("weight_decay", [0.0, 0.05])
+    @pytest.mark.parametrize("order", ["C", "F"])
+    def test_matches_the_textbook_update_bit_for_bit(self, order, weight_decay):
+        rng = make_rng(30)
+        shapes = {"w1": (3, 5), "w3": (5, 3), "w_att": (4, 2)}
+        state = ModelState({name: rng.standard_normal(shape) for name, shape in shapes.items()})
+        hp = Hyperparams(learning_rate=0.01, weight_decay=weight_decay)
+        lr, decay = hp.learning_rate, hp.rms_decay
+        reference = {name: (p.copy(), np.zeros_like(p), np.zeros_like(p))
+                     for name, p in state.weights.items()}
+        for _ in range(3):
+            grads = {name: np.asarray(rng.standard_normal(shape), order=order)
+                     for name, shape in shapes.items()}
+            assert all(g.flags[f"{order}_CONTIGUOUS"] for g in grads.values())
+            rmsprop_update(state, grads, hp)
+            for name, g in grads.items():
+                p, sq, buf = reference[name]
+                sq = decay * sq + (1.0 - decay) * g * g
+                buf = hp.momentum * buf + g / (np.sqrt(sq) + hp.rms_epsilon)
+                if weight_decay:
+                    p = p - lr * weight_decay * p
+                reference[name] = (p - lr * buf, sq, buf)
+        for name in shapes:
+            got = (state.weights[name], state.sq_avg[name], state.momentum_buf[name])
+            for a, b in zip(got, reference[name]):
+                assert a.tobytes() == b.tobytes(), name
+
+    @pytest.mark.parametrize("order", ["C", "F"])
+    def test_update_allocates_one_scratch_buffer(self, order):
+        # weights well over numpy's ufunc buffer (8,192 values), which mixed
+        # C and F operands iterate through
+        rng = make_rng(31)
+        shapes = {"w1": (60, 500), "w3": (500, 60), "w_att": (50, 10)}
+        state = ModelState({name: rng.standard_normal(shape) for name, shape in shapes.items()})
+        grads = {name: np.asarray(rng.standard_normal(shape), order=order)
+                 for name, shape in shapes.items()}
+        largest = max(p.nbytes for p in state.weights.values())
+        tracemalloc.start()
+        try:
+            rmsprop_update(state, grads, Hyperparams(weight_decay=1e-2))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.5 * largest, (peak, largest)
 
 
 class TestTrain:
@@ -547,6 +595,48 @@ def test_non_finite_loss_names_the_dataset_sample(monkeypatch):
     with np.errstate(all="ignore"), pytest.raises(NumericError,
                                                   match=rf"sample index {bad}$"):
         batch_loss_and_grads(batch, ds, params, LossWeights(), replay(frozen))
+
+
+def test_attribute_side_gradients_arrive_in_their_weights_layout(monkeypatch):
+    # one block with K < Da < D: w1 and w2 are read as w', and their leaves
+    # receive the product G' V as it was computed, Da x D and C-contiguous:
+    # the transpose node passes on a view of it, with no copy of its own
+    ds = prime_dataset(num_attributes=7, attr_dim=11, feature_dim=13)
+    (K, Da), D = ds.attributes.shape, ds.feature_dim
+    assert K < Da < D
+    force_training_block(monkeypatch, ds, 2)
+    params = state_for_dataset(ds, make_rng(4)).params()
+    delivered = record_deliveries(monkeypatch)
+    _, grads = batch_loss_and_grads(ds.split.train_idx[:2], ds, params, LossWeights(),
+                                    replay(frozen_interventions(ds, 2)))
+    for name in ATTR_SIDE:
+        (leaf, to_leaf), = [(t, g) for t, g in delivered if t.data is params[name]]
+        (to_transpose,) = [g for t, g in delivered if t._parents == (leaf,)]
+        assert leaf.grad.shape == (Da, D) and leaf.grad.flags.c_contiguous
+        assert grads[name] is leaf.grad
+        assert to_leaf.flags.c_contiguous and np.shares_memory(to_leaf, to_transpose)
+    assert all(g.flags.c_contiguous for g in grads.values())
+
+
+def test_a_block_graph_holds_no_reference_cycles(monkeypatch):
+    # the tape, lazy accumulation included, is freed by reference counting:
+    # nothing a batch builds is left for the cycle collector
+    ds = prime_dataset()
+    force_training_block(monkeypatch, ds, 2)
+    batch = ds.split.train_idx[:4]
+    params = state_for_dataset(ds, make_rng(4)).params()
+    draw = replay(frozen_interventions(ds, len(batch)))
+    gc.collect()
+    flags, gc.garbage[:] = gc.get_debug(), []
+    gc.set_debug(gc.DEBUG_SAVEALL)
+    try:
+        batch_loss_and_grads(batch, ds, params, LossWeights(), draw)
+        gc.collect()
+        garbage = [type(x).__name__ for x in gc.garbage]
+    finally:
+        gc.set_debug(flags)
+        gc.garbage[:] = []
+    assert garbage == []
 
 
 def test_training_memory_does_not_grow_with_the_batch(monkeypatch):
